@@ -128,7 +128,7 @@ def _parse_profile(cfg: dict, grid: FrequencyGrid, section: str = "profile") -> 
 
 TOP_KEYS = {
     "d", "p", "shift", "grid", "profile", "profile_g", "lambdas", "out", "seed",
-    "pad", "optimizer", "draws", "box", "shift_n", "shifts", "s0", "r",
+    "optimizer", "draws", "box", "shift_n", "shifts", "s0", "r",
 }
 
 
@@ -161,8 +161,7 @@ def _common(cfg: dict):
         raise ConfigError(str(ex)) from ex
     fgrid = _parse_fgrid(_require(cfg, "grid", "config"), d)
     stg = _parse_stg(cfg["grid"], d)
-    pad = int(cfg.get("pad", 8))
-    return e, fgrid, stg, pad
+    return e, fgrid, stg
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +169,14 @@ def _common(cfg: dict):
 # ---------------------------------------------------------------------------
 
 def _run_quotient(cfg: dict, threads: int):
-    e, fgrid, stg, pad = _common(cfg)
+    e, fgrid, stg = _common(cfg)
     f = _parse_profile(_require(cfg, "profile", "config"), fgrid)
     if "profile_g" in cfg:
         g = _parse_profile(cfg["profile_g"], fgrid, "profile_g")
         shift = _parse_shift(_require(cfg, "shift", "config"), e.d)
-        res = quotient_pair(f, g, shift, e, stg, pad=pad, threads=threads)
+        res = quotient_pair(f, g, shift, e, stg, threads=threads)
     else:
-        res = quotient_single(f, e, stg, pad=pad, threads=threads)
+        res = quotient_single(f, e, stg, threads=threads)
     rows = [(
         res.quotient,
         res.numerator.value,
@@ -191,11 +190,11 @@ def _run_quotient(cfg: dict, threads: int):
 
 
 def _run_sequence(cfg: dict, threads: int):
-    e, fgrid, stg, pad = _common(cfg)
+    e, fgrid, stg = _common(cfg)
     f = _parse_profile(_require(cfg, "profile", "config"), fgrid)
     shift = _parse_shift(_require(cfg, "shift", "config"), e.d)
     lambdas = [float(v) for v in _require(cfg, "lambdas", "config")]
-    study = convergence_study(f, shift, lambdas, e, stg, pad=pad, threads=threads)
+    study = convergence_study(f, shift, lambdas, e, stg, threads=threads)
     tfs = default_test_functions(e.d)
     rows = []
     for i, (lam, q, err) in enumerate(study.rows):
@@ -203,7 +202,7 @@ def _run_sequence(cfg: dict, threads: int):
         diag = weak_limit_diagnostics(
             f_lam, f_lam, shift, e, scaled_spacetime_grid(stg, lam),
             testfns=tfs, a_p_estimate=study.a_p_estimate, index=i,
-            pad=pad, threads=threads,
+            threads=threads,
         )
         pair_cols = [v for (_, pf, pg) in diag.weak_pairings for v in (pf, pg)]
         rows.append((lam, q, err, diag.ratio_first, diag.ratio_second,
@@ -217,7 +216,7 @@ def _run_sequence(cfg: dict, threads: int):
 
 
 def _run_search(cfg: dict, threads: int):
-    e, fgrid, stg, pad = _common(cfg)
+    e, fgrid, stg = _common(cfg)
     f = _parse_profile(_require(cfg, "profile", "config"), fgrid)
     g = _parse_profile(cfg.get("profile_g", cfg["profile"]), fgrid, "profile_g")
     shift = _parse_shift(_require(cfg, "shift", "config"), e.d)
@@ -228,7 +227,7 @@ def _run_search(cfg: dict, threads: int):
         step_tolerance=float(opt_cfg.get("step_tolerance", 2e-6)),
         boundary_mass_limit=float(opt_cfg.get("boundary_mass_limit", 1e-3)),
     )
-    traj = maximize_quotient_pair(f, g, shift, e, stg, opts=opts, pad=pad, threads=threads)
+    traj = maximize_quotient_pair(f, g, shift, e, stg, opts=opts, threads=threads)
     rows = []
     for k, q, S, nf, ng in traj.iterates:
         rows.append((k, q, S.lam, *S.xi_tilde, S.t0, *S.x0, nf, ng))
@@ -243,7 +242,7 @@ def _run_search(cfg: dict, threads: int):
 
 
 def _run_verify_symmetry(cfg: dict, threads: int, seed: int):
-    e, fgrid, stg, pad = _common(cfg)
+    e, fgrid, stg = _common(cfg)
     f = _parse_profile(_require(cfg, "profile", "config"), fgrid)
     shift = _parse_shift(_require(cfg, "shift", "config"), e.d)
     draws = int(cfg.get("draws", 100))
@@ -271,7 +270,7 @@ def _run_verify_symmetry(cfg: dict, threads: int, seed: int):
 
 
 def _run_separation(cfg: dict, threads: int):
-    e, fgrid, stg, pad = _common(cfg)
+    e, fgrid, stg = _common(cfg)
     f = _parse_profile(_require(cfg, "profile", "config"), fgrid)
     shift0 = _parse_shift(_require(cfg, "shift", "config"), e.d)
     shift_n = _parse_shift(_require(cfg, "shift_n", "config"), e.d, "shift_n")
@@ -288,12 +287,12 @@ def _run_separation(cfg: dict, threads: int):
 
 
 def _run_shifted_limit(cfg: dict, threads: int):
-    e, fgrid, stg, pad = _common(cfg)
+    e, fgrid, stg = _common(cfg)
     f = _parse_profile(_require(cfg, "profile", "config"), fgrid)
     shift0 = _parse_shift(_require(cfg, "shift", "config"), e.d)
     shift_cfgs = _require(cfg, "shifts", "config")
     shifts = [_parse_shift(sc, e.d, f"shifts[{i}]") for i, sc in enumerate(shift_cfgs)]
-    residuals = shifted_limit_test(f, shift0, shifts, e, stg, pad=pad, threads=threads)
+    residuals = shifted_limit_test(f, shift0, shifts, e, stg, threads=threads)
     rows = [
         (i, sh.tau0, *sh.xi0, r) for i, (sh, r) in enumerate(zip(shifts, residuals))
     ]

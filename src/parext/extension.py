@@ -4,11 +4,21 @@ The operator maps a frequency profile f to
 
     F(t, x) = integral exp(i t (|xi - xi0|^2 + tau0)) exp(i x . xi) f(xi) dxi,
 
-with the e^{+i x.xi}, e^{+i t tau} sign convention throughout.  Each t-slice
-is the Fourier transform of a chirp-modulated profile and is computed by a
-zero-padded FFT followed by local Lagrange interpolation onto the requested
-x-grid.  The whole pipeline is linear in f and its exact discrete adjoint is
-available for gradient computations.
+with the e^{+i x.xi}, e^{+i t tau} sign convention throughout.  On the
+frequency grid the integral is the Riemann sum over xi_j = xi_min + j dxi,
+and the requested x-grid is uniform too, x_k = x_min + k dx.  Along each
+axis the sum over j at every x_k is therefore a chirp-z transform: writing
+k j = (k^2 + j^2 - (k - j)^2) / 2, it is a pre-chirp in j, a linear
+convolution with the chirp exp(-i dx dxi m^2 / 2) and a post-chirp in k
+(Bluestein's algorithm), the convolution taking one FFT pair of length at
+least N + M - 1.  Each t-slice is the chirp-modulated profile pushed through
+one such transform per axis; on the uniform t-grid the time chirp
+exp(i t |xi - xi0|^2) is evaluated directly once every CHIRP_PERIOD slices
+and reaches the slices between through a tabulated per-step factor.  The result is the Riemann sum itself, exact to
+rounding at every requested x, including points past the period 2 pi / dxi
+of the sum.  The pipeline is linear in f, and its exact discrete adjoint (the
+same transforms with conjugated chirps and the lengths swapped) is available
+for gradient computations.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
+from scipy import fft as sp_fft
 
 from .errors import NyquistError
 from .grids import (
@@ -25,12 +35,10 @@ from .grids import (
     FrequencyProfile,
     SpacetimeField,
     SpacetimeGrid,
-    profile_centroid,
 )
 
-DEFAULT_PAD = 8
-INTERP_STENCIL = 5  # degree-4 local Lagrange
 NYQUIST_HARD_FACTOR = 4.0
+CHIRP_PERIOD = 32  # time slices sharing one directly evaluated time chirp
 
 
 @dataclass(frozen=True)
@@ -57,49 +65,57 @@ class ParaboloidShift:
         return np.asarray(self.xi0, dtype=float)
 
 
-def _lagrange_weights(frac: np.ndarray) -> np.ndarray:
-    """Weights of the 5-point Lagrange stencil at fractional offset ``frac``
-    (position relative to the stencil's center node, in units of the lattice
-    spacing, |frac| <= 1/2)."""
-    nodes = np.arange(INTERP_STENCIL) - (INTERP_STENCIL // 2)
-    w = np.empty(frac.shape + (INTERP_STENCIL,))
-    for s, ns in enumerate(nodes):
-        num = np.ones_like(frac)
-        den = 1.0
-        for m, nm in enumerate(nodes):
-            if m == s:
-                continue
-            num *= frac - nm
-            den *= ns - nm
-        w[..., s] = num / den
-    return w
+class _ChirpZ:
+    """Bluestein evaluation of y_k = scale * sum_j u_j exp(i x_k xi_j) for
+    xi_j = xi_min + j dxi (j < n) and x_k = x_min + k dx (k < m), along one
+    axis of an array, together with its conjugate transpose."""
+
+    def __init__(self, xi_min: float, dxi: float, n: int, x: np.ndarray, scale: float = 1.0):
+        m = x.size
+        a = (x[-1] - x[0]) / (m - 1) * dxi
+        j = np.arange(n, dtype=float)
+        k = np.arange(m, dtype=float)
+        self.n, self.m = n, m
+        self.n_fft = sp_fft.next_fast_len(n + m - 1)
+        self.pre = np.exp(1j * (x[0] * dxi * j + 0.5 * a * j * j))
+        self.post = scale * np.exp(1j * (x * xi_min + 0.5 * a * k * k))
+        # lags 0..m-1 at the front, -(n-1)..-1 wrapped to the back
+        lag = np.arange(self.n_fft, dtype=float)
+        lag[m:] -= self.n_fft
+        kernel = np.exp(-0.5j * a * lag * lag)
+        kernel[m : self.n_fft - n + 1] = 0.0
+        self.kernel_hat = sp_fft.fft(kernel)
+
+    def _convolve(self, u, pre, kernel_hat, post, n_out, axis, out=None):
+        shape = [1] * u.ndim
+        shape[axis] = -1
+        v = sp_fft.fft(u * pre.reshape(shape), n=self.n_fft, axis=axis)
+        v *= kernel_hat.reshape(shape)
+        v = sp_fft.ifft(v, axis=axis, overwrite_x=True)
+        keep = (slice(None),) * axis + (slice(0, n_out),)
+        return np.multiply(v[keep], post.reshape(shape), out=out)
+
+    def forward(self, u: np.ndarray, axis: int, out: np.ndarray = None) -> np.ndarray:
+        return self._convolve(u, self.pre, self.kernel_hat, self.post, self.m, axis, out)
+
+    def adjoint(self, y: np.ndarray, axis: int) -> np.ndarray:
+        # the wrapped kernel is even, so its adjoint's transform is conj(kernel_hat)
+        return self._convolve(y, self.post.conj(), self.kernel_hat.conj(), self.pre.conj(), self.n, axis)
 
 
 class ExtensionOperator:
     """The discrete linear map from profile samples on a fixed frequency grid
     to field samples on a fixed spacetime grid, for a fixed shift.
 
-    Holding the map fixed (including its demodulation frequency) makes
-    ``apply`` and ``apply_adjoint`` an exact transpose pair.
+    ``apply`` and ``apply_adjoint`` are an exact transpose pair.
     """
 
-    def __init__(
-        self,
-        fgrid: FrequencyGrid,
-        shift: ParaboloidShift,
-        stg: SpacetimeGrid,
-        pad: int = DEFAULT_PAD,
-        demod_center=None,
-    ):
+    def __init__(self, fgrid: FrequencyGrid, shift: ParaboloidShift, stg: SpacetimeGrid):
         if fgrid.d != stg.d or shift.d != fgrid.d:
             raise ValueError("dimension mismatch between grid, shift and spacetime grid")
-        if pad < 4:
-            raise ValueError("pad factor must be >= 4")
         self.fgrid = fgrid
         self.stg = stg
         self.shift = shift
-        self.pad = int(pad)
-        self.n_pad = self.pad * fgrid.points_per_axis
 
         self.nyquist_ratio = fgrid.spacing * stg.x_half_width / np.pi
         if self.nyquist_ratio > NYQUIST_HARD_FACTOR:
@@ -115,76 +131,68 @@ class ExtensionOperator:
                 "aliased copies of the field may leak into the grid"
             )
 
-        if demod_center is None:
-            demod_center = fgrid.center
-        self.demod_center = np.atleast_1d(np.asarray(demod_center, dtype=float))
-
-        # time phase: t * (|xi - xi0|^2 + tau0) on the frequency grid
-        mesh = fgrid.meshgrid()
+        # time phase t * (|xi - xi0|^2 + tau0), one quadratic per axis shaped
+        # to broadcast over a block of slices (tau0 rides on the first), and
+        # one chirp-z transform per axis; the cell volume dxi^d scales the
+        # first axis
+        d = fgrid.d
         xi0 = shift.xi0_vec()
-        self._tphase = sum((m - z) ** 2 for m, z in zip(mesh, xi0)) + shift.tau0
-
-        # spatial transform per axis: padded-FFT lattice and the sparse
-        # interpolation matrix onto the requested x-axis
-        dxi = fgrid.spacing
-        lat_dx = 2.0 * np.pi / (self.n_pad * dxi)
-        k = np.arange(self.n_pad) - self.n_pad // 2
-        self._lat_x = k * lat_dx
-        self._interp = []
-        x = stg.x_axis
-        half = INTERP_STENCIL // 2
-        for axis in range(fgrid.d):
-            xi_min = fgrid.center[axis] - fgrid.half_width
-            cdem = self.demod_center[axis]
-            lat_phase = np.exp(1j * self._lat_x * (xi_min - cdem))
-            pos = x / lat_dx + self.n_pad // 2
-            base = np.rint(pos).astype(int)
-            frac = pos - base
-            w = _lagrange_weights(frac).astype(complex)
-            w *= np.exp(1j * x * cdem)[:, None]
-            if axis == 0:
-                w *= dxi**fgrid.d
-            cols = (base[:, None] + (np.arange(INTERP_STENCIL) - half)[None, :]) % self.n_pad
-            vals = w * lat_phase[cols]
-            rows = np.repeat(np.arange(x.size), INTERP_STENCIL)
-            mat = sparse.csr_matrix(
-                (vals.ravel(), (rows, cols.ravel())),
-                shape=(x.size, self.n_pad),
+        self._heights = [
+            ((fgrid.axis_points(a) - xi0[a]) ** 2 + (shift.tau0 if a == 0 else 0.0)).reshape(
+                (-1,) + (1,) * (d - 1 - a)
             )
-            self._interp.append(mat)
+            for a in range(d)
+        ]
+        # the t-grid is uniform: slice i's chirp factor on each axis is the
+        # factor at slice CHIRP_PERIOD * (i // CHIRP_PERIOD) times the factor
+        # of the time step i % CHIRP_PERIOD, tabulated here
+        self._t = stg.t_axis
+        steps = (np.arange(CHIRP_PERIOD) * stg.t_spacing).reshape((-1,) + (1,) * d)
+        self._chirp_steps = [np.exp(1j * steps * h) for h in self._heights]
+        self._czt = [
+            _ChirpZ(
+                fgrid.center[a] - fgrid.half_width,
+                fgrid.spacing,
+                fgrid.points_per_axis,
+                stg.x_axis,
+                fgrid.cell_volume if a == 0 else 1.0,
+            )
+            for a in range(d)
+        ]
+
+    def _time_chirp(self, i: int, j: int) -> np.ndarray:
+        """exp(i t (|xi - xi0|^2 + tau0)) on slices i..j-1 of the t-grid,
+        shaped (j - i,) + fgrid.shape.  A slice's value depends on its index
+        alone, so every split into blocks gives the same bits."""
+        idx = np.arange(i, j)
+        first = i // CHIRP_PERIOD
+        bases = np.arange(first, (j - 1) // CHIRP_PERIOD + 1) * CHIRP_PERIOD
+        t_base = self._t[bases].reshape((-1,) + (1,) * self.fgrid.d)
+        out = None
+        for h, steps in zip(self._heights, self._chirp_steps):
+            axis = np.exp(1j * t_base * h)[idx // CHIRP_PERIOD - first] * steps[idx % CHIRP_PERIOD]
+            out = axis if out is None else out * axis
+        return out
 
     # -- forward ------------------------------------------------------------
 
-    def _slices(self, samples: np.ndarray, t_vals: np.ndarray) -> np.ndarray:
-        """Evaluate the field on the block of time slices ``t_vals``."""
-        d = self.fgrid.d
-        g = np.exp(1j * t_vals.reshape((-1,) + (1,) * d) * self._tphase) * samples
-        axes = tuple(range(1, d + 1))
-        h = np.fft.ifftn(g, s=(self.n_pad,) * d, axes=axes) * (self.n_pad**d)
-        h = np.fft.fftshift(h, axes=axes)
-        out = h
-        for axis in range(d):
-            out = np.moveaxis(out, 1, d)  # cycle: current axis to the end
-            shp = out.shape
-            flat = out.reshape(-1, shp[-1])
-            flat = flat @ self._interp[axis].T
-            out = flat.reshape(shp[:-1] + (self.stg.x_points_per_axis,))
-        return out
-
     def _default_chunk(self) -> int:
-        # keep each padded block near 256 MB of complex128
-        return max(1, min(128, (1 << 24) // self.n_pad**self.fgrid.d))
+        # keep each transform block near 16 MB of complex128; the block
+        # boundaries depend only on the grids, never on the thread count
+        return max(1, min(128, (1 << 20) // self._czt[0].n_fft ** self.fgrid.d))
 
     def apply(self, samples: np.ndarray, threads: int = 1, chunk: int = None) -> np.ndarray:
         if chunk is None:
             chunk = self._default_chunk()
-        t = self.stg.t_axis
+        n_t = self.stg.t_points
         out = np.empty(self.stg.field_shape, dtype=complex)
-        blocks = [(i, min(i + chunk, t.size)) for i in range(0, t.size, chunk)]
+        blocks = [(i, min(i + chunk, n_t)) for i in range(0, n_t, chunk)]
 
         def work(block):
             i, j = block
-            out[i:j] = self._slices(samples, t[i:j])
+            u = self._time_chirp(i, j) * samples
+            for axis, czt in enumerate(self._czt, start=1):
+                u = czt.forward(u, axis, out[i:j] if axis == self.fgrid.d else None)
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -200,36 +208,26 @@ class ExtensionOperator:
         """Exact conjugate transpose of ``apply`` on sample vectors."""
         if chunk is None:
             chunk = self._default_chunk()
-        d = self.fgrid.d
-        n = self.fgrid.points_per_axis
-        t = self.stg.t_axis
+        n_t = self.stg.t_points
         acc = np.zeros(self.fgrid.shape, dtype=complex)
-        axes = tuple(range(1, d + 1))
-        sel = (slice(None),) + (slice(0, n),) * d
-        for i in range(0, t.size, chunk):
-            blk = field[i : i + chunk]
-            out = blk
-            for axis in range(d):
-                out = np.moveaxis(out, 1, d)
-                shp = out.shape
-                flat = out.reshape(-1, shp[-1])
-                flat = flat @ self._interp[axis].conj()
-                out = flat.reshape(shp[:-1] + (self.n_pad,))
-            out = np.fft.ifftshift(out, axes=axes)
-            out = np.fft.fftn(out, axes=axes)[sel]
-            chirp = np.exp(-1j * t[i : i + chunk].reshape((-1,) + (1,) * d) * self._tphase)
-            acc += (chirp * out).sum(axis=0)
+        for i in range(0, n_t, chunk):
+            j = min(i + chunk, n_t)
+            out = field[i:j]
+            for axis, czt in enumerate(self._czt, start=1):
+                out = czt.adjoint(out, axis)
+            acc += (self._time_chirp(i, j).conj() * out).sum(axis=0)
         return acc
 
     # -- diagnostics ----------------------------------------------------------
 
     def slice_lattice_l2(self, samples: np.ndarray, t_val: float) -> float:
-        """Discrete L^2_x norm of one time slice over the full transform
-        lattice (before windowing), where Parseval holds."""
+        """Discrete L^2_x norm of one time slice over the N-point DFT lattice
+        (period 2 pi / dxi per axis), where Parseval holds exactly."""
         d = self.fgrid.d
-        g = np.exp(1j * t_val * self._tphase) * samples
-        h = np.fft.ifftn(g, s=(self.n_pad,) * d, axes=tuple(range(d))) * (self.n_pad**d)
-        lat_dx = 2.0 * np.pi / (self.n_pad * self.fgrid.spacing)
+        n = self.fgrid.points_per_axis
+        g = np.exp(1j * t_val * sum(self._heights)) * samples
+        h = sp_fft.ifftn(g, axes=tuple(range(d))) * (n**d)
+        lat_dx = 2.0 * np.pi / (n * self.fgrid.spacing)
         return float(np.sqrt((np.abs(h) ** 2).sum() * lat_dx**d)) * self.fgrid.cell_volume
 
 
@@ -237,14 +235,11 @@ def extend(
     f: FrequencyProfile,
     shift: ParaboloidShift,
     stg: SpacetimeGrid,
-    pad: int = DEFAULT_PAD,
     threads: int = 1,
 ) -> SpacetimeField:
     """Evaluate the extension of ``f`` from the paraboloid shifted by
     ``shift`` on the spacetime grid."""
-    op = ExtensionOperator(
-        f.grid, shift, stg, pad=pad, demod_center=profile_centroid(f, p=2.0)
-    )
+    op = ExtensionOperator(f.grid, shift, stg)
     samples = op.apply(f.samples, threads=threads)
     fld = SpacetimeField(stg, samples)
     fld.warnings.extend(op.warnings)
@@ -255,14 +250,13 @@ def plancherel_slice_defect(
     f: FrequencyProfile,
     shift: ParaboloidShift,
     t_values,
-    pad: int = DEFAULT_PAD,
 ) -> float:
     """Max relative deviation of the per-slice lattice L^2 norm from
     (2 pi)^{d/2} ||f||_2 over the given time values."""
     from .grids import lp_norm_frequency
 
     stg = SpacetimeGrid(f.grid.d, 1.0, 1.0, 2, 2)  # lattice check needs no x-grid
-    op = ExtensionOperator(f.grid, shift, stg, pad=pad)
+    op = ExtensionOperator(f.grid, shift, stg)
     target = (2.0 * np.pi) ** (f.grid.d / 2.0) * lp_norm_frequency(f, 2.0)
     worst = 0.0
     for t in np.atleast_1d(t_values):

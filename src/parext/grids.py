@@ -177,18 +177,14 @@ class SpacetimeGrid:
 class SpacetimeField:
     """Complex samples of an extension on a SpacetimeGrid.
 
-    ``tail_bound`` is a certified bound (in L^q norm units) on the mass
-    outside the grid; it is filled by the norms module and is 0 until then.
     ``coverage`` records the fraction of points genuinely evaluated (< 1
     after a clipped symmetry pullback).
     """
 
     grid: SpacetimeGrid
     samples: np.ndarray
-    tail_bound: float = 0.0
     coverage: float = 1.0
     warnings: list = field(default_factory=list)
-    mask: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=complex)

@@ -7,7 +7,7 @@ generating profile:
 * energy conservation per slice:  ||F(t,.)||_2 = (2 pi)^{d/2} ||f||_2;
 * the dispersive sup bound  ||F(t,.)||_inf <= min(||f||_1,
   pi^{d/2} |t|^{-d/2} m1)  with m1 = (2 pi)^{-d} ||F(0,.)||_1 — the L^1 norm
-  of the physical-space profile, evaluated on the full transform lattice;
+  of the physical-space profile, evaluated on a periodic 4N-point lattice;
 * a Chebyshev bound on the spatial tail via the second moments of x + 2 t xi.
 
 Interpolating L^q between the sup and L^2 bounds gives an integrable tail
@@ -30,7 +30,7 @@ from .grids import (
     lp_norm_frequency,
     profile_gradient_l2sq,
 )
-from .extension import ExtensionOperator, ParaboloidShift, extend
+from .extension import ParaboloidShift, extend
 
 
 @dataclass
@@ -106,11 +106,10 @@ def _tail_ingredients(f: FrequencyProfile, shift: ParaboloidShift) -> _TailIngre
     if l2 == 0.0:
         return _TailIngredients(0.0, 0.0, 0.0, 0.0, 0.0)
     # m1 = (2 pi)^{-d} L^1 norm of the t = 0 physical-space profile, from the
-    # full periodic transform lattice
-    tiny = SpacetimeGrid(d, 1.0, 1.0, 2, 2)
-    op = ExtensionOperator(f.grid, ParaboloidShift(0.0, (0.0,) * d), tiny, pad=4)
-    g = np.fft.ifftn(f.samples, s=(op.n_pad,) * d, axes=tuple(range(d))) * (op.n_pad**d)
-    lat_dx = 2.0 * np.pi / (op.n_pad * f.grid.spacing)
+    # periodic transform lattice of 4N points per axis
+    n_lat = 4 * f.grid.points_per_axis
+    g = np.fft.ifftn(f.samples, s=(n_lat,) * d, axes=tuple(range(d))) * (n_lat**d)
+    lat_dx = 2.0 * np.pi / (n_lat * f.grid.spacing)
     phys_l1 = float(np.abs(g).sum() * lat_dx**d) * f.grid.cell_volume
     m1 = phys_l1 / (2.0 * np.pi) ** d
 
@@ -147,15 +146,19 @@ def _time_tail_mass(ing: _TailIngredients, d: int, q: float, T: float) -> float:
 
 
 def _space_tail_mass(ing: _TailIngredients, d: int, q: float, T: float, X: float) -> float:
-    """Bound on the integral over |t| <= T of the L^q mass at |x|_inf > X."""
+    """Bound on the integral over |t| <= T of the L^q mass at |x|_inf > X.
+
+    The integrand sup(t)^{q-2} * energy * frac(t) is a product of a
+    non-increasing and a non-decreasing factor, so each cell of the t-grid is
+    bounded by sup at its left end times frac at its right end."""
     if ing.l2 == 0.0:
         return 0.0
     energy = (2.0 * np.pi) ** d * ing.l2**2
     t = np.linspace(0.0, T, 4097)
     sup = _sup_bound(ing, d, t)
     frac = np.minimum(((ing.sigma_x + 2.0 * t * ing.sigma_xi) / X) ** 2, 1.0)
-    integrand = sup ** (q - 2.0) * energy * frac
-    return float(2.0 * np.trapezoid(integrand, t))
+    cells = sup[:-1] ** (q - 2.0) * energy * frac[1:] * np.diff(t)
+    return float(2.0 * cells.sum())
 
 
 def lq_norm_spacetime(
@@ -224,7 +227,6 @@ def quotient_single(
     f: FrequencyProfile,
     e: Exponents,
     stg: SpacetimeGrid,
-    pad: int = 8,
     threads: int = 1,
 ) -> QuotientResult:
     """||Ef||_q / ||f||_p with a certified numerator."""
@@ -232,7 +234,7 @@ def quotient_single(
     if den == 0.0:
         raise ValueError("zero profile")
     zero = ParaboloidShift(0.0, (0.0,) * f.grid.d)
-    field = extend(f, zero, stg, pad=pad, threads=threads)
+    field = extend(f, zero, stg, threads=threads)
     num = lq_norm_spacetime(field, (f, zero), e.q)
     return QuotientResult(num.value / den, num, den, e)
 
@@ -243,7 +245,6 @@ def quotient_pair(
     shift: ParaboloidShift,
     e: Exponents,
     stg: SpacetimeGrid,
-    pad: int = 8,
     threads: int = 1,
 ) -> QuotientResult:
     """||Ef + E_shift g||_q / (||f||_p^p + ||g||_p^p)^{1/p}."""
@@ -255,8 +256,8 @@ def quotient_pair(
     if den == 0.0:
         raise ValueError("both profiles are zero")
     zero = ParaboloidShift(0.0, (0.0,) * f.grid.d)
-    field_f = extend(f, zero, stg, pad=pad, threads=threads)
-    field_g = extend(g, shift, stg, pad=pad, threads=threads)
+    field_f = extend(f, zero, stg, threads=threads)
+    field_g = extend(g, shift, stg, threads=threads)
     total = SpacetimeField(stg, field_f.samples + field_g.samples)
     total.warnings = field_f.warnings + field_g.warnings
     num = lq_norm_spacetime(total, [(f, zero), (g, shift)], e.q)

@@ -71,7 +71,6 @@ def maximize_quotient_pair(
     e: Exponents,
     stg: SpacetimeGrid,
     opts: SearchOptions = None,
-    pad: int = 8,
     threads: int = 1,
 ) -> SearchTrajectory:
     """Ascend Q(f,g) = ||A_f f + A_g g||_q / (||f||_2^2 + ||g||_2^2)^{1/2}
@@ -88,12 +87,8 @@ def maximize_quotient_pair(
         opts = SearchOptions()
     d = f0.grid.d
     zero = ParaboloidShift(0.0, (0.0,) * d)
-    op_f = ExtensionOperator(
-        f0.grid, zero, stg, pad=pad, demod_center=profile_centroid(f0, p=2.0)
-    )
-    op_g = ExtensionOperator(
-        g0.grid, shift, stg, pad=pad, demod_center=profile_centroid(g0, p=2.0)
-    )
+    op_f = ExtensionOperator(f0.grid, zero, stg)
+    op_g = ExtensionOperator(g0.grid, shift, stg)
     vol_f = f0.grid.cell_volume
     vol_g = g0.grid.cell_volume
 
@@ -189,7 +184,6 @@ def quotient_gradient(
     shift: ParaboloidShift,
     e: Exponents,
     stg: SpacetimeGrid,
-    pad: int = 8,
 ) -> tuple:
     """Euclidean gradient of the pair quotient at (f, g) plus the quotient
     value; exposed for finite-difference validation."""
@@ -197,8 +191,8 @@ def quotient_gradient(
         raise ValueError("gradient available only at p = 2")
     d = f.grid.d
     zero = ParaboloidShift(0.0, (0.0,) * d)
-    op_f = ExtensionOperator(f.grid, zero, stg, pad=pad, demod_center=profile_centroid(f, p=2.0))
-    op_g = ExtensionOperator(g.grid, shift, stg, pad=pad, demod_center=profile_centroid(g, p=2.0))
+    op_f = ExtensionOperator(f.grid, zero, stg)
+    op_g = ExtensionOperator(g.grid, shift, stg)
     wt = stg.t_weights()
     wx = stg.x_weights()
     w = wt.reshape((-1,) + (1,) * d)

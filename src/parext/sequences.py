@@ -111,7 +111,6 @@ def convergence_study(
     lambdas,
     e: Exponents,
     stg: SpacetimeGrid,
-    pad: int = 8,
     threads: int = 1,
 ) -> ConvergenceStudy:
     """Quotient of the pair (f_lambda, f_lambda) against the shifted operator
@@ -120,13 +119,13 @@ def convergence_study(
     lambdas = list(lambdas)
     if not lambdas:
         raise ValueError("empty dilation list")
-    a_p = quotient_single(f, e, stg, pad=pad, threads=threads).quotient
+    a_p = quotient_single(f, e, stg, threads=threads).quotient
     target = 2.0 ** (1.0 / e.p_conj) * a_p
     rows = []
     for lam in lambdas:
         f_lam = dilate_profile(f, lam, e.p)
         stg_lam = scaled_spacetime_grid(stg, lam)
-        res = quotient_pair(f_lam, f_lam, shift, e, stg_lam, pad=pad, threads=threads)
+        res = quotient_pair(f_lam, f_lam, shift, e, stg_lam, threads=threads)
         rows.append((lam, res.quotient, res.certified_error()))
     return ConvergenceStudy(rows=rows, a_p_estimate=a_p, target=target)
 
@@ -157,7 +156,6 @@ def weak_limit_diagnostics(
     testfns: list = None,
     a_p_estimate: float = None,
     index: int = 0,
-    pad: int = 8,
     threads: int = 1,
 ) -> SequenceDiagnostics:
     """All diagnostics of the weak-limit statement: the three limiting
@@ -168,13 +166,13 @@ def weak_limit_diagnostics(
     if nf**e.p + ng**e.p == 0.0:
         raise ValueError("degenerate pair: both profiles vanish")
     if a_p_estimate is None:
-        a_p_estimate = quotient_single(f_n, e, stg, pad=pad, threads=threads).quotient
+        a_p_estimate = quotient_single(f_n, e, stg, threads=threads).quotient
     if testfns is None:
         testfns = default_test_functions(d)
 
     zero = ParaboloidShift(0.0, (0.0,) * d)
-    field_f = extend(f_n, zero, stg, pad=pad, threads=threads)
-    field_g = extend(g_n, shift, stg, pad=pad, threads=threads)
+    field_f = extend(f_n, zero, stg, threads=threads)
+    field_g = extend(g_n, shift, stg, threads=threads)
     total = SpacetimeField(stg, field_f.samples + field_g.samples)
 
     num = lq_norm_spacetime(total, [(f_n, zero), (g_n, shift)], e.q)
@@ -292,7 +290,7 @@ def _sample_psi(tf: SeparatingTestfn, tau, xi_mesh):
     return fac1 * fac2 * phi_vals
 
 
-def _mollify(samples: np.ndarray, spacing: float) -> np.ndarray:
+def _mollify(samples: np.ndarray) -> np.ndarray:
     """One Gaussian smoothing pass at two-cell width."""
     re = ndimage.gaussian_filter(samples.real, sigma=2.0)
     im = ndimage.gaussian_filter(samples.imag, sigma=2.0)
@@ -330,7 +328,7 @@ def build_separating_testfn(
 
     if phi is None:
         raw = np.conj(f.samples) * ball
-        raw = _mollify(raw, f.grid.spacing)
+        raw = _mollify(raw)
         phi = FrequencyProfile(f.grid, raw, label="auto-pairing")
     nphi = lp_norm_frequency(phi, pc)
     if nphi == 0.0:
@@ -409,7 +407,6 @@ def pairing_duality(
     e: Exponents,
     stg: SpacetimeGrid,
     n_tau: int = 129,
-    pad: int = 8,
 ) -> tuple:
     """Numerical form of the contradiction step: returns
     (|<f dsigma, Psi>|, ||E_shift0 f - E_shift_n g||_q * ||Psi_hat||_q' ,
@@ -429,8 +426,8 @@ def pairing_duality(
     pair_g = abs(complex((g.samples * tf.sample(height_n, mesh)).sum() * grid.cell_volume))
 
     # field-difference factor
-    fld0 = extend(f, shift0, stg, pad=pad)
-    fldn = extend(g, shift_n, stg, pad=pad)
+    fld0 = extend(f, shift0, stg)
+    fldn = extend(g, shift_n, stg)
     diff = SpacetimeField(stg, fld0.samples - fldn.samples)
     fd = _truncated_lq(diff, e.q)
 
@@ -465,7 +462,6 @@ def shifted_limit_test(
     shifts,
     e: Exponents,
     stg: SpacetimeGrid,
-    pad: int = 8,
     threads: int = 1,
 ) -> list:
     """Residuals ||E_shift0 f - E_shift_n f||_q per n (f normalized in L^p)."""
@@ -473,10 +469,10 @@ def shifted_limit_test(
     if nf == 0.0:
         raise ValueError("zero profile")
     f = f.scaled(1.0 / nf)
-    ref = extend(f, shift0, stg, pad=pad, threads=threads)
+    ref = extend(f, shift0, stg, threads=threads)
     out = []
     for sh in shifts:
-        fld = extend(f, sh, stg, pad=pad, threads=threads)
+        fld = extend(f, sh, stg, threads=threads)
         diff = SpacetimeField(stg, ref.samples - fld.samples)
         out.append(_truncated_lq(diff, e.q))
     return out

@@ -157,7 +157,7 @@ def apply_symmetry_field(
 
     Target points that fall outside the source grid are zeroed and recorded
     in the coverage fraction; below ``min_coverage`` the result would be
-    mostly padding and the call refuses.
+    mostly zero fill and the call refuses.
     """
     g = F.grid
     if S.d != g.d:
@@ -198,7 +198,7 @@ def apply_symmetry_field(
         phase = phase + mesh[1 + a] * xt[a] / lam
     out = lam ** (-(g.d + 2) / q) * np.exp(1j * phase) * vals
 
-    fld = SpacetimeField(out_grid, out, coverage=coverage, mask=inside)
+    fld = SpacetimeField(out_grid, out, coverage=coverage)
     if coverage < 1.0:
         fld.warnings.append(
             f"symmetry pullback clipped: coverage {coverage:.3f}"

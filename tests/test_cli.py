@@ -107,6 +107,15 @@ def test_unknown_key_exits_2(tmp_path):
     assert main(["quotient", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_removed_pad_key_exits_2(tmp_path):
+    cfg = write_cfg(
+        tmp_path,
+        "pad.yaml",
+        f"d: 1\n{BASE_GRID}\nprofile: {{kind: gaussian}}\npad: 8\n",
+    )
+    assert main(["quotient", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
 def test_bad_profile_kind_exits_2(tmp_path):
     cfg = write_cfg(
         tmp_path, "bad2.yaml", f"d: 1\n{BASE_GRID}\nprofile: {{kind: sinc}}\n"

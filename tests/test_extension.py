@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import parext
 from parext.errors import NyquistError
 from parext.extension import (
     ExtensionOperator,
@@ -52,6 +56,21 @@ def test_brute_force_d2():
     got = op.apply(f.samples)
     ref = brute_force_extension(f, shift, stg)
     assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-4
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_brute_force_past_nyquist(d):
+    # ratio dxi X / pi in (1, 4): x runs past the period 2 pi / dxi of the
+    # Riemann sum, which the transform must reproduce, wrapped copies included
+    fg = FrequencyGrid(d, 4.0, 8, center=(0.3,) * d)
+    stg = SpacetimeGrid(d, 1.0, 6.0, 3, 17 if d == 1 else 9)
+    f = gaussian_profile(fg, center=0.5, width=0.8, phase_velocity=0.7)
+    shift = ParaboloidShift(0.2, (0.4, -0.5)[:d])
+    op = ExtensionOperator(fg, shift, stg)
+    assert 1.0 < op.nyquist_ratio < 4.0 and op.warnings
+    got = op.apply(f.samples)
+    ref = brute_force_extension(f, shift, stg)
+    assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-12
 
 
 def test_gaussian_oracle_agreement():
@@ -117,12 +136,13 @@ def test_linearity():
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(rhs))
 
 
-def test_adjoint_exactness():
-    fg = FrequencyGrid(1, 6.0, 64)
-    stg = SpacetimeGrid(1, 1.5, 4.0, 7, 11)
-    op = ExtensionOperator(fg, ParaboloidShift(0.4, (0.6,)), stg, demod_center=(0.2,))
+@pytest.mark.parametrize("d", [1, 2])
+def test_adjoint_exactness(d):
+    fg = FrequencyGrid(d, 6.0, 64 if d == 1 else 16)
+    stg = SpacetimeGrid(d, 1.5, 4.0, 7, 11)
+    op = ExtensionOperator(fg, ParaboloidShift(0.4, (0.6, -0.3)[:d]), stg)
     rng = np.random.default_rng(1)
-    u = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    u = rng.standard_normal(fg.shape) + 1j * rng.standard_normal(fg.shape)
     F = rng.standard_normal(stg.field_shape) + 1j * rng.standard_normal(stg.field_shape)
     lhs = np.vdot(F, op.apply(u))
     rhs = np.vdot(op.apply_adjoint(F), u)
@@ -168,3 +188,15 @@ def test_paraboloid_shift_helpers():
             ParaboloidShift(0.0, (0.0, 0.0)),
             SpacetimeGrid(1, 1.0, 1.0, 2, 2),
         )
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal costs most of a second to import, more than the package
+    # itself; no module of the package may pull it in
+    code = (
+        "import sys, parext, parext.cli, parext.search, parext.sequences, parext.symmetry; "
+        "print('scipy.signal' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(parext.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

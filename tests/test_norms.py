@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from conftest import (
     A2_D1,
@@ -23,6 +24,8 @@ from parext.grids import (
     gaussian_profile,
 )
 from parext.norms import (
+    _space_tail_mass,
+    _sup_bound,
     _tail_ingredients,
     _time_tail_mass,
     lq_norm_spacetime,
@@ -119,6 +122,28 @@ def test_time_tail_mass_doubles_when_halved():
     )
 
 
+@pytest.mark.parametrize("shift", [ZERO1, ParaboloidShift(0.3, (1.5,))])
+def test_space_tail_mass_bounds_its_integral(shift):
+    # a wide profile on a long window: the integrand's kinks (where the sup
+    # bound leaves l1 and where the Chebyshev fraction saturates) make a
+    # trapezoid on the same nodes fall below the integral here
+    f = gaussian_profile(MED_FGRID, center=0.4, width=2.0)
+    ing = _tail_ingredients(f, shift)
+    d, q, T, X = 1, 6.0, 400.0, 15.0
+    energy = 2.0 * math.pi * ing.l2**2
+
+    def integrand(t):
+        sup = float(_sup_bound(ing, d, np.array([t]))[0])
+        frac = min(((ing.sigma_x + 2.0 * t * ing.sigma_xi) / X) ** 2, 1.0)
+        return sup ** (q - 2.0) * energy * frac
+
+    kinks = [(math.sqrt(math.pi) * ing.m1 / ing.l1) ** 2, (X - ing.sigma_x) / (2.0 * ing.sigma_xi)]
+    exact, _ = integrate.quad(
+        integrand, 0.0, T, points=[k for k in kinks if 0.0 < k < T], limit=1000, epsabs=0.0, epsrel=1e-12
+    )
+    assert _space_tail_mass(ing, d, q, T, X) >= 2.0 * exact
+
+
 def test_tail_refusal_at_nonintegrable_exponent():
     f = gaussian_profile(MED_FGRID)
     stg = SpacetimeGrid(1, 10.0, 20.0, 65, 65)
@@ -135,7 +160,7 @@ def test_tail_refusal_at_nonintegrable_exponent():
 
 def test_d2_frozen_config(exponents_d2):
     f = gaussian_profile(FROZEN_FGRID_D2)
-    res = quotient_single(f, exponents_d2, FROZEN_STG_D2, pad=4)
+    res = quotient_single(f, exponents_d2, FROZEN_STG_D2)
     assert res.numerator.value == pytest.approx(
         truncated_gauss_l4_d2(10.0, 16.0), rel=1e-4
     )
