@@ -64,6 +64,15 @@ class ParaboloidShift:
     def xi0_vec(self) -> np.ndarray:
         return np.asarray(self.xi0, dtype=float)
 
+    def height(self, mesh: list) -> np.ndarray:
+        """|xi - xi0|^2 + tau0 at the points of a frequency mesh."""
+        return sum((m - z) ** 2 for m, z in zip(mesh, self.xi0_vec())) + self.tau0
+
+    @classmethod
+    def zero(cls, d: int) -> "ParaboloidShift":
+        """The unshifted paraboloid tau = |xi|^2."""
+        return cls(0.0, (0.0,) * d)
+
 
 class _ChirpZ:
     """Bluestein evaluation of y_k = scale * sum_j u_j exp(i x_k xi_j) for
@@ -218,18 +227,6 @@ class ExtensionOperator:
             acc += (self._time_chirp(i, j).conj() * out).sum(axis=0)
         return acc
 
-    # -- diagnostics ----------------------------------------------------------
-
-    def slice_lattice_l2(self, samples: np.ndarray, t_val: float) -> float:
-        """Discrete L^2_x norm of one time slice over the N-point DFT lattice
-        (period 2 pi / dxi per axis), where Parseval holds exactly."""
-        d = self.fgrid.d
-        n = self.fgrid.points_per_axis
-        g = np.exp(1j * t_val * sum(self._heights)) * samples
-        h = sp_fft.ifftn(g, axes=tuple(range(d))) * (n**d)
-        lat_dx = 2.0 * np.pi / (n * self.fgrid.spacing)
-        return float(np.sqrt((np.abs(h) ** 2).sum() * lat_dx**d)) * self.fgrid.cell_volume
-
 
 def extend(
     f: FrequencyProfile,
@@ -251,16 +248,27 @@ def plancherel_slice_defect(
     shift: ParaboloidShift,
     t_values,
 ) -> float:
-    """Max relative deviation of the per-slice lattice L^2 norm from
-    (2 pi)^{d/2} ||f||_2 over the given time values."""
+    """Max relative deviation of the per-slice L^2 norm from
+    (2 pi)^{d/2} ||f||_2 over the given time values.
+
+    Each slice is evaluated by ``ExtensionOperator.apply`` on one period of
+    the field: N points per axis spaced 2 pi / (N dxi) from -pi / dxi, where
+    Parseval makes the discrete L^2 norm exact."""
     from .grids import lp_norm_frequency
 
-    stg = SpacetimeGrid(f.grid.d, 1.0, 1.0, 2, 2)  # lattice check needs no x-grid
-    op = ExtensionOperator(f.grid, shift, stg)
-    target = (2.0 * np.pi) ** (f.grid.d / 2.0) * lp_norm_frequency(f, 2.0)
+    d = f.grid.d
+    n = f.grid.points_per_axis
+    x_half = np.pi / f.grid.spacing
+    target = (2.0 * np.pi) ** (d / 2.0) * lp_norm_frequency(f, 2.0)
+    period = (slice(0, n),) * d  # the point at +pi / dxi repeats the one at -pi / dxi
     worst = 0.0
     for t in np.atleast_1d(t_values):
-        got = op.slice_lattice_l2(f.samples, float(t))
+        t = float(t)
+        # t-points {-|t|, 0, |t|}; slice 1 + sign(t) is the one at t
+        stg = SpacetimeGrid(d, abs(t) if t != 0.0 else 1.0, x_half, 3, n + 1)
+        op = ExtensionOperator(f.grid, shift, stg)
+        slice_t = op.apply(f.samples)[(1 + int(np.sign(t)),) + period]
+        got = float(np.sqrt((np.abs(slice_t) ** 2).sum() * stg.x_spacing**d))
         worst = max(worst, abs(got - target) / target)
     return worst
 

@@ -71,7 +71,20 @@ class QuotientResult:
         return self.numerator.certified_error() / self.denominator
 
 
+# float64 points of |F|^q held at once by the reduction (2 MB); the block
+# boundaries depend only on the grid, never on a thread count
+_LQ_BLOCK_POINTS = 1 << 18
+# BLAS matrix-vector kernels reduce rows in groups, with other kernels for
+# the rows left over and for a one-row product; blocks that start at
+# multiples of this many rows and never end in a single row keep every row
+# on the kernel that one whole-array product gives it (with single-threaded
+# BLAS, which splits no rows of its own), and so keep its bits
+_LQ_ROW_ALIGN = 8
+
+
 def _truncated_lq(field: SpacetimeField, q: float, stride: int = 1) -> float:
+    """Trapezoid-weighted L^q norm of the samples on every ``stride``-th grid
+    point, reduced over the space axes one block of t-rows at a time."""
     g = field.grid
 
     def strided_weights(n_full, spacing):
@@ -83,11 +96,16 @@ def _truncated_lq(field: SpacetimeField, q: float, stride: int = 1) -> float:
 
     wt = strided_weights(g.t_points, g.t_spacing)
     wx = strided_weights(g.x_points_per_axis, g.x_spacing)
-    sl = (slice(None, None, stride),) * (g.d + 1)
-    block = np.abs(field.samples[sl]) ** q
-    for _ in range(g.d):
-        block = block @ wx
-    return float((block @ wt) ** (1.0 / q))
+    samples = field.samples[(slice(None, None, stride),) * (g.d + 1)]
+    chunk = max(1, _LQ_BLOCK_POINTS // wx.size**g.d // _LQ_ROW_ALIGN) * _LQ_ROW_ALIGN
+    bounds = [0, *range(chunk, wt.size - 1, chunk), wt.size]
+    rows = np.empty(wt.size)
+    for i, j in zip(bounds, bounds[1:]):
+        block = np.abs(samples[i:j]) ** q
+        for _ in range(g.d):
+            block = block @ wx
+        rows[i:j] = block
+    return float((rows @ wt) ** (1.0 / q))
 
 
 @dataclass
@@ -204,7 +222,7 @@ def lq_norm_spacetime(
 
 
 def _normalize_tail_spec(f_for_tail, d: int):
-    zero = ParaboloidShift(0.0, (0.0,) * d)
+    zero = ParaboloidShift.zero(d)
     if isinstance(f_for_tail, FrequencyProfile):
         return [(f_for_tail, zero)]
     if (
@@ -233,7 +251,7 @@ def quotient_single(
     den = lp_norm_frequency(f, e.p)
     if den == 0.0:
         raise ValueError("zero profile")
-    zero = ParaboloidShift(0.0, (0.0,) * f.grid.d)
+    zero = ParaboloidShift.zero(f.grid.d)
     field = extend(f, zero, stg, threads=threads)
     num = lq_norm_spacetime(field, (f, zero), e.q)
     return QuotientResult(num.value / den, num, den, e)
@@ -255,7 +273,7 @@ def quotient_pair(
     den = (nf**e.p + ng**e.p) ** (1.0 / e.p)
     if den == 0.0:
         raise ValueError("both profiles are zero")
-    zero = ParaboloidShift(0.0, (0.0,) * f.grid.d)
+    zero = ParaboloidShift.zero(f.grid.d)
     field_f = extend(f, zero, stg, threads=threads)
     field_g = extend(g, shift, stg, threads=threads)
     total = SpacetimeField(stg, field_f.samples + field_g.samples)

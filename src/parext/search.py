@@ -10,7 +10,7 @@ discrete adjoint, so finite-difference checks hold to quadrature precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,10 +18,12 @@ from .exponents import Exponents
 from .extension import ExtensionOperator, ParaboloidShift
 from .grids import (
     FrequencyProfile,
+    SpacetimeField,
     SpacetimeGrid,
     profile_centroid,
     profile_second_moment,
 )
+from .norms import _truncated_lq
 from .symmetry import Symmetry
 
 ARMIJO_C = 1e-4
@@ -64,6 +66,31 @@ def _boundary_mass_fraction(samples: np.ndarray, shell: float) -> float:
     return float(1.0 - inner.sum() / total)
 
 
+def _pair_field(op_f, op_g, fs, gs, q: float, threads: int = 1) -> tuple:
+    """The field F = A_f f + A_g g and its truncated norm N = ||F||_q."""
+    F = op_f.apply(fs, threads=threads) + op_g.apply(gs, threads=threads)
+    return F, _truncated_lq(SpacetimeField(op_f.stg, F), q)
+
+
+def _pair_gradient(op_f, op_g, fs, gs, F, N: float, q: float) -> tuple:
+    """Euclidean gradient of Q = N / D at (f, g), D^2 = ||f||_2^2 + ||g||_2^2,
+    from the field F and norm N of ``_pair_field``, plus Q itself:
+    grad_f Q = A_f^H (w |F|^{q-2} F) / (N^{q-1} D) - N f dxi^d / D^3, with w
+    the trapezoid weights, and likewise for g."""
+    stg = op_f.stg
+    vol_f = op_f.fgrid.cell_volume
+    vol_g = op_g.fgrid.cell_volume
+    D = math.sqrt((np.abs(fs) ** 2).sum() * vol_f + (np.abs(gs) ** 2).sum() * vol_g)
+    Phi = np.abs(F) ** (q - 2.0) * F
+    Phi *= stg.t_weights().reshape((-1,) + (1,) * stg.d)
+    for a in range(stg.d):
+        Phi *= stg.x_weights().reshape((-1,) + (1,) * (stg.d - 1 - a))
+    scale = 1.0 / (N ** (q - 1.0) * D)
+    grad_f = op_f.apply_adjoint(Phi) * scale - (N / D**3) * fs * vol_f
+    grad_g = op_g.apply_adjoint(Phi) * scale - (N / D**3) * gs * vol_g
+    return grad_f, grad_g, N / D
+
+
 def maximize_quotient_pair(
     f0: FrequencyProfile,
     g0: FrequencyProfile,
@@ -85,19 +112,10 @@ def maximize_quotient_pair(
         raise ValueError("the optimizer requires p = 2")
     if opts is None:
         opts = SearchOptions()
-    d = f0.grid.d
-    zero = ParaboloidShift(0.0, (0.0,) * d)
-    op_f = ExtensionOperator(f0.grid, zero, stg)
+    op_f = ExtensionOperator(f0.grid, ParaboloidShift.zero(f0.grid.d), stg)
     op_g = ExtensionOperator(g0.grid, shift, stg)
     vol_f = f0.grid.cell_volume
     vol_g = g0.grid.cell_volume
-
-    wt = stg.t_weights()
-    wx = stg.x_weights()
-    w = wt.reshape((-1,) + (1,) * d)
-    for _ in range(d):
-        w = w * wx  # broadcasting builds the tensor weight
-
     q = e.q
 
     def normalize(fs, gs):
@@ -105,15 +123,9 @@ def maximize_quotient_pair(
         s = 1.0 / math.sqrt(n2)
         return fs * s, gs * s
 
-    def field_of(fs, gs):
-        return op_f.apply(fs, threads=threads) + op_g.apply(gs, threads=threads)
-
-    def norm_q(F):
-        return float((w * np.abs(F) ** q).sum()) ** (1.0 / q)
-
+    # on the unit sphere D = 1, so Q is the numerator N
     fs, gs = normalize(np.array(f0.samples), np.array(g0.samples))
-    F = field_of(fs, gs)
-    Q = norm_q(F)
+    F, Q = _pair_field(op_f, op_g, fs, gs, q, threads)
 
     iterates = []
     reason = "max_steps"
@@ -135,13 +147,7 @@ def maximize_quotient_pair(
             reason = "max_steps"
             break
 
-        # gradient of Q = N / D on the unit sphere (D = 1 after normalization)
-        Phi = w * np.abs(F) ** (q - 2.0) * F
-        gN_f = q * op_f.apply_adjoint(Phi)
-        gN_g = q * op_g.apply_adjoint(Phi)
-        scale = 1.0 / (q * Q ** (q - 1.0))
-        grad_f = gN_f * scale - Q * fs * vol_f
-        grad_g = gN_g * scale - Q * gs * vol_g
+        grad_f, grad_g, _ = _pair_gradient(op_f, op_g, fs, gs, F, Q, q)
         gnorm2 = float((np.abs(grad_f) ** 2).sum() + (np.abs(grad_g) ** 2).sum())
         if gnorm2 == 0.0:
             reason = "step_tolerance"
@@ -151,8 +157,7 @@ def maximize_quotient_pair(
         accepted = False
         while alpha >= opts.min_backtrack:
             fn, gn = normalize(fs + alpha * grad_f, gs + alpha * grad_g)
-            Fn = field_of(fn, gn)
-            Qn = norm_q(Fn)
+            Fn, Qn = _pair_field(op_f, op_g, fn, gn, q, threads)
             if Qn >= Q + ARMIJO_C * alpha * gnorm2:
                 accepted = True
                 break
@@ -189,29 +194,10 @@ def quotient_gradient(
     value; exposed for finite-difference validation."""
     if e.p != 2.0:
         raise ValueError("gradient available only at p = 2")
-    d = f.grid.d
-    zero = ParaboloidShift(0.0, (0.0,) * d)
-    op_f = ExtensionOperator(f.grid, zero, stg)
+    op_f = ExtensionOperator(f.grid, ParaboloidShift.zero(f.grid.d), stg)
     op_g = ExtensionOperator(g.grid, shift, stg)
-    wt = stg.t_weights()
-    wx = stg.x_weights()
-    w = wt.reshape((-1,) + (1,) * d)
-    for _ in range(d):
-        w = w * wx
-    q = e.q
-    F = op_f.apply(f.samples) + op_g.apply(g.samples)
-    N = float((w * np.abs(F) ** q).sum()) ** (1.0 / q)
-    D2 = (np.abs(f.samples) ** 2).sum() * f.grid.cell_volume + (
-        np.abs(g.samples) ** 2
-    ).sum() * g.grid.cell_volume
-    D = math.sqrt(D2)
-    Q = N / D
-    Phi = w * np.abs(F) ** (q - 2.0) * F
-    gN_f = op_f.apply_adjoint(Phi) / N ** (q - 1.0)
-    gN_g = op_g.apply_adjoint(Phi) / N ** (q - 1.0)
-    grad_f = gN_f / D - (N / D**3) * f.samples * f.grid.cell_volume
-    grad_g = gN_g / D - (N / D**3) * g.samples * g.grid.cell_volume
-    return grad_f, grad_g, Q
+    F, N = _pair_field(op_f, op_g, f.samples, g.samples, e.q)
+    return _pair_gradient(op_f, op_g, f.samples, g.samples, F, N, e.q)
 
 
 def fit_symmetry(f: FrequencyProfile, p: float) -> Symmetry:

@@ -8,7 +8,7 @@ trend checks for sequences of symmetries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -26,7 +26,6 @@ from .grids import (
     smooth_bump,
 )
 from .norms import _truncated_lq, lq_norm_spacetime, quotient_pair, quotient_single
-from .symmetry import Symmetry
 
 
 # ---------------------------------------------------------------------------
@@ -66,9 +65,7 @@ def surface_pairing(f: FrequencyProfile, shift: ParaboloidShift, phi: TestFuncti
     """<f dsigma_shift, psi>: frequency-side quadrature of f against the test
     function restricted to the shifted paraboloid."""
     mesh = f.grid.meshgrid()
-    xi0 = shift.xi0_vec()
-    height = sum((m - z) ** 2 for m, z in zip(mesh, xi0)) + shift.tau0
-    w = phi.sample(height, mesh)
+    w = phi.sample(shift.height(mesh), mesh)
     return complex((f.samples * w).sum() * f.grid.cell_volume)
 
 
@@ -170,7 +167,7 @@ def weak_limit_diagnostics(
     if testfns is None:
         testfns = default_test_functions(d)
 
-    zero = ParaboloidShift(0.0, (0.0,) * d)
+    zero = ParaboloidShift.zero(d)
     field_f = extend(f_n, zero, stg, threads=threads)
     field_g = extend(g_n, shift, stg, threads=threads)
     total = SpacetimeField(stg, field_f.samples + field_g.samples)
@@ -263,6 +260,16 @@ def separation_report(
     return SeparationReport(h, offset, c, s, R, normal=a)
 
 
+def _hyperplane_distance(xi_mesh: list, shift0: ParaboloidShift, shift_n: ParaboloidShift):
+    """Distance of each mesh point from the zero hyperplane of the
+    separation h (infinite for a pure tau-shift, which has none)."""
+    h, a, _ = separation_height(xi_mesh, shift0, shift_n)
+    anorm = float(np.sqrt(a @ a))
+    if anorm == 0.0:
+        return np.full(np.shape(h), np.inf)
+    return np.abs(h) / (2.0 * anorm)
+
+
 @dataclass
 class SeparatingTestfn:
     m1: float
@@ -271,23 +278,18 @@ class SeparatingTestfn:
     c: float
     phi: FrequencyProfile
     report: SeparationReport
-    box_samples: np.ndarray = None  # type: ignore[assignment]
+    shift0: ParaboloidShift
+    shift_n: ParaboloidShift
 
     def sample(self, tau, xi_mesh):
-        return _sample_psi(self, tau, xi_mesh)
-
-
-def _sample_psi(tf: SeparatingTestfn, tau, xi_mesh):
-    """Psi(tau, xi) on arbitrary points: plateau cutoff around the reference
-    paraboloid, times the complement cutoff off the hyperplane, times Phi."""
-    shift0 = tf._shift0
-    xi0 = shift0.xi0_vec()
-    height = sum((m - z) ** 2 for m, z in zip(xi_mesh, xi0)) + shift0.tau0
-    fac1 = plateau_bump(3.0 * (tau - height) / tf.c)
-    dist = tf._dist_fn(xi_mesh)
-    fac2 = 1.0 - plateau_bump(dist / (2.0 * tf.s0))
-    phi_vals = tf._phi_interp(xi_mesh)
-    return fac1 * fac2 * phi_vals
+        """Psi(tau, xi): plateau cutoff around the reference paraboloid,
+        times the complement cutoff off the hyperplane, times Phi.  The
+        points are those of phi's own frequency grid: ``xi_mesh`` is that
+        grid's mesh (or broadcasts to it) and ``tau`` broadcasts against it."""
+        fac1 = plateau_bump(3.0 * (tau - self.shift0.height(xi_mesh)) / self.c)
+        dist = _hyperplane_distance(xi_mesh, self.shift0, self.shift_n)
+        fac2 = 1.0 - plateau_bump(dist / (2.0 * self.s0))
+        return fac1 * fac2 * self.phi.samples
 
 
 def _mollify(samples: np.ndarray) -> np.ndarray:
@@ -345,18 +347,11 @@ def build_separating_testfn(
     if rep.degenerate:
         raise ValueError("degenerate separation: the paraboloids coincide")
 
-    anorm = float(np.sqrt(rep.normal @ rep.normal))
-
-    def dist_fn(xim):
-        if anorm == 0.0:
-            return np.full(np.broadcast(*xim).shape if len(xim) > 1 else xim[0].shape, np.inf)
-        h, _, _ = separation_height(xim, shift0, shift_n)
-        return np.abs(h) / (2.0 * anorm)
-
     # shrink s0 until the cutoff-corrected pairing clears 1/2
+    dist = _hyperplane_distance(mesh, shift0, shift_n)
     s_cur = s0
     for _ in range(max_halvings + 1):
-        cut = 1.0 - plateau_bump(dist_fn(mesh) / (2.0 * s_cur))
+        cut = 1.0 - plateau_bump(dist / (2.0 * s_cur))
         lost = phi.samples * (1.0 - cut)
         lost_norm = float((np.abs(lost) ** pc).sum() * f.grid.cell_volume) ** (1.0 / pc)
         if lost_norm < 0.25:
@@ -370,31 +365,16 @@ def build_separating_testfn(
         raise ValueError("no positive separation away from the hyperplane")
 
     tf = SeparatingTestfn(
-        m1=0.0, m2=0.0, s0=s_cur, c=rep.c_estimate, phi=phi, report=rep
+        m1=0.0, m2=0.0, s0=s_cur, c=rep.c_estimate, phi=phi, report=rep,
+        shift0=shift0, shift_n=shift_n,
     )
-    tf._shift0 = shift0
-    tf._dist_fn = dist_fn
-    interp_samples = phi.samples
-
-    def phi_interp(xim):
-        # evaluation restricted to the profile's own grid points
-        return interp_samples
-
-    tf._phi_interp = phi_interp
-
     # m1: pairing of f against Psi restricted to the reference paraboloid
-    xi0 = shift0.xi0_vec()
-    height0 = sum((m - z) ** 2 for m, z in zip(mesh, xi0)) + shift0.tau0
-    psi_on_p0 = tf.sample(height0, mesh)
+    psi_on_p0 = tf.sample(shift0.height(mesh), mesh)
     tf.m1 = abs(complex((f.samples * psi_on_p0).sum() * f.grid.cell_volume))
 
     # m2: sup of |Psi| along the other paraboloid over the R-ball
-    xin = shift_n.xi0_vec()
-    height_n = sum((m - z) ** 2 for m, z in zip(mesh, xin)) + shift_n.tau0
-    psi_on_pn = np.abs(tf.sample(height_n, mesh))
+    psi_on_pn = np.abs(tf.sample(shift_n.height(mesh), mesh))
     tf.m2 = float(psi_on_pn[ball].max()) if np.any(ball) else 0.0
-
-    tf.box_samples = psi_on_p0
     return tf
 
 
@@ -413,17 +393,18 @@ def pairing_duality(
     |<g dsigma', Psi>|); the first is bounded by the sum of the others.
 
     Psi_hat is the spacetime transform of the separating test function,
-    computed by direct quadrature on its compact (tau, xi) support box.
+    computed by direct quadrature on its compact (tau, xi) support box;
+    implemented for d = 1 only.
     """
     grid = f.grid
+    if grid.d != 1:
+        raise ValueError("pairing duality check implemented for d = 1")
     mesh = grid.meshgrid()
-    xi0 = shift0.xi0_vec()
-    height0 = sum((m - z) ** 2 for m, z in zip(mesh, xi0)) + shift0.tau0
-    xin = shift_n.xi0_vec()
-    height_n = sum((m - z) ** 2 for m, z in zip(mesh, xin)) + shift_n.tau0
+    height0 = shift0.height(mesh)
 
     lhs = abs(complex((f.samples * tf.sample(height0, mesh)).sum() * grid.cell_volume))
-    pair_g = abs(complex((g.samples * tf.sample(height_n, mesh)).sum() * grid.cell_volume))
+    psi_n = tf.sample(shift_n.height(mesh), mesh)
+    pair_g = abs(complex((g.samples * psi_n).sum() * grid.cell_volume))
 
     # field-difference factor
     fld0 = extend(f, shift0, stg)
@@ -431,9 +412,7 @@ def pairing_duality(
     diff = SpacetimeField(stg, fld0.samples - fldn.samples)
     fd = _truncated_lq(diff, e.q)
 
-    # ||Psi_hat||_{q'} on the same spacetime window (d = 1 supported)
-    if grid.d != 1:
-        raise ValueError("pairing duality check implemented for d = 1")
+    # ||Psi_hat||_{q'} on the same spacetime window
     tau_lo = float(height0.min()) - tf.c
     tau_hi = float(height0.max()) + tf.c
     tau = np.linspace(tau_lo, tau_hi, n_tau)
@@ -444,10 +423,7 @@ def pairing_duality(
     Et = np.exp(1j * np.outer(t, tau)) * (tau[1] - tau[0])
     Ex = np.exp(1j * np.outer(xi, x)) * grid.spacing
     psi_hat = Et @ psi @ Ex
-    qc = e.q / (e.q - 1.0)
-    wt = stg.t_weights()
-    wx = stg.x_weights()
-    psi_norm = float(((np.abs(psi_hat) ** qc @ wx) @ wt) ** (1.0 / qc))
+    psi_norm = _truncated_lq(SpacetimeField(stg, psi_hat), e.q / (e.q - 1.0))
 
     return lhs, fd * psi_norm, pair_g
 

@@ -29,8 +29,8 @@ from .grids import (
     FrequencyProfile,
     SpacetimeField,
     SpacetimeGrid,
-    _as_vector,
 )
+from .norms import _truncated_lq
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ class PushthroughResult:
 def apply_symmetry_frequency(S: Symmetry, f: FrequencyProfile, p: float) -> FrequencyProfile:
     """Input-side action; exact regrid, so the L^p isometry holds to
     machine precision."""
-    return _frequency_action(S, f, p, ParaboloidShift(0.0, (0.0,) * f.grid.d))
+    return _frequency_action(S, f, p, ParaboloidShift.zero(f.grid.d))
 
 
 def _frequency_action(
@@ -105,9 +105,7 @@ def _frequency_action(
     )
     # at the new grid points, z = lam xi - xi_tilde runs over the old points
     mesh = g.meshgrid()
-    xi0 = shift.xi0_vec()
-    height = sum((m - z0) ** 2 for m, z0 in zip(mesh, xi0)) + shift.tau0
-    phase = S.t0 * height + sum(x0i * m for x0i, m in zip(S.x0, mesh))
+    phase = S.t0 * shift.height(mesh) + sum(x0i * m for x0i, m in zip(S.x0, mesh))
     samples = lam ** (g.d / p) * np.exp(1j * phase) * f.samples
     return FrequencyProfile(new_grid, samples, label=f.label)
 
@@ -221,11 +219,9 @@ def _eval_extension_points(
     """
     g = f.grid
     mesh = g.meshgrid()
-    xi0 = shift.xi0_vec()
-    height = sum((m - z0) ** 2 for m, z0 in zip(mesh, xi0)) + shift.tau0
     xi_flat = np.stack([m.ravel() for m in mesh], axis=-1)  # (N^d, d)
     fw = (f.samples * 1.0).ravel() * g.cell_volume
-    h_flat = height.ravel()
+    h_flat = shift.height(mesh).ravel()
     out = np.empty(x_pts.shape[:-1], dtype=complex)
     for i, tv in enumerate(t_pts):
         amp = np.exp(1j * tv * h_flat) * fw
@@ -272,16 +268,7 @@ def verify_intertwining(
         phase = phase + mesh[1 + a] * xt[a] / lam
     lhs = lam ** (-(d + 2) / e.q) * np.exp(1j * phase) * base
 
-    wt = stg.t_weights()
-    wx = stg.x_weights()
-
-    def lq(v):
-        b = np.abs(v) ** e.q
-        for _ in range(d):
-            b = b @ wx
-        return float((b @ wt) ** (1.0 / e.q))
-
-    denom = lq(rhs)
+    denom = _truncated_lq(SpacetimeField(stg, rhs), e.q)
     if denom == 0.0:
         raise ValueError("zero field on the comparison grid")
-    return lq(lhs - rhs) / denom
+    return _truncated_lq(SpacetimeField(stg, lhs - rhs), e.q) / denom

@@ -11,6 +11,7 @@ from parext.errors import NyquistError
 from parext.extension import (
     ExtensionOperator,
     ParaboloidShift,
+    _ChirpZ,
     extend,
     gaussian_extension_oracle,
     plancherel_slice_defect,
@@ -161,11 +162,36 @@ def test_thread_determinism():
     assert np.array_equal(a, c)
 
 
-def test_plancherel_slice_conservation():
-    fg = FrequencyGrid(1, 8.0, 256)
-    f = gaussian_profile(fg, center=0.3, width=1.3, phase_velocity=0.8)
-    defect = plancherel_slice_defect(f, ParaboloidShift(0.5, (1.0,)), [0.0, 0.7, 3.3])
+PLANCHEREL_CASES = {
+    1: (FrequencyGrid(1, 8.0, 256), dict(center=0.3, width=1.3, phase_velocity=0.8), (1.0,)),
+    2: (FrequencyGrid(2, 8.0, 64), dict(center=(0.3, -0.2), width=1.3, phase_velocity=(0.8, 0.1)),
+        (1.0, -0.4)),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_plancherel_slice_conservation(d):
+    fg, kw, xi0 = PLANCHEREL_CASES[d]
+    f = gaussian_profile(fg, **kw)
+    defect = plancherel_slice_defect(f, ParaboloidShift(0.5, xi0), [0.0, 0.7, 3.3])
     assert defect < 1e-8
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_plancherel_slice_defect_sees_a_broken_transform(d, monkeypatch):
+    # the check must run the evaluator: a transform off by 0.1% per axis
+    # shows up as a defect of at least 1e-3
+    forward = _ChirpZ.forward
+
+    def scaled(self, u, axis, out=None):
+        y = forward(self, u, axis, out)
+        y *= 1.001
+        return y
+
+    monkeypatch.setattr(_ChirpZ, "forward", scaled)
+    fg, kw, xi0 = PLANCHEREL_CASES[d]
+    f = gaussian_profile(fg, **kw)
+    assert plancherel_slice_defect(f, ParaboloidShift(0.5, xi0), [0.0, 0.7, 3.3]) > 1e-4
 
 
 def test_nyquist_refusal_and_warning():
@@ -181,6 +207,10 @@ def test_nyquist_refusal_and_warning():
 def test_paraboloid_shift_helpers():
     s = ParaboloidShift(0.0, (0.0, 0.0))
     assert s.d == 2 and not s.is_nonzero()
+    assert ParaboloidShift.zero(2) == s
+    mesh = FrequencyGrid(2, 1.0, 4).meshgrid()
+    h = ParaboloidShift(0.5, (0.25, -1.0)).height(mesh)
+    assert np.array_equal(h, (mesh[0] - 0.25) ** 2 + (mesh[1] + 1.0) ** 2 + 0.5)
     assert ParaboloidShift(0.1, (0.0,)).is_nonzero()
     with pytest.raises(ValueError):
         ExtensionOperator(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,15 +20,18 @@ from parext.errors import TailCertificationError
 from parext.extension import ParaboloidShift, extend
 from parext.grids import (
     FrequencyGrid,
+    SpacetimeField,
     SpacetimeGrid,
     dilate_profile,
     gaussian_profile,
 )
 from parext.norms import (
+    _LQ_BLOCK_POINTS,
     _space_tail_mass,
     _sup_bound,
     _tail_ingredients,
     _time_tail_mass,
+    _truncated_lq,
     lq_norm_spacetime,
     quotient_pair,
     quotient_single,
@@ -183,3 +187,48 @@ def test_sharp_holder_nonnegative(a, b, p):
 def test_sharp_holder_equality_iff_equal():
     assert abs(sharp_holder_gap(3.7, 3.7, 2.0)) < 1e-12
     assert sharp_holder_gap(1.0, 2.0, 2.0) > 1e-3
+
+
+def _random_field(stg, seed=0):
+    rng = np.random.default_rng(seed)
+    shape = stg.field_shape
+    return SpacetimeField(stg, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("d, n_t, n_x", [(1, 2049, 2049), (2, 257, 97)])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_truncated_lq_matches_the_whole_array_form(d, n_t, n_x, stride):
+    # the PAIR and a FROZEN d=2 spatial grid: the reduction splits the t-rows
+    # into several blocks and a shorter last one, and must still add the same
+    # products in the same order as (|F|^q @ wx ... @ wt)^{1/q} on the whole
+    # array
+    stg = SpacetimeGrid(d, 3.0, 5.0, n_t, n_x)
+    fld = _random_field(stg)
+
+    def weights(n, h):
+        w = np.full(np.arange(n)[::stride].size, h * stride)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return w
+
+    wt = weights(stg.t_points, stg.t_spacing)
+    wx = weights(stg.x_points_per_axis, stg.x_spacing)
+    assert wt.size > _LQ_BLOCK_POINTS // wx.size**d
+    for q in (6.0, 4.0, 1.2):
+        whole = np.abs(fld.samples[(slice(None, None, stride),) * (d + 1)]) ** q
+        for _ in range(d):
+            whole = whole @ wx
+        assert _truncated_lq(fld, q, stride) == float((whole @ wt) ** (1.0 / q))
+
+
+def test_truncated_lq_memory_stays_below_the_field():
+    stg = SpacetimeGrid(1, 3.0, 5.0, 2049, 2049)
+    fld = _random_field(stg)
+    tracemalloc.start()
+    try:
+        for stride in (1, 2):
+            _truncated_lq(fld, 6.0, stride)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < fld.samples.nbytes / 4

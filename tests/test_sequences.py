@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from parext.grids import (
     profile_second_moment,
 )
 from parext.norms import quotient_single
+from parext import sequences
 from parext.sequences import (
     SeparatingTestfn,
     TestFunction,
@@ -152,6 +155,29 @@ def test_separating_testfn_degenerate_raises():
     f = gaussian_profile(FG)
     with pytest.raises(ValueError):
         build_separating_testfn(ZERO, ZERO, f, 0.5, 8.0)
+
+
+def test_separating_testfn_survives_replace_and_pickle():
+    shift0, shift_n = ParaboloidShift(0.0, (1.0,)), ParaboloidShift(0.0, (1.1,))
+    tf = build_separating_testfn(shift0, shift_n, gaussian_profile(FG), 0.5, 8.0)
+    mesh = FG.meshgrid()
+    tau = (mesh[0] - 1.0) ** 2  # on the reference paraboloid
+    want = tf.sample(tau, mesh)
+    for copy in (dataclasses.replace(tf), pickle.loads(pickle.dumps(tf))):
+        assert np.array_equal(copy.sample(tau, mesh), want)
+
+
+def test_pairing_duality_refuses_d2_before_extending(exponents_d1, monkeypatch):
+    def no_extend(*args, **kwargs):
+        raise AssertionError("extend called before the dimension check")
+
+    monkeypatch.setattr(sequences, "extend", no_extend)
+    f = gaussian_profile(FrequencyGrid(2, 6.0, 32))
+    shift0, shift_n = ParaboloidShift(0.0, (1.0, 0.0)), ParaboloidShift(0.0, (2.0, 0.0))
+    tf = build_separating_testfn(shift0, shift_n, f, 0.5, 4.0)
+    stg = SpacetimeGrid(2, 1.0, 1.0, 3, 3)
+    with pytest.raises(ValueError, match="d = 1"):
+        pairing_duality(f, f, shift0, shift_n, tf, exponents_d1, stg)
 
 
 def test_pairing_duality_inequality(exponents_d1):
