@@ -195,21 +195,19 @@ def _run_sequence(cfg: dict, threads: int):
     shift = _parse_shift(_require(cfg, "shift", "config"), e.d)
     lambdas = [float(v) for v in _require(cfg, "lambdas", "config")]
     study = convergence_study(f, shift, lambdas, e, stg, threads=threads)
-    tfs = default_test_functions(e.d)
     rows = []
     for i, (lam, q, err) in enumerate(study.rows):
         f_lam = dilate_profile(f, lam, e.p)
         diag = weak_limit_diagnostics(
             f_lam, f_lam, shift, e, scaled_spacetime_grid(stg, lam),
-            testfns=tfs, a_p_estimate=study.a_p_estimate, index=i,
-            threads=threads,
+            a_p_estimate=study.a_p_estimate, index=i, threads=threads,
         )
         pair_cols = [v for (_, pf, pg) in diag.weak_pairings for v in (pf, pg)]
         rows.append((lam, q, err, diag.ratio_first, diag.ratio_second,
                      diag.ratio_third, diag.norm_gap, diag.field_difference, *pair_cols))
     header = ["lambda", "quotient", "certified_error", "ratio_first", "ratio_second",
               "ratio_third", "norm_gap", "field_difference"]
-    for t in tfs:
+    for t in default_test_functions(e.d):
         header += [f"pairing_f_{t.name}", f"pairing_g_{t.name}"]
     extra = {"a_p_estimate": study.a_p_estimate, "target": study.target}
     return {"sequence": (header, rows)}, extra
@@ -241,7 +239,7 @@ def _run_search(cfg: dict, threads: int):
     return {"trajectory": (header, rows)}, extra
 
 
-def _run_verify_symmetry(cfg: dict, threads: int, seed: int):
+def _run_verify_symmetry(cfg: dict, seed: int):
     e, fgrid, stg = _common(cfg)
     f = _parse_profile(_require(cfg, "profile", "config"), fgrid)
     shift = _parse_shift(_require(cfg, "shift", "config"), e.d)
@@ -269,7 +267,7 @@ def _run_verify_symmetry(cfg: dict, threads: int, seed: int):
     return {"verify_symmetry": (header, rows)}, {"worst_discrepancy": worst, "seed": seed}
 
 
-def _run_separation(cfg: dict, threads: int):
+def _run_separation(cfg: dict):
     e, fgrid, stg = _common(cfg)
     f = _parse_profile(_require(cfg, "profile", "config"), fgrid)
     shift0 = _parse_shift(_require(cfg, "shift", "config"), e.d)
@@ -319,9 +317,9 @@ def run_experiment(kind: str, cfg: dict, out_dir: str, threads: int = 1, seed: i
     elif kind == "search":
         tables, extra = _run_search(cfg, threads)
     elif kind == "verify-symmetry":
-        tables, extra = _run_verify_symmetry(cfg, threads, seed)
+        tables, extra = _run_verify_symmetry(cfg, seed)
     elif kind == "separation":
-        tables, extra = _run_separation(cfg, threads)
+        tables, extra = _run_separation(cfg)
     else:
         tables, extra = _run_shifted_limit(cfg, threads)
     elapsed = time.monotonic() - start

@@ -190,9 +190,8 @@ class ExtensionOperator:
         # boundaries depend only on the grids, never on the thread count
         return max(1, min(128, (1 << 20) // self._czt[0].n_fft ** self.fgrid.d))
 
-    def apply(self, samples: np.ndarray, threads: int = 1, chunk: int = None) -> np.ndarray:
-        if chunk is None:
-            chunk = self._default_chunk()
+    def apply(self, samples: np.ndarray, threads: int = 1) -> np.ndarray:
+        chunk = self._default_chunk()
         n_t = self.stg.t_points
         out = np.empty(self.stg.field_shape, dtype=complex)
         blocks = [(i, min(i + chunk, n_t)) for i in range(0, n_t, chunk)]
@@ -213,10 +212,9 @@ class ExtensionOperator:
 
     # -- adjoint ------------------------------------------------------------
 
-    def apply_adjoint(self, field: np.ndarray, chunk: int = None) -> np.ndarray:
+    def apply_adjoint(self, field: np.ndarray) -> np.ndarray:
         """Exact conjugate transpose of ``apply`` on sample vectors."""
-        if chunk is None:
-            chunk = self._default_chunk()
+        chunk = self._default_chunk()
         n_t = self.stg.t_points
         acc = np.zeros(self.fgrid.shape, dtype=complex)
         for i in range(0, n_t, chunk):

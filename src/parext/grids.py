@@ -25,6 +25,14 @@ def _as_vector(v, d: int, name: str) -> np.ndarray:
     return arr
 
 
+def _trapezoid_weights(n: int, spacing: float) -> np.ndarray:
+    """Trapezoid-rule weights of n uniform points at the given spacing."""
+    w = np.full(n, spacing)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
 def smooth_bump(u: np.ndarray) -> np.ndarray:
     """Standard smooth bump exp(1 - 1/(1-u^2)) on |u| < 1, zero outside,
     identically 1 at u = 0 and >= exp(1 - 4/3) on |u| <= 1/2."""
@@ -107,7 +115,6 @@ class FrequencyProfile:
 
     grid: FrequencyGrid
     samples: np.ndarray
-    label: str = ""
     warnings: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -120,7 +127,7 @@ class FrequencyProfile:
             raise ValueError("profile samples must be finite")
 
     def scaled(self, c: complex) -> "FrequencyProfile":
-        return FrequencyProfile(self.grid, c * self.samples, label=self.label)
+        return FrequencyProfile(self.grid, c * self.samples)
 
 
 @dataclass(frozen=True)
@@ -157,16 +164,10 @@ class SpacetimeGrid:
         return 2.0 * self.x_half_width / (self.x_points_per_axis - 1)
 
     def t_weights(self) -> np.ndarray:
-        w = np.full(self.t_points, self.t_spacing)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+        return _trapezoid_weights(self.t_points, self.t_spacing)
 
     def x_weights(self) -> np.ndarray:
-        w = np.full(self.x_points_per_axis, self.x_spacing)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+        return _trapezoid_weights(self.x_points_per_axis, self.x_spacing)
 
     @property
     def field_shape(self) -> tuple:
@@ -204,7 +205,6 @@ def gaussian_profile(
     width: float = 1.0,
     phase_velocity: Sequence[float] | float = 0.0,
     chirp: float = 0.0,
-    label: str = "gaussian",
 ) -> FrequencyProfile:
     """Sample exp(-|xi - center|^2 / width^2) * exp(i xi . v) on the grid.
 
@@ -222,7 +222,7 @@ def gaussian_profile(
     samples = np.exp(-r2 / width**2) * np.exp(1j * phase)
     if chirp != 0.0:
         samples = samples * np.exp(1j * chirp * r2)
-    prof = FrequencyProfile(grid, samples, label=label)
+    prof = FrequencyProfile(grid, samples)
     for a in range(grid.d):
         if abs(c[a] - grid.center[a]) > 1.5 * grid.half_width:
             prof.warnings.append(
@@ -235,7 +235,6 @@ def bump_profile(
     grid: FrequencyGrid,
     center: Sequence[float] | float = 0.0,
     radius: float = 1.0,
-    label: str = "bump",
 ) -> FrequencyProfile:
     """Smooth compactly supported bump of the given radius."""
     if radius <= 0:
@@ -244,13 +243,13 @@ def bump_profile(
     mesh = grid.meshgrid()
     r2 = sum((m - ci) ** 2 for m, ci in zip(mesh, c))
     samples = smooth_bump(np.sqrt(r2) / radius).astype(complex)
-    return FrequencyProfile(grid, samples, label=label)
+    return FrequencyProfile(grid, samples)
 
 
-def superpose(f: FrequencyProfile, g: FrequencyProfile, label: str = "") -> FrequencyProfile:
+def superpose(f: FrequencyProfile, g: FrequencyProfile) -> FrequencyProfile:
     if f.grid != g.grid:
         raise ValueError("profiles live on different grids")
-    return FrequencyProfile(f.grid, f.samples + g.samples, label=label or f"{f.label}+{g.label}")
+    return FrequencyProfile(f.grid, f.samples + g.samples)
 
 
 def translate_profile(f: FrequencyProfile, shift_vec) -> FrequencyProfile:
@@ -263,7 +262,7 @@ def translate_profile(f: FrequencyProfile, shift_vec) -> FrequencyProfile:
         points_per_axis=f.grid.points_per_axis,
         center=tuple(np.asarray(f.grid.center) - s),
     )
-    return FrequencyProfile(new_grid, f.samples.copy(), label=f.label)
+    return FrequencyProfile(new_grid, f.samples.copy())
 
 
 def dilate_profile(f: FrequencyProfile, lam: float, p: float) -> FrequencyProfile:
@@ -283,7 +282,7 @@ def dilate_profile(f: FrequencyProfile, lam: float, p: float) -> FrequencyProfil
         center=tuple(np.asarray(g.center) / lam),
     )
     amp = lam ** (g.d / p)
-    return FrequencyProfile(new_grid, amp * f.samples, label=f.label)
+    return FrequencyProfile(new_grid, amp * f.samples)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .grids import (
     FrequencyProfile,
     SpacetimeField,
     SpacetimeGrid,
+    _trapezoid_weights,
     lp_norm_frequency,
     profile_gradient_l2sq,
 )
@@ -86,16 +87,8 @@ def _truncated_lq(field: SpacetimeField, q: float, stride: int = 1) -> float:
     """Trapezoid-weighted L^q norm of the samples on every ``stride``-th grid
     point, reduced over the space axes one block of t-rows at a time."""
     g = field.grid
-
-    def strided_weights(n_full, spacing):
-        n = np.arange(n_full)[::stride].size
-        w = np.full(n, spacing * stride)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
-
-    wt = strided_weights(g.t_points, g.t_spacing)
-    wx = strided_weights(g.x_points_per_axis, g.x_spacing)
+    wt = _trapezoid_weights(len(range(0, g.t_points, stride)), g.t_spacing * stride)
+    wx = _trapezoid_weights(len(range(0, g.x_points_per_axis, stride)), g.x_spacing * stride)
     samples = field.samples[(slice(None, None, stride),) * (g.d + 1)]
     chunk = max(1, _LQ_BLOCK_POINTS // wx.size**g.d // _LQ_ROW_ALIGN) * _LQ_ROW_ALIGN
     bounds = [0, *range(chunk, wt.size - 1, chunk), wt.size]
@@ -181,22 +174,19 @@ def _space_tail_mass(ing: _TailIngredients, d: int, q: float, T: float, X: float
 
 def lq_norm_spacetime(
     field: SpacetimeField,
-    f_for_tail,
+    tail_pairs: list,
     q: float,
     allow_uncertified: bool = False,
 ) -> NormResult:
     """Truncated-grid L^q norm of the field plus tail certification.
 
-    ``f_for_tail`` is the generating (profile, shift) pair, a bare profile
-    (shift taken as zero), or a list of such pairs when the field is a sum
-    of extensions; individual tail norms then add by Minkowski.
+    ``tail_pairs`` lists the (profile, shift) pairs whose extensions sum to
+    the field; their tail norms add by Minkowski.
     """
     if q <= 2:
         raise ValueError("q must exceed 2")
     d = field.grid.d
     beta = d * (q - 2.0) / 2.0
-
-    pairs = _normalize_tail_spec(f_for_tail, d)
 
     value = _truncated_lq(field, q, stride=1)
     coarse = _truncated_lq(field, q, stride=2)
@@ -214,31 +204,11 @@ def lq_norm_spacetime(
     T = field.grid.t_half_width
     X = field.grid.x_half_width
     tail = 0.0
-    for prof, shift in pairs:
+    for prof, shift in tail_pairs:
         ing = _tail_ingredients(prof, shift)
         mass = _time_tail_mass(ing, d, q, T) + _space_tail_mass(ing, d, q, T, X)
         tail += mass ** (1.0 / q)
     return NormResult(value, tail, quad_est, q, certified=True)
-
-
-def _normalize_tail_spec(f_for_tail, d: int):
-    zero = ParaboloidShift.zero(d)
-    if isinstance(f_for_tail, FrequencyProfile):
-        return [(f_for_tail, zero)]
-    if (
-        isinstance(f_for_tail, tuple)
-        and len(f_for_tail) == 2
-        and isinstance(f_for_tail[0], FrequencyProfile)
-    ):
-        f_for_tail = [f_for_tail]
-    pairs = []
-    for item in f_for_tail:
-        if isinstance(item, FrequencyProfile):
-            pairs.append((item, zero))
-        else:
-            prof, shift = item
-            pairs.append((prof, shift if shift is not None else zero))
-    return pairs
 
 
 def quotient_single(
@@ -253,7 +223,7 @@ def quotient_single(
         raise ValueError("zero profile")
     zero = ParaboloidShift.zero(f.grid.d)
     field = extend(f, zero, stg, threads=threads)
-    num = lq_norm_spacetime(field, (f, zero), e.q)
+    num = lq_norm_spacetime(field, [(f, zero)], e.q)
     return QuotientResult(num.value / den, num, den, e)
 
 
@@ -266,6 +236,22 @@ def quotient_pair(
     threads: int = 1,
 ) -> QuotientResult:
     """||Ef + E_shift g||_q / (||f||_p^p + ||g||_p^p)^{1/p}."""
+    _, _, den, _, _, num = _pair_terms(f, g, shift, e, stg, threads)
+    return QuotientResult(num.value / den, num, den, e)
+
+
+def _pair_terms(
+    f: FrequencyProfile,
+    g: FrequencyProfile,
+    shift: ParaboloidShift,
+    e: Exponents,
+    stg: SpacetimeGrid,
+    threads: int,
+) -> tuple:
+    """The parts of the pair quotient: ||f||_p, ||g||_p, the denominator
+    (||f||_p^p + ||g||_p^p)^{1/p}, the fields E f and E_shift g, and the
+    certified norm of their sum.  Refuses before extending when the grid
+    dimensions differ or both profiles vanish."""
     if f.grid.d != g.grid.d or f.grid.d != stg.d:
         raise ValueError("mismatched grid dimensions")
     nf = lp_norm_frequency(f, e.p)
@@ -279,7 +265,7 @@ def quotient_pair(
     total = SpacetimeField(stg, field_f.samples + field_g.samples)
     total.warnings = field_f.warnings + field_g.warnings
     num = lq_norm_spacetime(total, [(f, zero), (g, shift)], e.q)
-    return QuotientResult(num.value / den, num, den, e)
+    return nf, ng, den, field_f, field_g, num
 
 
 def sharp_holder_gap(a: float, b: float, p: float) -> float:

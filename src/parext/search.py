@@ -27,6 +27,8 @@ from .norms import _truncated_lq
 from .symmetry import Symmetry
 
 ARMIJO_C = 1e-4
+MIN_BACKTRACK = 1e-12  # smallest Armijo step tried before giving up
+BOUNDARY_SHELL = 0.1  # outer fraction of the grid per axis
 CANONICAL_WIDTH = 0.5  # std of |f|^2 for the width-1 reference profile e^{-xi^2}
 
 
@@ -35,8 +37,6 @@ class SearchOptions:
     max_steps: int = 200
     step_tolerance: float = 2e-6  # relative Q improvement per accepted step
     boundary_mass_limit: float = 1e-3  # |f|^2 fraction in the outer shell
-    boundary_shell: float = 0.1  # outer fraction of the grid per axis
-    min_backtrack: float = 1e-12
 
 
 @dataclass
@@ -44,7 +44,6 @@ class SearchTrajectory:
     iterates: list  # (k, Q_k, fitted Symmetry for f, ||f||_2, ||g||_2)
     terminated_reason: str  # step_tolerance | max_steps | grid_exhausted
     f_final: FrequencyProfile = None  # type: ignore[assignment]
-    g_final: FrequencyProfile = None  # type: ignore[assignment]
 
     @property
     def final_quotient(self) -> float:
@@ -137,8 +136,8 @@ def maximize_quotient_pair(
         iterates.append((k, Q, fit_symmetry(prof_f, 2.0), nf, ng))
 
         bmass = max(
-            _boundary_mass_fraction(fs, opts.boundary_shell),
-            _boundary_mass_fraction(gs, opts.boundary_shell),
+            _boundary_mass_fraction(fs, BOUNDARY_SHELL),
+            _boundary_mass_fraction(gs, BOUNDARY_SHELL),
         )
         if bmass > opts.boundary_mass_limit:
             reason = "grid_exhausted"
@@ -155,7 +154,7 @@ def maximize_quotient_pair(
 
         alpha = 1.0
         accepted = False
-        while alpha >= opts.min_backtrack:
+        while alpha >= MIN_BACKTRACK:
             fn, gn = normalize(fs + alpha * grad_f, gs + alpha * grad_g)
             Fn, Qn = _pair_field(op_f, op_g, fn, gn, q, threads)
             if Qn >= Q + ARMIJO_C * alpha * gnorm2:
@@ -179,7 +178,6 @@ def maximize_quotient_pair(
         iterates=iterates,
         terminated_reason=reason,
         f_final=FrequencyProfile(f0.grid, fs),
-        g_final=FrequencyProfile(g0.grid, gs),
     )
 
 

@@ -25,7 +25,12 @@ from .grids import (
     plateau_bump,
     smooth_bump,
 )
-from .norms import _truncated_lq, lq_norm_spacetime, quotient_pair, quotient_single
+from .norms import _pair_terms, _truncated_lq, quotient_pair, quotient_single
+
+SEPARATION_MAX_HALVINGS = 12  # halvings of s0 tried by build_separating_testfn
+DUALITY_TAU_POINTS = 129  # tau nodes of the Psi_hat quadrature in pairing_duality
+DIVERGE_THRESHOLD = 10.0  # final lambda_n that counts as diverging
+VANISH_THRESHOLD = 1e-2  # final |b_n|, |c_n| that count as vanishing
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +139,12 @@ def convergence_study(
 @dataclass
 class SequenceDiagnostics:
     index: int
-    quotient: float
     ratio_first: float
     ratio_second: float
     ratio_third: float
     norm_gap: float
     field_difference: float
     weak_pairings: list  # (test-function name, |<f, phi>|, |<g, phi>|)
-    certified_error: float = 0.0
 
 
 def weak_limit_diagnostics(
@@ -150,56 +153,39 @@ def weak_limit_diagnostics(
     shift: ParaboloidShift,
     e: Exponents,
     stg: SpacetimeGrid,
-    testfns: list = None,
-    a_p_estimate: float = None,
+    a_p_estimate: float,
     index: int = 0,
     threads: int = 1,
 ) -> SequenceDiagnostics:
     """All diagnostics of the weak-limit statement: the three limiting
-    ratios, the norm gap, the field difference and the surface pairings."""
-    d = f_n.grid.d
-    nf = lp_norm_frequency(f_n, e.p)
-    ng = lp_norm_frequency(g_n, e.p)
-    if nf**e.p + ng**e.p == 0.0:
-        raise ValueError("degenerate pair: both profiles vanish")
-    if a_p_estimate is None:
-        a_p_estimate = quotient_single(f_n, e, stg, threads=threads).quotient
-    if testfns is None:
-        testfns = default_test_functions(d)
-
-    zero = ParaboloidShift.zero(d)
-    field_f = extend(f_n, zero, stg, threads=threads)
-    field_g = extend(g_n, shift, stg, threads=threads)
-    total = SpacetimeField(stg, field_f.samples + field_g.samples)
-
-    num = lq_norm_spacetime(total, [(f_n, zero), (g_n, shift)], e.q)
+    ratios against the single-operator constant ``a_p_estimate``, the norm
+    gap, the field difference and the pairings with
+    ``default_test_functions``."""
+    nf, ng, den_p, field_f, field_g, num = _pair_terms(f_n, g_n, shift, e, stg, threads)
     nqf = _truncated_lq(field_f, e.q)
     nqg = _truncated_lq(field_g, e.q)
     diff = SpacetimeField(stg, field_f.samples - field_g.samples)
     field_difference = _truncated_lq(diff, e.q)
 
-    den_p = (nf**e.p + ng**e.p) ** (1.0 / e.p)
-    quotient = num.value / den_p
     ratio_first = num.value / (nqf + nqg)
     ratio_second = (nqf + nqg) / (a_p_estimate * (nf + ng))
     ratio_third = (nf + ng) / (2.0 ** (1.0 / e.p_conj) * den_p)
 
+    zero = ParaboloidShift.zero(f_n.grid.d)
     pairings = []
-    for phi in testfns:
+    for phi in default_test_functions(f_n.grid.d):
         pf = abs(surface_pairing(f_n, zero, phi))
         pg = abs(surface_pairing(g_n, shift, phi))
         pairings.append((phi.name, pf, pg))
 
     return SequenceDiagnostics(
         index=index,
-        quotient=quotient,
         ratio_first=ratio_first,
         ratio_second=ratio_second,
         ratio_third=ratio_third,
         norm_gap=nf - ng,
         field_difference=field_difference,
         weak_pairings=pairings,
-        certified_error=num.certified_error() / den_p,
     )
 
 
@@ -209,13 +195,11 @@ def weak_limit_diagnostics(
 
 @dataclass
 class SeparationReport:
-    h_samples: np.ndarray
     zero_set_offset: float  # signed distance of the hyperplane from 0
     c_estimate: float
     s: float
     R: float
     degenerate: bool = False
-    normal: np.ndarray = None  # type: ignore[assignment]
 
 
 def separation_height(xi_mesh: list, shift0: ParaboloidShift, shift_n: ParaboloidShift):
@@ -244,26 +228,26 @@ def separation_report(
         raise ValueError("s and R must be positive")
     mesh = grid.meshgrid()
     h, a, b = separation_height(mesh, shift0, shift_n)
-    anorm = float(np.sqrt(a @ a))
-    ball = sum(m**2 for m in mesh) < R**2
-
-    if anorm == 0.0 and b == 0.0:
-        return SeparationReport(h, math.nan, 0.0, s, R, degenerate=True, normal=a)
-    if anorm == 0.0:
+    # h(0) = b: the origin is as far from the hyperplane as the hyperplane
+    # is from the origin
+    origin = _hyperplane_distance(b, a)
+    if origin == math.inf:
+        if b == 0.0:
+            return SeparationReport(math.nan, 0.0, s, R, degenerate=True)
         # pure tau-shift: constant separation, no hyperplane within reach
-        return SeparationReport(h, math.inf, abs(b), s, R, normal=a)
+        return SeparationReport(math.inf, abs(b), s, R)
 
-    offset = -b / (2.0 * anorm)
-    dist = np.abs(h) / (2.0 * anorm)
-    region = ball & (dist > s)
+    ball = sum(m**2 for m in mesh) < R**2
+    region = ball & (_hyperplane_distance(h, a) > s)
     c = float(np.abs(h[region]).min()) if np.any(region) else math.inf
-    return SeparationReport(h, offset, c, s, R, normal=a)
+    # signed along a: the hyperplane lies on the +a side of 0 when b < 0
+    return SeparationReport(-math.copysign(origin, b), c, s, R)
 
 
-def _hyperplane_distance(xi_mesh: list, shift0: ParaboloidShift, shift_n: ParaboloidShift):
-    """Distance of each mesh point from the zero hyperplane of the
-    separation h (infinite for a pure tau-shift, which has none)."""
-    h, a, _ = separation_height(xi_mesh, shift0, shift_n)
+def _hyperplane_distance(h, a: np.ndarray):
+    """|h| / (2 |a|): the distance from the zero hyperplane of the
+    separation h = 2 a . xi + b of the points where it takes the values
+    ``h`` (infinite for a pure tau-shift, a = 0, which has no hyperplane)."""
     anorm = float(np.sqrt(a @ a))
     if anorm == 0.0:
         return np.full(np.shape(h), np.inf)
@@ -277,7 +261,6 @@ class SeparatingTestfn:
     s0: float
     c: float
     phi: FrequencyProfile
-    report: SeparationReport
     shift0: ParaboloidShift
     shift_n: ParaboloidShift
 
@@ -287,7 +270,8 @@ class SeparatingTestfn:
         points are those of phi's own frequency grid: ``xi_mesh`` is that
         grid's mesh (or broadcasts to it) and ``tau`` broadcasts against it."""
         fac1 = plateau_bump(3.0 * (tau - self.shift0.height(xi_mesh)) / self.c)
-        dist = _hyperplane_distance(xi_mesh, self.shift0, self.shift_n)
+        h, a, _ = separation_height(xi_mesh, self.shift0, self.shift_n)
+        dist = _hyperplane_distance(h, a)
         fac2 = 1.0 - plateau_bump(dist / (2.0 * self.s0))
         return fac1 * fac2 * self.phi.samples
 
@@ -305,19 +289,17 @@ def build_separating_testfn(
     f: FrequencyProfile,
     s0: float,
     R: float,
-    phi: FrequencyProfile = None,
-    max_halvings: int = 12,
 ) -> SeparatingTestfn:
     """Assemble the separating test function
 
         Psi(tau, xi) = eta(3 (tau - tau0 - |xi-xi0|^2) / c) *
                        [1 - eta(dist(xi, A_n) / (2 s0))] * Phi(xi)
 
-    with eta a plateau bump, shrinking s0 until the hyperplane cutoff costs
-    less than 1/4 of Phi's pairing with f.  Returns the margins
+    with eta a plateau bump and Phi the mollified conjugate of f on the
+    R-ball, shrinking s0 until the hyperplane cutoff costs less than 1/4 of
+    Phi's pairing with f.  Returns the margins
     m1 = |<f dsigma, Psi>| and m2 = sup |Psi| on the other paraboloid.
     """
-    d = f.grid.d
     p = 2.0  # pairing margins quoted for the Hilbert-space normalization
     pc = 2.0
     nf = lp_norm_frequency(f, p)
@@ -328,10 +310,7 @@ def build_separating_testfn(
     mesh = f.grid.meshgrid()
     ball = sum(m**2 for m in mesh) < R**2
 
-    if phi is None:
-        raw = np.conj(f.samples) * ball
-        raw = _mollify(raw)
-        phi = FrequencyProfile(f.grid, raw, label="auto-pairing")
+    phi = FrequencyProfile(f.grid, _mollify(np.conj(f.samples) * ball))
     nphi = lp_norm_frequency(phi, pc)
     if nphi == 0.0:
         raise ValueError("degenerate pairing profile")
@@ -343,14 +322,11 @@ def build_separating_testfn(
             f"pairing profile captures only {pairing0:.3f} of the profile (need > 3/4)"
         )
 
-    rep = separation_report(shift0, shift_n, s0, R, f.grid)
-    if rep.degenerate:
-        raise ValueError("degenerate separation: the paraboloids coincide")
-
     # shrink s0 until the cutoff-corrected pairing clears 1/2
-    dist = _hyperplane_distance(mesh, shift0, shift_n)
+    h, a, _ = separation_height(mesh, shift0, shift_n)
+    dist = _hyperplane_distance(h, a)
     s_cur = s0
-    for _ in range(max_halvings + 1):
+    for _ in range(SEPARATION_MAX_HALVINGS + 1):
         cut = 1.0 - plateau_bump(dist / (2.0 * s_cur))
         lost = phi.samples * (1.0 - cut)
         lost_norm = float((np.abs(lost) ** pc).sum() * f.grid.cell_volume) ** (1.0 / pc)
@@ -360,12 +336,15 @@ def build_separating_testfn(
     else:
         raise ValueError("hyperplane cutoff never cleared the 1/4 budget")
 
+    # coinciding paraboloids have no hyperplane, so the loop stops at once
     rep = separation_report(shift0, shift_n, s_cur, R, f.grid)
+    if rep.degenerate:
+        raise ValueError("degenerate separation: the paraboloids coincide")
     if not np.isfinite(rep.c_estimate) or rep.c_estimate <= 0.0:
         raise ValueError("no positive separation away from the hyperplane")
 
     tf = SeparatingTestfn(
-        m1=0.0, m2=0.0, s0=s_cur, c=rep.c_estimate, phi=phi, report=rep,
+        m1=0.0, m2=0.0, s0=s_cur, c=rep.c_estimate, phi=phi,
         shift0=shift0, shift_n=shift_n,
     )
     # m1: pairing of f against Psi restricted to the reference paraboloid
@@ -386,7 +365,6 @@ def pairing_duality(
     tf: SeparatingTestfn,
     e: Exponents,
     stg: SpacetimeGrid,
-    n_tau: int = 129,
 ) -> tuple:
     """Numerical form of the contradiction step: returns
     (|<f dsigma, Psi>|, ||E_shift0 f - E_shift_n g||_q * ||Psi_hat||_q' ,
@@ -415,7 +393,7 @@ def pairing_duality(
     # ||Psi_hat||_{q'} on the same spacetime window
     tau_lo = float(height0.min()) - tf.c
     tau_hi = float(height0.max()) + tf.c
-    tau = np.linspace(tau_lo, tau_hi, n_tau)
+    tau = np.linspace(tau_lo, tau_hi, DUALITY_TAU_POINTS)
     xi = grid.axis_points()
     psi = tf.sample(tau[:, None], [xi[None, :]])
     t = stg.t_axis
@@ -463,8 +441,6 @@ class SequenceConditionReport:
 def check_sequence_conditions(
     symmetries: list,
     shift: ParaboloidShift,
-    diverge_threshold: float = 10.0,
-    vanish_threshold: float = 1e-2,
 ) -> SequenceConditionReport:
     """Literal arithmetic on a sequence of symmetry parameters plus
     monotone-trend verdicts over the last half of the sequence."""
@@ -489,8 +465,8 @@ def check_sequence_conditions(
     bs = np.array([r[1] for r in rows])
     cs = np.array([r[2] for r in rows])
     verdicts = {
-        "lambda_diverges": trend(lams, True) and lams[-1] > diverge_threshold,
-        "b_vanishes": trend(bs, False) and abs(bs[-1]) < vanish_threshold,
-        "c_vanishes": trend(cs, False) and abs(cs[-1]) < vanish_threshold,
+        "lambda_diverges": trend(lams, True) and lams[-1] > DIVERGE_THRESHOLD,
+        "b_vanishes": trend(bs, False) and abs(bs[-1]) < VANISH_THRESHOLD,
+        "c_vanishes": trend(cs, False) and abs(cs[-1]) < VANISH_THRESHOLD,
     }
     return SequenceConditionReport(rows=rows, verdicts=verdicts)

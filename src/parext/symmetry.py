@@ -32,6 +32,8 @@ from .grids import (
 )
 from .norms import _truncated_lq
 
+MIN_COVERAGE = 0.5  # pullbacks covering less of the target grid refuse
+
 
 @dataclass(frozen=True)
 class Symmetry:
@@ -62,12 +64,12 @@ class Symmetry:
     def x0_vec(self) -> np.ndarray:
         return np.asarray(self.x0, dtype=float)
 
-    def is_identity(self, tol: float = 0.0) -> bool:
+    def is_identity(self) -> bool:
         return (
-            abs(self.lam - 1.0) <= tol
-            and abs(self.t0) <= tol
-            and all(abs(v) <= tol for v in self.xi_tilde)
-            and all(abs(v) <= tol for v in self.x0)
+            self.lam == 1.0
+            and self.t0 == 0.0
+            and all(v == 0.0 for v in self.xi_tilde)
+            and all(v == 0.0 for v in self.x0)
         )
 
 
@@ -107,7 +109,7 @@ def _frequency_action(
     mesh = g.meshgrid()
     phase = S.t0 * shift.height(mesh) + sum(x0i * m for x0i, m in zip(S.x0, mesh))
     samples = lam ** (g.d / p) * np.exp(1j * phase) * f.samples
-    return FrequencyProfile(new_grid, samples, label=f.label)
+    return FrequencyProfile(new_grid, samples)
 
 
 def pushthrough_shift(S: Symmetry, shift: ParaboloidShift, p: float) -> PushthroughResult:
@@ -149,12 +151,11 @@ def apply_symmetry_field(
     F: SpacetimeField,
     q: float,
     out_grid: SpacetimeGrid = None,
-    min_coverage: float = 0.5,
 ) -> SpacetimeField:
     """Output-side action by cubic interpolation on F's grid.
 
     Target points that fall outside the source grid are zeroed and recorded
-    in the coverage fraction; below ``min_coverage`` the result would be
+    in the coverage fraction; below ``MIN_COVERAGE`` the result would be
     mostly zero fill and the call refuses.
     """
     g = F.grid
@@ -162,18 +163,9 @@ def apply_symmetry_field(
         raise ValueError("symmetry dimension does not match the field")
     if out_grid is None:
         out_grid = g
-    lam = S.lam
-    xt = S.xi_tilde_vec()
-    x0 = S.x0_vec()
-
-    t = out_grid.t_axis
-    x_axes = [out_grid.x_axis] * g.d
-    mesh = np.meshgrid(t, *x_axes, indexing="ij")
-    ts = mesh[0] / lam**2 + S.t0
+    ts, xs, factor = _pullback(S, out_grid, q)
     coords = [(ts + g.t_half_width) / g.t_spacing]
-    for a in range(g.d):
-        xs = mesh[1 + a] / lam + x0[a] + 2.0 * mesh[0] * xt[a] / lam**2
-        coords.append((xs + g.x_half_width) / g.x_spacing)
+    coords += [(xa + g.x_half_width) / g.x_spacing for xa in xs]
     coords = np.asarray(coords)
 
     n_axis = (g.t_points,) + (g.x_points_per_axis,) * g.d
@@ -181,27 +173,41 @@ def apply_symmetry_field(
     for a, n in enumerate(n_axis):
         inside &= (coords[a] >= 0.0) & (coords[a] <= n - 1)
     coverage = float(inside.mean())
-    if coverage < min_coverage:
+    if coverage < MIN_COVERAGE:
         raise CoverageError(
             f"symmetry pullback covers only {coverage:.1%} of the target grid "
-            f"(minimum {min_coverage:.0%})"
+            f"(minimum {MIN_COVERAGE:.0%})"
         )
 
     re = ndimage.map_coordinates(F.samples.real, coords, order=3, mode="constant")
     im = ndimage.map_coordinates(F.samples.imag, coords, order=3, mode="constant")
     vals = (re + 1j * im) * inside
 
-    phase = mesh[0] * float(xt @ xt) / lam**2
-    for a in range(g.d):
-        phase = phase + mesh[1 + a] * xt[a] / lam
-    out = lam ** (-(g.d + 2) / q) * np.exp(1j * phase) * vals
-
-    fld = SpacetimeField(out_grid, out, coverage=coverage)
+    fld = SpacetimeField(out_grid, factor * vals, coverage=coverage)
     if coverage < 1.0:
         fld.warnings.append(
             f"symmetry pullback clipped: coverage {coverage:.3f}"
         )
     return fld
+
+
+def _pullback(S: Symmetry, stg: SpacetimeGrid, q: float) -> tuple:
+    """The output-side action at the points (t, x) of ``stg``, as
+    T F(t, x) = factor * F(ts, xs): the sheared times ts = t / lambda^2 + t0,
+    the positions xs (one array per axis) x / lambda + x0 + 2 t xi_tilde /
+    lambda^2, and factor = lambda^{-(d+2)/q} e^{i (t |xi_tilde|^2 / lambda^2 +
+    x . xi_tilde / lambda)}, all of the grid's field shape."""
+    d = S.d
+    lam = S.lam
+    xt = S.xi_tilde_vec()
+    x0 = S.x0_vec()
+    mesh = np.meshgrid(stg.t_axis, *[stg.x_axis] * d, indexing="ij")
+    ts = mesh[0] / lam**2 + S.t0
+    xs = [mesh[1 + a] / lam + x0[a] + 2.0 * mesh[0] * xt[a] / lam**2 for a in range(d)]
+    phase = mesh[0] * float(xt @ xt) / lam**2
+    for a in range(d):
+        phase = phase + mesh[1 + a] * xt[a] / lam
+    return ts, xs, lam ** (-(d + 2) / q) * np.exp(1j * phase)
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +247,6 @@ def verify_intertwining(
     E_new_shift(frequency_action f), both evaluated by direct quadrature at
     the same spacetime points (the sheared pullback points of ``stg``)."""
     d = f.grid.d
-    lam = S.lam
-    xt = S.xi_tilde_vec()
-    x0 = S.x0_vec()
 
     push = pushthrough_shift(S, shift, e.p)
     g_new = push.frequency_action(f)
@@ -256,17 +259,11 @@ def verify_intertwining(
     # right side: the pushed-through extension at the grid points
     rhs = _eval_extension_points(g_new, push.new_shift, t, x_pts)
 
-    # left side: T applied to the original shifted extension
-    ts = t / lam**2 + S.t0
-    xs = np.stack(
-        [mesh[1 + a] / lam + x0[a] + 2.0 * mesh[0] * xt[a] / lam**2 for a in range(d)],
-        axis=-1,
-    )
-    base = _eval_extension_points(f, shift, ts, xs)
-    phase = mesh[0] * float(xt @ xt) / lam**2
-    for a in range(d):
-        phase = phase + mesh[1 + a] * xt[a] / lam
-    lhs = lam ** (-(d + 2) / e.q) * np.exp(1j * phase) * base
+    # left side: T applied to the original shifted extension; the sheared
+    # time depends on t alone
+    ts, xs, factor = _pullback(S, stg, e.q)
+    base = _eval_extension_points(f, shift, ts[(slice(None),) + (0,) * d], np.stack(xs, axis=-1))
+    lhs = factor * base
 
     denom = _truncated_lq(SpacetimeField(stg, rhs), e.q)
     if denom == 0.0:

@@ -69,7 +69,7 @@ def test_certified_containment_variants(exponents_d1):
     for kw in cases:
         f = gaussian_profile(fgrid, **kw)
         fld = extend(f, ZERO1, stg)
-        res = lq_norm_spacetime(fld, f, 6.0)
+        res = lq_norm_spacetime(fld, [(f, ZERO1)], 6.0)
         exact = gauss_l6_exact(kw["width"])
         assert res.value <= exact <= res.certified_upper(), kw
 
@@ -153,13 +153,13 @@ def test_tail_refusal_at_nonintegrable_exponent():
     stg = SpacetimeGrid(1, 10.0, 20.0, 65, 65)
     fld = extend(f, ZERO1, stg)
     with pytest.raises(TailCertificationError):
-        lq_norm_spacetime(fld, f, 3.9)  # beta = 0.95 <= 1
-    res = lq_norm_spacetime(fld, f, 3.9, allow_uncertified=True)
+        lq_norm_spacetime(fld, [(f, ZERO1)], 3.9)  # beta = 0.95 <= 1
+    res = lq_norm_spacetime(fld, [(f, ZERO1)], 3.9, allow_uncertified=True)
     assert not res.certified
     assert res.tail_bound == math.inf
     assert res.certified_upper() == math.inf
     with pytest.raises(ValueError):
-        lq_norm_spacetime(fld, f, 2.0)
+        lq_norm_spacetime(fld, [(f, ZERO1)], 2.0)
 
 
 def test_d2_frozen_config(exponents_d2):
