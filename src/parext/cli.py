@@ -196,11 +196,11 @@ def _run_sequence(cfg: dict, threads: int):
     lambdas = [float(v) for v in _require(cfg, "lambdas", "config")]
     study = convergence_study(f, shift, lambdas, e, stg, threads=threads)
     rows = []
-    for i, (lam, q, err) in enumerate(study.rows):
+    for lam, q, err in study.rows:
         f_lam = dilate_profile(f, lam, e.p)
         diag = weak_limit_diagnostics(
             f_lam, f_lam, shift, e, scaled_spacetime_grid(stg, lam),
-            a_p_estimate=study.a_p_estimate, index=i, threads=threads,
+            a_p_estimate=study.a_p_estimate, threads=threads,
         )
         pair_cols = [v for (_, pf, pg) in diag.weak_pairings for v in (pf, pg)]
         rows.append((lam, q, err, diag.ratio_first, diag.ratio_second,

@@ -13,16 +13,27 @@ convolution with the chirp exp(-i dx dxi m^2 / 2) and a post-chirp in k
 (Bluestein's algorithm), the convolution taking one FFT pair of length at
 least N + M - 1.  Each t-slice is the chirp-modulated profile pushed through
 one such transform per axis; on the uniform t-grid the time chirp
-exp(i t |xi - xi0|^2) is evaluated directly once every CHIRP_PERIOD slices
-and reaches the slices between through a tabulated per-step factor.  The result is the Riemann sum itself, exact to
-rounding at every requested x, including points past the period 2 pi / dxi
-of the sum.  The pipeline is linear in f, and its exact discrete adjoint (the
-same transforms with conjugated chirps and the lengths swapped) is available
-for gradient computations.
+exp(i t |xi - xi0|^2) is the product of a base, evaluated directly once
+every CHIRP_PERIOD slices, and a per-step factor, both tabulated once per
+operator.  The result is the Riemann sum itself, exact to rounding at every
+requested x, including points past the period 2 pi / dxi of the sum.
+
+The slices run in blocks whose transform buffer holds about 2^17 complex
+points (2 MB), so a block stays in one core's L2 cache.  Each axis has one
+buffer of length n_fft along that axis, allocated once per thread:
+the time chirp times the profile is written straight into the head of the
+first, each transform multiplies its pre-chirp into the head, zeroes the
+tail, runs the FFT pair in place and writes its post-chirp into the head of
+the next buffer or into the output.  No step makes a temporary of the
+block's size, and each slice's bits depend on its index alone, never on the
+block split or the thread count.  The pipeline is linear in f, and its exact
+discrete adjoint (the same transforms with conjugated chirps and the lengths
+swapped) is available for gradient computations.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -95,21 +106,31 @@ class _ChirpZ:
         kernel[m : self.n_fft - n + 1] = 0.0
         self.kernel_hat = sp_fft.fft(kernel)
 
-    def _convolve(self, u, pre, kernel_hat, post, n_out, axis, out=None):
-        shape = [1] * u.ndim
+    def _convolve(self, buf, pre, kernel_hat, post, axis, out):
+        # buf holds the input in its first pre.size entries along ``axis``;
+        # the pre-chirp is multiplied into that head, the tail is zeroed, and
+        # the convolution runs in place before the post-chirp lands in out
+        shape = [1] * buf.ndim
         shape[axis] = -1
-        v = sp_fft.fft(u * pre.reshape(shape), n=self.n_fft, axis=axis)
+        head = _head(buf, axis, pre.size)
+        np.multiply(head, pre.reshape(shape), out=head)
+        buf[(slice(None),) * axis + (slice(pre.size, self.n_fft),)] = 0.0
+        v = sp_fft.fft(buf, axis=axis, overwrite_x=True)
         v *= kernel_hat.reshape(shape)
         v = sp_fft.ifft(v, axis=axis, overwrite_x=True)
-        keep = (slice(None),) * axis + (slice(0, n_out),)
-        return np.multiply(v[keep], post.reshape(shape), out=out)
+        return np.multiply(_head(v, axis, post.size), post.reshape(shape), out=out)
 
-    def forward(self, u: np.ndarray, axis: int, out: np.ndarray = None) -> np.ndarray:
-        return self._convolve(u, self.pre, self.kernel_hat, self.post, self.m, axis, out)
+    def forward(self, buf: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+        return self._convolve(buf, self.pre, self.kernel_hat, self.post, axis, out)
 
-    def adjoint(self, y: np.ndarray, axis: int) -> np.ndarray:
+    def adjoint(self, buf: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
         # the wrapped kernel is even, so its adjoint's transform is conj(kernel_hat)
-        return self._convolve(y, self.post.conj(), self.kernel_hat.conj(), self.pre.conj(), self.n, axis)
+        return self._convolve(buf, self.post.conj(), self.kernel_hat.conj(), self.pre.conj(), axis, out)
+
+
+def _head(a: np.ndarray, axis: int, length: int) -> np.ndarray:
+    """The first ``length`` entries of ``a`` along ``axis``, as a view."""
+    return a[(slice(None),) * axis + (slice(0, length),)]
 
 
 class ExtensionOperator:
@@ -153,10 +174,11 @@ class ExtensionOperator:
             for a in range(d)
         ]
         # the t-grid is uniform: slice i's chirp factor on each axis is the
-        # factor at slice CHIRP_PERIOD * (i // CHIRP_PERIOD) times the factor
-        # of the time step i % CHIRP_PERIOD, tabulated here
-        self._t = stg.t_axis
+        # factor at slice CHIRP_PERIOD * b, b = i // CHIRP_PERIOD, times the
+        # factor of the time step i % CHIRP_PERIOD; both are tabulated here
+        t_bases = stg.t_axis[::CHIRP_PERIOD].reshape((-1,) + (1,) * d)
         steps = (np.arange(CHIRP_PERIOD) * stg.t_spacing).reshape((-1,) + (1,) * d)
+        self._chirp_bases = [np.exp(1j * t_bases * h) for h in self._heights]
         self._chirp_steps = [np.exp(1j * steps * h) for h in self._heights]
         self._czt = [
             _ChirpZ(
@@ -169,38 +191,64 @@ class ExtensionOperator:
             for a in range(d)
         ]
 
-    def _time_chirp(self, i: int, j: int) -> np.ndarray:
-        """exp(i t (|xi - xi0|^2 + tau0)) on slices i..j-1 of the t-grid,
-        shaped (j - i,) + fgrid.shape.  A slice's value depends on its index
-        alone, so every split into blocks gives the same bits."""
-        idx = np.arange(i, j)
-        first = i // CHIRP_PERIOD
-        bases = np.arange(first, (j - 1) // CHIRP_PERIOD + 1) * CHIRP_PERIOD
-        t_base = self._t[bases].reshape((-1,) + (1,) * self.fgrid.d)
-        out = None
-        for h, steps in zip(self._heights, self._chirp_steps):
-            axis = np.exp(1j * t_base * h)[idx // CHIRP_PERIOD - first] * steps[idx % CHIRP_PERIOD]
-            out = axis if out is None else out * axis
+    def _time_chirp(self, i: int, j: int, out: np.ndarray) -> np.ndarray:
+        """Write exp(i t (|xi - xi0|^2 + tau0)) on slices i..j-1 of the t-grid
+        into ``out``, shaped (j - i,) + fgrid.shape.  A slice's value depends
+        on its index alone, so every split into blocks gives the same bits."""
+        for b in range(i // CHIRP_PERIOD, (j - 1) // CHIRP_PERIOD + 1):
+            lo, hi = max(i, b * CHIRP_PERIOD), min(j, (b + 1) * CHIRP_PERIOD)
+            s = slice(lo - b * CHIRP_PERIOD, hi - b * CHIRP_PERIOD)
+            # the product of the per-axis factors base * step, left to right;
+            # only the last product has the size of the block, and it lands
+            # in out
+            lhs, rhs = self._chirp_bases[0][b], self._chirp_steps[0][s]
+            for bases, steps in zip(self._chirp_bases[1:], self._chirp_steps[1:]):
+                lhs, rhs = lhs * rhs, bases[b] * steps[s]
+            np.multiply(lhs, rhs, out=out[lo - i : hi - i])
         return out
+
+    # -- blocks ---------------------------------------------------------------
+
+    def _default_chunk(self) -> int:
+        # keep each transform buffer near 2 MB of complex128 (2^17 points), so
+        # a block stays in one core's L2 cache; the block boundaries depend
+        # only on the grids, never on the thread count
+        return max(1, min(128, (1 << 17) // self._czt[0].n_fft ** self.fgrid.d))
+
+    def _buffers(self, rows: int, n_in: int, n_out: int) -> list:
+        """One transform buffer per axis for a block of ``rows`` slices: the
+        buffer of axis a is n_fft long on axis a, n_out long on the axes
+        before it (already transformed) and n_in long on the axes after."""
+        d = self.fgrid.d
+        n_fft = self._czt[0].n_fft
+        return [
+            np.empty((rows,) + (n_out,) * (a - 1) + (n_fft,) + (n_in,) * (d - a), dtype=complex)
+            for a in range(1, d + 1)
+        ]
+
+    def _blocks(self) -> list:
+        """The blocks (i, j) of slices i..j-1; the first is a longest one."""
+        chunk = self._default_chunk()
+        n_t = self.stg.t_points
+        return [(i, min(i + chunk, n_t)) for i in range(0, n_t, chunk)]
 
     # -- forward ------------------------------------------------------------
 
-    def _default_chunk(self) -> int:
-        # keep each transform block near 16 MB of complex128; the block
-        # boundaries depend only on the grids, never on the thread count
-        return max(1, min(128, (1 << 20) // self._czt[0].n_fft ** self.fgrid.d))
-
     def apply(self, samples: np.ndarray, threads: int = 1) -> np.ndarray:
-        chunk = self._default_chunk()
-        n_t = self.stg.t_points
+        n, m, d = self._czt[0].n, self._czt[0].m, self.fgrid.d
         out = np.empty(self.stg.field_shape, dtype=complex)
-        blocks = [(i, min(i + chunk, n_t)) for i in range(0, n_t, chunk)]
+        blocks = self._blocks()
+        local = threading.local()  # one set of buffers per thread
 
         def work(block):
             i, j = block
-            u = self._time_chirp(i, j) * samples
-            for axis, czt in enumerate(self._czt, start=1):
-                u = czt.forward(u, axis, out[i:j] if axis == self.fgrid.d else None)
+            if not hasattr(local, "buffers"):
+                local.buffers = self._buffers(blocks[0][1], n, m)
+            bufs = [buf[: j - i] for buf in local.buffers]
+            head = _head(bufs[0], 1, n)
+            np.multiply(self._time_chirp(i, j, head), samples, out=head)
+            for axis, (czt, buf) in enumerate(zip(self._czt, bufs), start=1):
+                czt.forward(buf, axis, out[i:j] if axis == d else _head(bufs[axis], axis + 1, n))
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -214,15 +262,22 @@ class ExtensionOperator:
 
     def apply_adjoint(self, field: np.ndarray) -> np.ndarray:
         """Exact conjugate transpose of ``apply`` on sample vectors."""
-        chunk = self._default_chunk()
-        n_t = self.stg.t_points
+        n, m, d = self._czt[0].n, self._czt[0].m, self.fgrid.d
         acc = np.zeros(self.fgrid.shape, dtype=complex)
-        for i in range(0, n_t, chunk):
-            j = min(i + chunk, n_t)
-            out = field[i:j]
-            for axis, czt in enumerate(self._czt, start=1):
-                out = czt.adjoint(out, axis)
-            acc += (self._time_chirp(i, j).conj() * out).sum(axis=0)
+        blocks = self._blocks()
+        full = self._buffers(blocks[0][1], m, n)
+        y_full = np.empty((blocks[0][1],) + self.fgrid.shape, dtype=complex)
+        for i, j in blocks:
+            bufs = [buf[: j - i] for buf in full]
+            y = y_full[: j - i]
+            np.copyto(_head(bufs[0], 1, m), field[i:j])
+            for axis, (czt, buf) in enumerate(zip(self._czt, bufs), start=1):
+                czt.adjoint(buf, axis, y if axis == d else _head(bufs[axis], axis + 1, m))
+            # the last transform buffer is free again: its head takes the
+            # conjugated time chirp
+            chirp = self._time_chirp(i, j, _head(bufs[-1], d, n))
+            np.conjugate(chirp, out=chirp)
+            acc += np.multiply(chirp, y, out=chirp).sum(axis=0)
         return acc
 
 

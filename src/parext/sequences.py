@@ -138,7 +138,6 @@ def convergence_study(
 
 @dataclass
 class SequenceDiagnostics:
-    index: int
     ratio_first: float
     ratio_second: float
     ratio_third: float
@@ -154,7 +153,6 @@ def weak_limit_diagnostics(
     e: Exponents,
     stg: SpacetimeGrid,
     a_p_estimate: float,
-    index: int = 0,
     threads: int = 1,
 ) -> SequenceDiagnostics:
     """All diagnostics of the weak-limit statement: the three limiting
@@ -179,7 +177,6 @@ def weak_limit_diagnostics(
         pairings.append((phi.name, pf, pg))
 
     return SequenceDiagnostics(
-        index=index,
         ratio_first=ratio_first,
         ratio_second=ratio_second,
         ratio_third=ratio_third,
@@ -232,7 +229,9 @@ def separation_report(
     # is from the origin
     origin = _hyperplane_distance(b, a)
     if origin == math.inf:
-        if b == 0.0:
+        # a = 0 exactly when xi0 = xi_n; b is summed in floating point and
+        # need not vanish for equal shifts, so compare the shifts themselves
+        if shift0 == shift_n:
             return SeparationReport(math.nan, 0.0, s, R, degenerate=True)
         # pure tau-shift: constant separation, no hyperplane within reach
         return SeparationReport(math.inf, abs(b), s, R)

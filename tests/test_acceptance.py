@@ -139,13 +139,13 @@ def test_criterion_4_weak_limit_diagnostics(exponents_d1, frozen_quotient_d1, em
     shift = ParaboloidShift(0.0, (1.0,))
     a_p = frozen_quotient_d1[0].quotient
     diags = []
-    for i, lam in enumerate(LAMBDAS):
+    for lam in LAMBDAS:
         f_lam = dilate_profile(f, lam, 2.0)
         diags.append(
             weak_limit_diagnostics(
                 f_lam, f_lam, shift, exponents_d1,
                 scaled_spacetime_grid(FROZEN_STG_D1, lam),
-                a_p_estimate=a_p, index=i,
+                a_p_estimate=a_p,
             )
         )
     last = diags[-1]

@@ -2,11 +2,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import parext
+from conftest import PAIR_FGRID, PAIR_STG
 from parext.errors import NyquistError
 from parext.extension import (
     ExtensionOperator,
@@ -162,6 +164,49 @@ def test_thread_determinism(monkeypatch):
     c = op.apply(f.samples, threads=1)
     assert np.array_equal(a, b)
     assert np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_apply_bits_independent_of_blocking(d, monkeypatch):
+    # 70 slices: blocks of 3 straddle the CHIRP_PERIOD boundaries, blocks of
+    # 32 meet them, and the last block is short; the default is one block
+    fg = FrequencyGrid(d, 8.0, 64 if d == 1 else 16)
+    stg = SpacetimeGrid(d, 3.0, 6.0, 70, 33 if d == 1 else 17)
+    op = ExtensionOperator(fg, ParaboloidShift(0.3, (1.0, -0.5)[:d]), stg)
+    rng = np.random.default_rng(2)
+    u = rng.standard_normal(fg.shape) + 1j * rng.standard_normal(fg.shape)
+    F = rng.standard_normal(stg.field_shape) + 1j * rng.standard_normal(stg.field_shape)
+    default = ExtensionOperator._default_chunk
+    fields, adjoints = [], []
+    for chunk in (default, lambda self: 1, lambda self: 3, lambda self: 32):
+        monkeypatch.setattr(ExtensionOperator, "_default_chunk", chunk)
+        fields += [op.apply(u, threads=threads) for threads in (1, 2)]
+        adjoints.append(op.apply_adjoint(F))
+    assert all(np.array_equal(fields[0], x) for x in fields[1:])
+    # the adjoint sums over t one block at a time, so only round-off moves
+    scale = np.max(np.abs(adjoints[0]))
+    assert all(np.max(np.abs(g - adjoints[0])) <= 1e-13 * scale for g in adjoints[1:])
+
+
+def test_apply_working_set_is_bounded():
+    # a block's transform buffer holds about 2^17 complex points (2 MiB); apply
+    # and apply_adjoint on the PAIR grid need a few of those beyond their
+    # output, however many slices the grid has
+    budget = 3 * 2**17 * 16
+    op = ExtensionOperator(PAIR_FGRID, ParaboloidShift(0.0, (1.0,)), PAIR_STG)
+    samples = gaussian_profile(PAIR_FGRID).samples
+    tracemalloc.start()
+    try:
+        field = op.apply(samples)
+        apply_peak = tracemalloc.get_traced_memory()[1] - field.nbytes
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        op.apply_adjoint(field)
+        adjoint_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert apply_peak < budget
+    assert adjoint_peak < budget
 
 
 PLANCHEREL_CASES = {

@@ -157,6 +157,14 @@ def test_separating_testfn_degenerate_raises():
         build_separating_testfn(ZERO, ZERO, f, 0.5, 8.0)
 
 
+def test_equal_shifts_are_degenerate():
+    # |xi0|^2 + tau0 - |xi_n|^2 - tau_n sums to 8.3e-17, not 0, for this shift
+    p = ParaboloidShift(0.1, (1.1,))
+    assert separation_report(p, p, 0.5, 6.0, FG).degenerate
+    with pytest.raises(ValueError, match="paraboloids coincide"):
+        build_separating_testfn(p, p, gaussian_profile(FG, center=1.0), 0.5, 6.0)
+
+
 def test_separating_testfn_survives_replace_and_pickle():
     shift0, shift_n = ParaboloidShift(0.0, (1.0,)), ParaboloidShift(0.0, (1.1,))
     tf = build_separating_testfn(shift0, shift_n, gaussian_profile(FG), 0.5, 8.0)
