@@ -30,6 +30,7 @@ from .grids import (
     FrequencyProfile,
     SpacetimeGrid,
     bump_profile,
+    dilate_profile,
     gaussian_profile,
     superpose,
 )
@@ -45,7 +46,6 @@ from .sequences import (
     weak_limit_diagnostics,
 )
 from .symmetry import Symmetry, verify_intertwining
-from .grids import dilate_profile
 
 KINDS = ("quotient", "sequence", "search", "verify-symmetry", "separation", "shifted-limit")
 

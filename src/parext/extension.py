@@ -26,9 +26,18 @@ first, each transform multiplies its pre-chirp into the head, zeroes the
 tail, runs the FFT pair in place and writes its post-chirp into the head of
 the next buffer or into the output.  No step makes a temporary of the
 block's size, and each slice's bits depend on its index alone, never on the
-block split or the thread count.  The pipeline is linear in f, and its exact
-discrete adjoint (the same transforms with conjugated chirps and the lengths
-swapped) is available for gradient computations.
+block split or the thread count.
+
+The t- and x-grids are symmetric, so for real samples (the exact test: no
+nonzero imaginary part) the Riemann sum satisfies F(-t, x) = conj F(t, -x)
+for any shift.  ``apply`` then transforms only the slices with t >= 0 and
+writes the conjugate of each, flipped along t and every x axis, into its
+mirror slice with t < 0.  A mirrored slice depends on its source slice
+alone, so the bits still do not depend on the block split or the thread
+count; complex samples take the same loop over every slice.  The pipeline is
+linear in f, and its exact discrete adjoint (the same transforms with
+conjugated chirps and the lengths swapped) is available for gradient
+computations.
 """
 
 from __future__ import annotations
@@ -226,29 +235,44 @@ class ExtensionOperator:
             for a in range(1, d + 1)
         ]
 
-    def _blocks(self) -> list:
-        """The blocks (i, j) of slices i..j-1; the first is a longest one."""
+    def _blocks(self, start: int = 0) -> list:
+        """The blocks (i, j) of slices i..j-1 from slice ``start`` on; the
+        first is a longest one."""
         chunk = self._default_chunk()
         n_t = self.stg.t_points
-        return [(i, min(i + chunk, n_t)) for i in range(0, n_t, chunk)]
+        return [(i, min(i + chunk, n_t)) for i in range(start, n_t, chunk)]
 
     # -- forward ------------------------------------------------------------
 
     def apply(self, samples: np.ndarray, threads: int = 1) -> np.ndarray:
         n, m, d = self._czt[0].n, self._czt[0].m, self.fgrid.d
+        n_t = self.stg.t_points
         out = np.empty(self.stg.field_shape, dtype=complex)
-        blocks = self._blocks()
+        # on the symmetric t- and x-grids a real profile gives
+        # F(-t, x) = conj F(t, -x): only slices n_t // 2 .. n_t - 1 (t > 0,
+        # and t = 0 when n_t is odd) are transformed, and each block writes
+        # the conjugate flip of its rows r into their mirror rows n_t - 1 - r
+        # below n_t // 2; a mirrored
+        # row depends on its source row alone, so the bits still depend on
+        # neither the block split nor the thread count
+        mirror = not samples.imag.any()
+        blocks = self._blocks(n_t // 2 if mirror else 0)
+        rows = blocks[0][1] - blocks[0][0]
+        flip = (slice(None, None, -1),) * (d + 1)
         local = threading.local()  # one set of buffers per thread
 
         def work(block):
             i, j = block
             if not hasattr(local, "buffers"):
-                local.buffers = self._buffers(blocks[0][1], n, m)
+                local.buffers = self._buffers(rows, n, m)
             bufs = [buf[: j - i] for buf in local.buffers]
             head = _head(bufs[0], 1, n)
             np.multiply(self._time_chirp(i, j, head), samples, out=head)
             for axis, (czt, buf) in enumerate(zip(self._czt, bufs), start=1):
                 czt.forward(buf, axis, out[i:j] if axis == d else _head(bufs[axis], axis + 1, n))
+            lo, hi = n_t - j, min(n_t - i, n_t // 2)
+            if mirror and lo < hi:
+                np.conjugate(out[n_t - hi : n_t - lo][flip], out=out[lo:hi])
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as ex:

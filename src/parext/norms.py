@@ -38,8 +38,15 @@ from .extension import ParaboloidShift, extend
 class NormResult:
     """Truncated-domain norm plus certified/estimated error components.
 
-    The certified interval for the true norm is
+    The reported interval for the true norm is
     [value, (value^q + tail_bound^q)^{1/q} + quadrature_estimate].
+    ``tail_bound`` is a rigorous bound on the norm outside the grid, but
+    ``quadrature_estimate`` is the Richardson estimate |value - coarse| / 3
+    from a stride-2 comparison, not a bound, and it does not see the
+    wrap-around aliasing of the frequency Riemann sum: the interval may miss
+    the truncated norm (``value`` exceeds the exact truncated norm of the
+    width-1 Gaussian by 7.07e-6 on the frozen d = 1 grid, where the estimate
+    is 8.1e-10).
     """
 
     value: float

@@ -166,15 +166,22 @@ def test_thread_determinism(monkeypatch):
     assert np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("t_points", [70, 71])
+@pytest.mark.parametrize("kind", ["complex", "real"])
 @pytest.mark.parametrize("d", [1, 2])
-def test_apply_bits_independent_of_blocking(d, monkeypatch):
-    # 70 slices: blocks of 3 straddle the CHIRP_PERIOD boundaries, blocks of
-    # 32 meet them, and the last block is short; the default is one block
+def test_apply_bits_independent_of_blocking(d, kind, t_points, monkeypatch):
+    # 70 or 71 slices: blocks of 3 straddle the CHIRP_PERIOD boundaries,
+    # blocks of 32 meet them, and the last block is short; the default is one
+    # block.  A real u is transformed from the half-way row (35) on and
+    # mirrored, so the blocks start there and the half-way row, or the centre
+    # row of 71, sits inside a block or at its edge depending on the chunk
     fg = FrequencyGrid(d, 8.0, 64 if d == 1 else 16)
-    stg = SpacetimeGrid(d, 3.0, 6.0, 70, 33 if d == 1 else 17)
+    stg = SpacetimeGrid(d, 3.0, 6.0, t_points, 33 if d == 1 else 17)
     op = ExtensionOperator(fg, ParaboloidShift(0.3, (1.0, -0.5)[:d]), stg)
     rng = np.random.default_rng(2)
     u = rng.standard_normal(fg.shape) + 1j * rng.standard_normal(fg.shape)
+    if kind == "real":
+        u = u.real.astype(complex)
     F = rng.standard_normal(stg.field_shape) + 1j * rng.standard_normal(stg.field_shape)
     default = ExtensionOperator._default_chunk
     fields, adjoints = [], []
@@ -186,6 +193,52 @@ def test_apply_bits_independent_of_blocking(d, monkeypatch):
     # the adjoint sums over t one block at a time, so only round-off moves
     scale = np.max(np.abs(adjoints[0]))
     assert all(np.max(np.abs(g - adjoints[0])) <= 1e-13 * scale for g in adjoints[1:])
+
+
+MIRROR_CASES = {
+    1: (ParaboloidShift(0.3, (0.7,)), dict(center=0.5, width=0.8)),
+    2: (ParaboloidShift(0.2, (0.4, -0.5)), dict(center=(0.5, -0.2), width=0.8)),
+}
+
+
+def _mirror_case(d, shifted, t_points, **profile):
+    fg = FrequencyGrid(d, 4.0, 16 if d == 1 else 8, center=(0.3,) * d)
+    stg = SpacetimeGrid(d, 1.5, 3.0, t_points, 17 if d == 1 else 9)
+    shift, kw = MIRROR_CASES[d]
+    shift = shift if shifted else ParaboloidShift.zero(d)
+    f = gaussian_profile(fg, **kw, **profile)
+    got = ExtensionOperator(fg, shift, stg).apply(f.samples)
+    ref = brute_force_extension(f, shift, stg)
+    return got, ref
+
+
+def _conjugate_flip(field):
+    return np.conj(field[(slice(None, None, -1),) * field.ndim])
+
+
+@pytest.mark.parametrize("t_points", [6, 7])
+@pytest.mark.parametrize("shifted", [False, True], ids=["zero", "shifted"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_real_profile_rows_are_mirrored(d, shifted, t_points):
+    # F(-t, x) = conj F(t, -x) for real samples: the t < 0 rows are the
+    # conjugate flip of the t > 0 rows, bit for bit, and every row is the
+    # Riemann sum
+    got, ref = _mirror_case(d, shifted, t_points)
+    half = t_points // 2
+    assert np.array_equal(got[:half], _conjugate_flip(got)[:half])
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("t_points", [6, 7])
+@pytest.mark.parametrize("shifted", [False, True], ids=["zero", "shifted"])
+@pytest.mark.parametrize("phase", [dict(phase_velocity=0.7), dict(chirp=0.4)], ids=["velocity", "chirp"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_complex_profile_rows_are_not_mirrored(d, phase, shifted, t_points):
+    got, ref = _mirror_case(d, shifted, t_points, **phase)
+    half = t_points // 2
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(got[:half] - _conjugate_flip(got)[:half])) > 1e-3 * scale
+    assert np.max(np.abs(got - ref)) <= 1e-12 * scale
 
 
 def test_apply_working_set_is_bounded():

@@ -9,11 +9,12 @@ from parext.extension import ParaboloidShift
 from parext.grids import (
     FrequencyGrid,
     SpacetimeGrid,
+    dilate_profile,
     gaussian_profile,
     lp_norm_frequency,
     profile_second_moment,
 )
-from parext.norms import quotient_single
+from parext.norms import quotient_pair, quotient_single
 from parext import sequences
 from parext.sequences import (
     SeparatingTestfn,
@@ -31,7 +32,7 @@ from parext.sequences import (
     surface_pairing,
     weak_limit_diagnostics,
 )
-from parext.symmetry import Symmetry
+from parext.symmetry import Symmetry, pushthrough_shift
 
 FG = FrequencyGrid(1, 10.0, 512)
 STG = SpacetimeGrid(1, 10.0, 20.0, 81, 129)
@@ -70,6 +71,27 @@ def test_convergence_study_identity_at_lambda_one(exponents_d1):
         math.sqrt(2.0) * study.a_p_estimate, rel=1e-12
     )
     assert study.target == pytest.approx(math.sqrt(2.0) * study.a_p_estimate)
+
+
+@pytest.mark.parametrize(
+    "shift", [(0.0, (1.0,)), (0.5, (0.0,)), (-0.3, (2.0,))], ids=["xi0", "tau0", "tau0-xi0"]
+)
+def test_dilated_pair_quotient_equals_pushed_through_shift(shift, exponents_d1):
+    # E_s f_lam(t, x) = lam^{d/p - d} E_s' f(t / lam^2, x / lam) with
+    # s' = (lam^2 tau0, lam xi0): the pair quotient of (f_lam, f_lam) on the
+    # lam-rescaled grid is the pair quotient of (f, f) against s' on the base
+    # grid, at the same sample points
+    e = exponents_d1
+    f = gaussian_profile(FG)
+    s = ParaboloidShift(*shift)
+    for lam in (0.5, 0.2, 0.1):
+        f_lam = dilate_profile(f, lam, e.p)
+        dilated = quotient_pair(f_lam, f_lam, s, e, scaled_spacetime_grid(STG, lam))
+        s_new = pushthrough_shift(Symmetry(1.0 / lam, (0.0,), 0.0, (0.0,)), s, e.p).new_shift
+        assert s_new.tau0 == pytest.approx(lam**2 * s.tau0) and s_new.xi0 == pytest.approx((lam * s.xi0[0],))
+        pushed = quotient_pair(f, f, s_new, e, STG)
+        assert dilated.quotient == pytest.approx(pushed.quotient, rel=1e-14, abs=0.0)
+        assert dilated.certified_error() == pytest.approx(pushed.certified_error(), rel=1e-14, abs=0.0)
 
 
 # -- weak-limit diagnostics ---------------------------------------------------
