@@ -3,10 +3,13 @@
 Usage: parext <kind> --config <path> [--out <dir>] [--threads <n>] [--seed <n>]
 
 Kinds: quotient | sequence | search | verify-symmetry | separation |
-shifted-limit.  Configs are strict YAML (unknown keys rejected).  Every run
-writes report.json plus one CSV per result table, atomically; wall-clock
-time goes to a run_meta.json sidecar so that report and tables are
-byte-identical across reruns and thread counts.
+shifted-limit.  Configs are strict YAML: each kind accepts d, p, grid,
+profile, out and the keys its runner declares, each profile kind only its
+constructor's keys; any other key, a missing key or a malformed value is a
+configuration error (exit 2) naming the key.  Every run writes report.json
+plus one CSV per result table, atomically; wall-clock time goes to a
+run_meta.json sidecar so that report and tables are byte-identical across
+reruns and thread counts.
 """
 
 from __future__ import annotations
@@ -17,30 +20,23 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import fields
 
 import numpy as np
 import yaml
 
 from . import __version__
-from .errors import ConfigError, NumericalRefusalError, ParextError
+from .errors import ConfigError, NumericalRefusalError
 from .exponents import validate_exponents
 from .extension import ParaboloidShift
-from .grids import (
-    FrequencyGrid,
-    FrequencyProfile,
-    SpacetimeGrid,
-    bump_profile,
-    dilate_profile,
-    gaussian_profile,
-    superpose,
-)
+from .grids import FrequencyGrid, SpacetimeGrid, bump_profile, gaussian_profile, superpose
 from .norms import quotient_pair, quotient_single
 from .search import SearchOptions, maximize_quotient_pair
 from .sequences import (
     build_separating_testfn,
     convergence_study,
     default_test_functions,
-    scaled_spacetime_grid,
+    dilation_sequence,
     separation_report,
     shifted_limit_test,
     weak_limit_diagnostics,
@@ -54,82 +50,121 @@ def _fmt(v: float) -> str:
     return f"{v:.11e}"
 
 
-def _require(cfg: dict, key: str, section: str):
-    if key not in cfg:
-        raise ConfigError(f"missing key '{key}' in {section}")
-    return cfg[key]
-
+# ---------------------------------------------------------------------------
+# config reading: each value is coerced where it is read
+# ---------------------------------------------------------------------------
 
 def _check_keys(cfg: dict, allowed: set, section: str):
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{section} must be a mapping")
     unknown = set(cfg) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {section}: {sorted(unknown)}")
 
 
-def _parse_shift(cfg: dict, d: int, section: str = "shift") -> ParaboloidShift:
+def _read(cfg: dict, key: str, section: str, coerce, default=None):
+    """``coerce(cfg[key])``, or ``default`` when the key is absent (a missing
+    key without a default is an error); a value that ``coerce`` refuses is
+    an error naming the key."""
+    if key not in cfg:
+        if default is None:
+            raise ConfigError(f"missing key '{key}' in {section}")
+        return default
+    try:
+        return coerce(cfg[key])
+    except (TypeError, ValueError) as ex:
+        raise ConfigError(f"{section}.{key}: {ex}") from ex
+
+
+def _mapping(v) -> dict:
+    if not isinstance(v, dict):
+        raise ValueError(f"must be a mapping, got {v!r}")
+    return v
+
+
+def _positive(v) -> float:
+    v = float(v)
+    if not v > 0.0:
+        raise ValueError(f"must be positive, got {v}")
+    return v
+
+
+def _floats(v) -> np.ndarray:
+    return np.asarray(v, dtype=float)
+
+
+def _list_of(coerce):
+    """Coercion of a non-empty list whose items each pass ``coerce``."""
+    def read(v) -> list:
+        if not isinstance(v, list) or not v:
+            raise ValueError(f"must be a non-empty list, got {v!r}")
+        return [coerce(item) for item in v]
+    return read
+
+
+def _parse_shift(cfg: dict, d: int, section: str) -> ParaboloidShift:
     _check_keys(cfg, {"tau0", "xi0"}, section)
-    tau0 = float(_require(cfg, "tau0", section))
-    xi0 = cfg.get("xi0", [0.0] * d)
-    xi0 = [float(v) for v in (xi0 if isinstance(xi0, list) else [xi0])]
+    tau0 = _read(cfg, "tau0", section, float)
+    xi0 = _read(cfg, "xi0", section, _list_of(float), [0.0] * d)
     if len(xi0) != d:
         raise ConfigError(f"{section}.xi0 must have {d} components")
     return ParaboloidShift(tau0, tuple(xi0))
 
 
-def _parse_fgrid(cfg: dict, d: int) -> FrequencyGrid:
-    _check_keys(cfg, {"l_xi", "n", "t", "x", "m", "n_x"}, "grid")
-    try:
-        return FrequencyGrid(d, float(_require(cfg, "l_xi", "grid")), int(_require(cfg, "n", "grid")))
-    except ValueError as ex:
-        raise ConfigError(f"grid: {ex}") from ex
+def _shift(cfg: dict, key: str, d: int) -> ParaboloidShift:
+    return _parse_shift(_read(cfg, key, "config", _mapping), d, key)
 
 
-def _parse_stg(cfg: dict, d: int) -> SpacetimeGrid:
-    try:
-        return SpacetimeGrid(
-            d,
-            float(_require(cfg, "t", "grid")),
-            float(_require(cfg, "x", "grid")),
-            int(_require(cfg, "m", "grid")),
-            int(_require(cfg, "n_x", "grid")),
-        )
-    except ValueError as ex:
-        raise ConfigError(f"grid: {ex}") from ex
+# profile kind -> coercion of each key it accepts besides "kind"; a key the
+# config leaves out takes the default of the constructor, which is called by
+# name below rather than stored here, so that rebinding the name traces it
+PROFILES = {
+    "gaussian": {"center": _floats, "width": float, "phase_velocity": _floats, "chirp": float},
+    "bump": {"center": _floats, "radius": float},
+    "two_bump": {"separation": float, "radius": float},
+}
 
 
-def _parse_profile(cfg: dict, grid: FrequencyGrid, section: str = "profile") -> FrequencyProfile:
-    allowed = {"kind", "width", "center", "phase_velocity", "chirp", "radius", "separation"}
-    _check_keys(cfg, allowed, section)
-    kind = _require(cfg, "kind", section)
+def _parse_profile(cfg: dict, grid: FrequencyGrid, section: str):
+    kind = _read(cfg, "kind", section, str)
+    if kind not in PROFILES:
+        raise ConfigError(f"{section}.kind must be gaussian, bump or two_bump (got '{kind}')")
+    _check_keys(cfg, {"kind", *PROFILES[kind]}, section)
+    kw = {key: _read(cfg, key, section, PROFILES[kind][key]) for key in cfg if key != "kind"}
     try:
         if kind == "gaussian":
-            return gaussian_profile(
-                grid,
-                center=cfg.get("center", 0.0),
-                width=float(cfg.get("width", 1.0)),
-                phase_velocity=cfg.get("phase_velocity", 0.0),
-                chirp=float(cfg.get("chirp", 0.0)),
-            )
+            return gaussian_profile(grid, **kw)
         if kind == "bump":
-            return bump_profile(grid, center=cfg.get("center", 0.0), radius=float(cfg.get("radius", 1.0)))
-        if kind == "two_bump":
-            sep = float(cfg.get("separation", 4.0))
-            r = float(cfg.get("radius", 1.0))
-            return superpose(
-                bump_profile(grid, center=-sep / 2.0, radius=r),
-                bump_profile(grid, center=sep / 2.0, radius=r),
-            )
+            return bump_profile(grid, **kw)
+        sep = kw.pop("separation", 4.0)
+        return superpose(
+            bump_profile(grid, center=-sep / 2.0, **kw), bump_profile(grid, center=sep / 2.0, **kw)
+        )
     except ValueError as ex:
         raise ConfigError(f"{section}: {ex}") from ex
-    raise ConfigError(f"{section}.kind must be gaussian, bump or two_bump (got '{kind}')")
 
 
-TOP_KEYS = {
-    "d", "p", "shift", "grid", "profile", "profile_g", "lambdas", "out", "seed",
-    "optimizer", "draws", "box", "shift_n", "shifts", "s0", "r",
-}
+# grid key -> coercion: the frequency grid (l_xi, n), then the spacetime grid
+GRID = {"l_xi": float, "n": int, "t": float, "x": float, "m": int, "n_x": int}
+
+
+def _common(cfg: dict, keys: set):
+    """Refuse every key of ``cfg`` but d, p, grid, profile, out and the kind's
+    own ``keys``, then read the exponents, both grids and the profile f."""
+    _check_keys(cfg, {"d", "p", "grid", "profile", "out"} | keys, "config")
+    d = _read(cfg, "d", "config", int, 1)
+    try:
+        e = validate_exponents(d, _read(cfg, "p", "config", float, 2.0))
+    except ValueError as ex:
+        raise ConfigError(str(ex)) from ex
+    grid = _read(cfg, "grid", "config", _mapping)
+    _check_keys(grid, set(GRID), "grid")
+    l_xi, n, t, x, m, n_x = (_read(grid, key, "grid", coerce) for key, coerce in GRID.items())
+    try:
+        fgrid = FrequencyGrid(d, l_xi, n)
+        stg = SpacetimeGrid(d, t, x, m, n_x)
+    except ValueError as ex:
+        raise ConfigError(f"grid: {ex}") from ex
+    f = _parse_profile(_read(cfg, "profile", "config", _mapping), fgrid, "profile")
+    return e, stg, f
 
 
 def _atomic_write(path: str, text: str):
@@ -152,55 +187,36 @@ def _write_csv(path: str, header: list, rows: list):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _common(cfg: dict):
-    d = int(cfg.get("d", 1))
-    p = float(cfg.get("p", 2.0))
-    try:
-        e = validate_exponents(d, p)
-    except ValueError as ex:
-        raise ConfigError(str(ex)) from ex
-    fgrid = _parse_fgrid(_require(cfg, "grid", "config"), d)
-    stg = _parse_stg(cfg["grid"], d)
-    return e, fgrid, stg
-
-
 # ---------------------------------------------------------------------------
-# experiment bodies: each returns (tables, extra_report_fields)
+# experiment bodies: each declares its own config keys and returns
+# (tables, extra_report_fields)
 # ---------------------------------------------------------------------------
 
 def _run_quotient(cfg: dict, threads: int):
-    e, fgrid, stg = _common(cfg)
-    f = _parse_profile(_require(cfg, "profile", "config"), fgrid)
-    if "profile_g" in cfg:
-        g = _parse_profile(cfg["profile_g"], fgrid, "profile_g")
-        shift = _parse_shift(_require(cfg, "shift", "config"), e.d)
-        res = quotient_pair(f, g, shift, e, stg, threads=threads)
+    pair = "profile_g" in cfg
+    e, stg, f = _common(cfg, {"profile_g", "shift"} if pair else set())
+    if pair:
+        g = _parse_profile(_read(cfg, "profile_g", "config", _mapping), f.grid, "profile_g")
+        res = quotient_pair(f, g, _shift(cfg, "shift", e.d), e, stg, threads=threads)
     else:
         res = quotient_single(f, e, stg, threads=threads)
-    rows = [(
-        res.quotient,
-        res.numerator.value,
-        res.denominator,
-        res.numerator.tail_bound,
-        res.numerator.quadrature_estimate,
-        res.certified_error(),
-    )]
+    num = res.numerator
+    rows = [(res.quotient, num.value, res.denominator, num.tail_bound, num.quadrature_estimate,
+             res.certified_error())]
     header = ["quotient", "numerator", "denominator", "tail_bound", "quadrature_estimate", "certified_error"]
     return {"quotient": (header, rows)}, {"a_p_estimate": res.quotient}
 
 
 def _run_sequence(cfg: dict, threads: int):
-    e, fgrid, stg = _common(cfg)
-    f = _parse_profile(_require(cfg, "profile", "config"), fgrid)
-    shift = _parse_shift(_require(cfg, "shift", "config"), e.d)
-    lambdas = [float(v) for v in _require(cfg, "lambdas", "config")]
+    e, stg, f = _common(cfg, {"shift", "lambdas"})
+    shift = _shift(cfg, "shift", e.d)
+    lambdas = _read(cfg, "lambdas", "config", _list_of(_positive))
     study = convergence_study(f, shift, lambdas, e, stg, threads=threads)
+    members = dilation_sequence(f, lambdas, e.p, stg)
     rows = []
-    for lam, q, err in study.rows:
-        f_lam = dilate_profile(f, lam, e.p)
+    for (lam, q, err), (_, f_lam, stg_lam) in zip(study.rows, members):
         diag = weak_limit_diagnostics(
-            f_lam, f_lam, shift, e, scaled_spacetime_grid(stg, lam),
-            a_p_estimate=study.a_p_estimate, threads=threads,
+            f_lam, f_lam, shift, e, stg_lam, a_p_estimate=study.a_p_estimate, threads=threads,
         )
         pair_cols = [v for (_, pf, pg) in diag.weak_pairings for v in (pf, pg)]
         rows.append((lam, q, err, diag.ratio_first, diag.ratio_second,
@@ -214,43 +230,40 @@ def _run_sequence(cfg: dict, threads: int):
 
 
 def _run_search(cfg: dict, threads: int):
-    e, fgrid, stg = _common(cfg)
-    f = _parse_profile(_require(cfg, "profile", "config"), fgrid)
-    g = _parse_profile(cfg.get("profile_g", cfg["profile"]), fgrid, "profile_g")
-    shift = _parse_shift(_require(cfg, "shift", "config"), e.d)
-    opt_cfg = cfg.get("optimizer", {})
-    _check_keys(opt_cfg, {"max_steps", "step_tolerance", "boundary_mass_limit"}, "optimizer")
-    opts = SearchOptions(
-        max_steps=int(opt_cfg.get("max_steps", 200)),
-        step_tolerance=float(opt_cfg.get("step_tolerance", 2e-6)),
-        boundary_mass_limit=float(opt_cfg.get("boundary_mass_limit", 1e-3)),
-    )
+    e, stg, f = _common(cfg, {"profile_g", "shift", "optimizer"})
+    g = _parse_profile(_read(cfg, "profile_g", "config", _mapping, cfg["profile"]), f.grid, "profile_g")
+    shift = _shift(cfg, "shift", e.d)
+    # the optimizer keys, their types and their defaults are SearchOptions' fields
+    optimizer = _read(cfg, "optimizer", "config", _mapping, {})
+    coercions = {fl.name: type(fl.default) for fl in fields(SearchOptions)}
+    _check_keys(optimizer, set(coercions), "optimizer")
+    try:
+        opts = SearchOptions(**{k: _read(optimizer, k, "optimizer", coercions[k]) for k in optimizer})
+    except ValueError as ex:
+        raise ConfigError(f"optimizer: {ex}") from ex
     traj = maximize_quotient_pair(f, g, shift, e, stg, opts=opts, threads=threads)
-    rows = []
-    for k, q, S, nf, ng in traj.iterates:
-        rows.append((k, q, S.lam, *S.xi_tilde, S.t0, *S.x0, nf, ng))
-    header = ["step", "quotient", "lambda_fit"]
-    header += [f"xi_tilde_{a}" for a in range(e.d)]
+    rows = [(k, q, S.lam, *S.xi_tilde, S.t0, *S.x0, nf, ng) for k, q, S, nf, ng in traj.iterates]
+    header = ["step", "quotient", "lambda_fit"] + [f"xi_tilde_{a}" for a in range(e.d)]
     header += ["t0_fit"] + [f"x0_fit_{a}" for a in range(e.d)] + ["norm_f", "norm_g"]
-    extra = {
-        "terminated_reason": traj.terminated_reason,
-        "final_quotient": traj.final_quotient,
-    }
+    extra = {"terminated_reason": traj.terminated_reason, "final_quotient": traj.final_quotient}
     return {"trajectory": (header, rows)}, extra
 
 
+# the box verify-symmetry draws from, key -> (coercion, default): the scaling
+# log-uniform in [lam_min, lam_max], each other parameter uniform in [-max, max]
+BOX = {"lam_min": (_positive, 0.125), "lam_max": (_positive, 8.0),
+       "xi_max": (float, 4.0), "t_max": (float, 4.0), "x_max": (float, 4.0)}
+
+
 def _run_verify_symmetry(cfg: dict, seed: int):
-    e, fgrid, stg = _common(cfg)
-    f = _parse_profile(_require(cfg, "profile", "config"), fgrid)
-    shift = _parse_shift(_require(cfg, "shift", "config"), e.d)
-    draws = int(cfg.get("draws", 100))
-    box = cfg.get("box", {})
-    _check_keys(box, {"lam_min", "lam_max", "xi_max", "t_max", "x_max"}, "box")
-    lam_min = float(box.get("lam_min", 0.125))
-    lam_max = float(box.get("lam_max", 8.0))
-    xi_max = float(box.get("xi_max", 4.0))
-    t_max = float(box.get("t_max", 4.0))
-    x_max = float(box.get("x_max", 4.0))
+    e, stg, f = _common(cfg, {"shift", "draws", "box", "seed"})
+    shift = _shift(cfg, "shift", e.d)
+    draws = _read(cfg, "draws", "config", int, 100)
+    box = _read(cfg, "box", "config", _mapping, {})
+    _check_keys(box, set(BOX), "box")
+    lam_min, lam_max, xi_max, t_max, x_max = (_read(box, k, "box", c, v) for k, (c, v) in BOX.items())
+    if seed is None:
+        seed = _read(cfg, "seed", "config", int, 0)
     rng = np.random.default_rng(seed)
     rows = []
     for i in range(draws):
@@ -268,13 +281,12 @@ def _run_verify_symmetry(cfg: dict, seed: int):
 
 
 def _run_separation(cfg: dict):
-    e, fgrid, stg = _common(cfg)
-    f = _parse_profile(_require(cfg, "profile", "config"), fgrid)
-    shift0 = _parse_shift(_require(cfg, "shift", "config"), e.d)
-    shift_n = _parse_shift(_require(cfg, "shift_n", "config"), e.d, "shift_n")
-    s0 = float(cfg.get("s0", 0.5))
-    R = float(cfg.get("r", fgrid.half_width * 0.8))
-    rep = separation_report(shift0, shift_n, s0, R, fgrid)
+    e, _, f = _common(cfg, {"shift", "shift_n", "s0", "r"})
+    shift0 = _shift(cfg, "shift", e.d)
+    shift_n = _shift(cfg, "shift_n", e.d)
+    s0 = _read(cfg, "s0", "config", _positive, 0.5)
+    R = _read(cfg, "r", "config", _positive, f.grid.half_width * 0.8)
+    rep = separation_report(shift0, shift_n, s0, R, f.grid)
     rows = [(rep.s, rep.R, rep.zero_set_offset, rep.c_estimate, float(rep.degenerate))]
     header = ["s", "r", "zero_set_offset", "c_estimate", "degenerate"]
     extra = {}
@@ -285,10 +297,9 @@ def _run_separation(cfg: dict):
 
 
 def _run_shifted_limit(cfg: dict, threads: int):
-    e, fgrid, stg = _common(cfg)
-    f = _parse_profile(_require(cfg, "profile", "config"), fgrid)
-    shift0 = _parse_shift(_require(cfg, "shift", "config"), e.d)
-    shift_cfgs = _require(cfg, "shifts", "config")
+    e, stg, f = _common(cfg, {"shift", "shifts"})
+    shift0 = _shift(cfg, "shift", e.d)
+    shift_cfgs = _read(cfg, "shifts", "config", _list_of(_mapping))
     shifts = [_parse_shift(sc, e.d, f"shifts[{i}]") for i, sc in enumerate(shift_cfgs)]
     residuals = shifted_limit_test(f, shift0, shifts, e, stg, threads=threads)
     rows = [
@@ -305,9 +316,6 @@ def _run_shifted_limit(cfg: dict, threads: int):
 def run_experiment(kind: str, cfg: dict, out_dir: str, threads: int = 1, seed: int = None) -> dict:
     if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind '{kind}' (expected one of {KINDS})")
-    _check_keys(cfg, TOP_KEYS, "config")
-    if seed is None:
-        seed = int(cfg.get("seed", 0))
 
     start = time.monotonic()
     if kind == "quotient":
@@ -367,7 +375,7 @@ def main(argv=None) -> int:
             cfg = yaml.safe_load(fh)
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a YAML mapping")
-        out_dir = args.out or cfg.get("out", "parext_out")
+        out_dir = args.out or _read(cfg, "out", "config", str, "parext_out")
         run_experiment(args.kind, cfg, out_dir, threads=args.threads, seed=args.seed)
         return 0
     except (ConfigError, yaml.YAMLError, OSError) as ex:
@@ -376,7 +384,7 @@ def main(argv=None) -> int:
     except NumericalRefusalError as ex:
         print(f"numerical refusal: {ex}", file=sys.stderr)
         return 3
-    except (ParextError, Exception) as ex:  # noqa: BLE001
+    except Exception as ex:  # noqa: BLE001
         print(f"internal error: {ex}", file=sys.stderr)
         return 4
 

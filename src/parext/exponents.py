@@ -8,18 +8,12 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Exponents:
     """Exponent quadruple (d, p, p', q) tied together by the scaling relation
-    q = (d+2)/d * p'.
-
-    ``supported`` marks the pairs for which a known closed-form extremizer
-    (the Gaussian, at p=2 and d in {1,2}) is available as a quantitative
-    reference; other valid pairs are accepted but treated as exploratory.
-    """
+    q = (d+2)/d * p'."""
 
     d: int
     p: float
     p_conj: float
     q: float
-    supported: bool
 
     def __post_init__(self):
         if self.q <= self.p:
@@ -40,5 +34,4 @@ def validate_exponents(d: int, p: float) -> Exponents:
         raise ValueError(f"p must exceed 1 (conjugate exponent infinite at p={p})")
     p_conj = p / (p - 1.0)
     q = (d + 2) * p_conj / d
-    supported = (p == 2.0) and d in (1, 2)
-    return Exponents(d=d, p=p, p_conj=p_conj, q=q, supported=supported)
+    return Exponents(d=d, p=p, p_conj=p_conj, q=q)

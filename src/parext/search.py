@@ -38,6 +38,10 @@ class SearchOptions:
     step_tolerance: float = 2e-6  # relative Q improvement per accepted step
     boundary_mass_limit: float = 1e-3  # |f|^2 fraction in the outer shell
 
+    def __post_init__(self):
+        if self.max_steps < 0:
+            raise ValueError(f"max_steps must be non-negative, got {self.max_steps}")
+
 
 @dataclass
 class SearchTrajectory:
@@ -127,13 +131,14 @@ def maximize_quotient_pair(
     F, Q = _pair_field(op_f, op_g, fs, gs, q, threads)
 
     iterates = []
-    reason = "max_steps"
-
+    converged = False
     for k in range(opts.max_steps + 1):
-        prof_f = FrequencyProfile(f0.grid, fs)
         nf = math.sqrt((np.abs(fs) ** 2).sum() * vol_f)
         ng = math.sqrt((np.abs(gs) ** 2).sum() * vol_g)
-        iterates.append((k, Q, fit_symmetry(prof_f, 2.0), nf, ng))
+        iterates.append((k, Q, fit_symmetry(FrequencyProfile(f0.grid, fs), 2.0), nf, ng))
+        if converged:
+            reason = "step_tolerance"
+            break
 
         bmass = max(
             _boundary_mass_fraction(fs, BOUNDARY_SHELL),
@@ -164,15 +169,9 @@ def maximize_quotient_pair(
         if not accepted:
             reason = "step_tolerance"
             break
-        rel_gain = (Qn - Q) / Q
+        # a step that gains too little is recorded, then ends the ascent
+        converged = (Qn - Q) / Q < opts.step_tolerance
         fs, gs, F, Q = fn, gn, Fn, Qn
-        if rel_gain < opts.step_tolerance:
-            prof_f = FrequencyProfile(f0.grid, fs)
-            nf = math.sqrt((np.abs(fs) ** 2).sum() * vol_f)
-            ng = math.sqrt((np.abs(gs) ** 2).sum() * vol_g)
-            iterates.append((k + 1, Q, fit_symmetry(prof_f, 2.0), nf, ng))
-            reason = "step_tolerance"
-            break
 
     return SearchTrajectory(
         iterates=iterates,

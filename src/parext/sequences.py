@@ -78,11 +78,14 @@ def surface_pairing(f: FrequencyProfile, shift: ParaboloidShift, phi: TestFuncti
 # dilation sequences and the limiting quotient
 # ---------------------------------------------------------------------------
 
-def dilation_sequence(f: FrequencyProfile, lambdas, p: float) -> list:
-    lambdas = list(lambdas)
-    if not lambdas:
+def dilation_sequence(f: FrequencyProfile, lambdas, p: float, stg: SpacetimeGrid) -> list:
+    """The members (lambda, f_lambda, grid) of the dilation sequence of f:
+    the L^p-preserving dilate f_lambda and the grid ``stg`` rescaled to
+    follow its parabolic concentration."""
+    members = [(lam, dilate_profile(f, lam, p), scaled_spacetime_grid(stg, lam)) for lam in lambdas]
+    if not members:
         raise ValueError("empty dilation list")
-    return [dilate_profile(f, lam, p) for lam in lambdas]
+    return members
 
 
 def scaled_spacetime_grid(stg: SpacetimeGrid, lam: float) -> SpacetimeGrid:
@@ -118,15 +121,11 @@ def convergence_study(
     """Quotient of the pair (f_lambda, f_lambda) against the shifted operator
     for each lambda, on parabolically rescaled grids, with the
     single-operator constant estimated on the same base grid."""
-    lambdas = list(lambdas)
-    if not lambdas:
-        raise ValueError("empty dilation list")
+    members = dilation_sequence(f, lambdas, e.p, stg)
     a_p = quotient_single(f, e, stg, threads=threads).quotient
     target = 2.0 ** (1.0 / e.p_conj) * a_p
     rows = []
-    for lam in lambdas:
-        f_lam = dilate_profile(f, lam, e.p)
-        stg_lam = scaled_spacetime_grid(stg, lam)
+    for lam, f_lam, stg_lam in members:
         res = quotient_pair(f_lam, f_lam, shift, e, stg_lam, threads=threads)
         rows.append((lam, res.quotient, res.certified_error()))
     return ConvergenceStudy(rows=rows, a_p_estimate=a_p, target=target)

@@ -107,6 +107,46 @@ def test_unknown_key_exits_2(tmp_path):
     assert main(["quotient", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+SHIFT = "shift: {tau0: 0.0, xi0: [1.0]}\n"
+SEQUENCE = SHIFT + "lambdas: [1.0, 0.5]\n"
+
+
+@pytest.mark.parametrize(
+    "kind, extra, key",
+    [
+        # keys the kind does not read: each used to be accepted and ignored
+        pytest.param("quotient", SHIFT, "shift", id="quotient-shift-without-profile_g"),
+        pytest.param("quotient", "lambdas: [1.0]\n", "lambdas", id="quotient-lambdas"),
+        pytest.param("quotient", "draws: 3\n", "draws", id="quotient-draws"),
+        pytest.param("sequence", SEQUENCE + "optimizer: {max_steps: 3}\n", "optimizer", id="sequence-optimizer"),
+        pytest.param("sequence", SEQUENCE + "s0: 0.5\n", "s0", id="sequence-s0"),
+        pytest.param(
+            "quotient", "profile_g: {kind: gaussian, radius: 1.0}\n" + SHIFT, "radius", id="gaussian-radius"
+        ),
+        # malformed values
+        pytest.param("sequence", SHIFT + "lambdas: []\n", "lambdas", id="lambdas-empty"),
+        pytest.param("sequence", SHIFT + "lambdas: 0.5\n", "lambdas", id="lambdas-scalar"),
+        pytest.param("sequence", SHIFT + "lambdas: [1.0, -0.5]\n", "lambdas", id="lambdas-negative"),
+        pytest.param(
+            "separation", SHIFT + "shift_n: {tau0: 0.0, xi0: [1.1]}\ns0: -1\n", "s0", id="s0-negative"
+        ),
+        pytest.param("search", SHIFT + "optimizer: {max_steps: many}\n", "max_steps", id="max_steps-word"),
+        pytest.param("search", SHIFT + "optimizer: {max_steps: -1}\n", "max_steps", id="max_steps-negative"),
+        pytest.param("verify-symmetry", SHIFT + "box: {lam_min: -1}\n", "lam_min", id="lam_min-negative"),
+        pytest.param(
+            "quotient", "profile_g: {kind: bump}\nshift: {tau0: 0.0, xi0: 1.0}\n", "xi0", id="xi0-scalar"
+        ),
+    ],
+)
+def test_stray_key_or_malformed_value_exits_2(tmp_path, capsys, kind, extra, key):
+    cfg = write_cfg(
+        tmp_path, "cfg.yaml", f"d: 1\n{BASE_GRID}\nprofile: {{kind: gaussian}}\n{extra}"
+    )
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_removed_pad_key_exits_2(tmp_path):
     cfg = write_cfg(
         tmp_path,

@@ -10,18 +10,11 @@ def test_d1_p2():
     e = validate_exponents(1, 2.0)
     assert e.p_conj == 2.0
     assert e.q == 6.0
-    assert e.supported
 
 
 def test_d2_p2():
     e = validate_exponents(2, 2.0)
     assert e.q == 4.0
-    assert e.supported
-
-
-def test_exploratory_pairs_flagged():
-    assert not validate_exponents(3, 2.0).supported
-    assert not validate_exponents(1, 3.0).supported
 
 
 def test_p3_d1():
@@ -41,7 +34,7 @@ def test_invalid_inputs(d, p):
 
 def test_q_le_p_rejected_in_type():
     with pytest.raises(ValueError):
-        Exponents(d=1, p=6.0, p_conj=1.2, q=3.6, supported=False)
+        Exponents(d=1, p=6.0, p_conj=1.2, q=3.6)
 
 
 @given(st.integers(1, 6), st.floats(1.01, 50.0))

@@ -169,6 +169,9 @@ def test_max_steps_termination(exponents_d1):
     )
     assert traj.terminated_reason == "max_steps"
     assert len(traj.iterates) == 4
+    # no step count leaves the trajectory without its starting iterate
+    with pytest.raises(ValueError):
+        SearchOptions(max_steps=-1)
 
 
 def test_p_not_2_rejected(exponents_d1):

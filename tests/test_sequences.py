@@ -44,16 +44,17 @@ ZERO = ParaboloidShift(0.0, (0.0,))
 def test_dilation_sequence_norms_and_widths():
     f = gaussian_profile(FG)
     lams = [1.0, 0.5, 0.25]
-    seq = dilation_sequence(f, lams, 2.0)
+    seq = dilation_sequence(f, lams, 2.0, STG)
     n0 = lp_norm_frequency(f, 2.0)
-    for lam, fl in zip(lams, seq):
+    for lam, (lam_m, fl, stg_l) in zip(lams, seq, strict=True):
+        assert lam_m == lam and stg_l == scaled_spacetime_grid(STG, lam)
         assert lp_norm_frequency(fl, 2.0) == pytest.approx(n0, rel=1e-12)
         # the |f|^2 width scales as 1/lambda
         assert profile_second_moment(fl, 2.0) == pytest.approx(
             profile_second_moment(f, 2.0) / lam**2, rel=1e-10
         )
     with pytest.raises(ValueError):
-        dilation_sequence(f, [], 2.0)
+        dilation_sequence(f, [], 2.0, STG)
 
 
 def test_scaled_spacetime_grid():
@@ -71,6 +72,26 @@ def test_convergence_study_identity_at_lambda_one(exponents_d1):
         math.sqrt(2.0) * study.a_p_estimate, rel=1e-12
     )
     assert study.target == pytest.approx(math.sqrt(2.0) * study.a_p_estimate)
+
+
+@pytest.mark.parametrize(
+    "shift", [(0.0, (1.0,)), (0.5, (0.0,)), (-0.3, (2.0,))], ids=["xi0", "tau0", "tau0-xi0"]
+)
+def test_convergence_study_rows_are_dilation_members(shift, exponents_d1):
+    # each row is the pair quotient of (f_lam, f_lam) on the member's own grid,
+    # however convergence_study chooses to compute it
+    e = exponents_d1
+    f = gaussian_profile(FG)
+    s = ParaboloidShift(*shift)
+    lams = [0.5, 0.2, 0.1]
+    study = convergence_study(f, s, lams, e, STG)
+    for (lam, q, err), (lam_m, f_lam, stg_lam) in zip(
+        study.rows, dilation_sequence(f, lams, e.p, STG), strict=True
+    ):
+        res = quotient_pair(f_lam, f_lam, s, e, stg_lam)
+        assert lam == lam_m
+        assert q == pytest.approx(res.quotient, rel=1e-14, abs=0.0)
+        assert err == pytest.approx(res.certified_error(), rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize(
