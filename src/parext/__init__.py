@@ -10,6 +10,7 @@ from .errors import (
     NumericalRefusalError,
     NyquistError,
     ParextError,
+    ParextWarning,
     TailCertificationError,
 )
 from .exponents import Exponents, validate_exponents
@@ -40,6 +41,7 @@ __all__ = [
     "NyquistError",
     "ParaboloidShift",
     "ParextError",
+    "ParextWarning",
     "QuotientResult",
     "SpacetimeField",
     "SpacetimeGrid",

@@ -1,6 +1,6 @@
 """Configuration-driven experiment runner.
 
-Usage: parext <kind> --config <path> [--out <dir>] [--threads <n>] [--seed <n>]
+Usage: parext <kind> --config <path> [--out <dir>] [--threads <n>]
 
 Kinds: quotient | sequence | search | verify-symmetry | separation |
 shifted-limit.  Configs are strict YAML: each kind accepts d, p, grid,
@@ -9,7 +9,8 @@ constructor's keys; any other key, a missing key or a malformed value is a
 configuration error (exit 2) naming the key.  Every run writes report.json
 plus one CSV per result table, atomically; wall-clock time goes to a
 run_meta.json sidecar so that report and tables are byte-identical across
-reruns and thread counts.
+reruns and thread counts.  The report's ``warnings`` key lists the
+ParextWarning messages the run raised, sorted and once each.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ import os
 import sys
 import tempfile
 import time
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import yaml
 
 from . import __version__
-from .errors import ConfigError, NumericalRefusalError
+from .errors import ConfigError, NumericalRefusalError, ParextWarning
 from .exponents import validate_exponents
 from .extension import ParaboloidShift
 from .grids import FrequencyGrid, SpacetimeGrid, bump_profile, gaussian_profile, superpose
@@ -44,10 +46,6 @@ from .sequences import (
 from .symmetry import Symmetry, verify_intertwining
 
 KINDS = ("quotient", "sequence", "search", "verify-symmetry", "separation", "shifted-limit")
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.11e}"
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +82,15 @@ def _positive(v) -> float:
     v = float(v)
     if not v > 0.0:
         raise ValueError(f"must be positive, got {v}")
+    return v
+
+
+def _whole(v) -> int:
+    """A non-negative integer, or a float equal to one; a fraction, bool or string is refused."""
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+        raise ValueError(f"must be a non-negative whole number, got {v!r}")
     return v
 
 
@@ -143,14 +150,14 @@ def _parse_profile(cfg: dict, grid: FrequencyGrid, section: str):
 
 
 # grid key -> coercion: the frequency grid (l_xi, n), then the spacetime grid
-GRID = {"l_xi": float, "n": int, "t": float, "x": float, "m": int, "n_x": int}
+GRID = {"l_xi": float, "n": _whole, "t": float, "x": float, "m": _whole, "n_x": _whole}
 
 
 def _common(cfg: dict, keys: set):
     """Refuse every key of ``cfg`` but d, p, grid, profile, out and the kind's
     own ``keys``, then read the exponents, both grids and the profile f."""
     _check_keys(cfg, {"d", "p", "grid", "profile", "out"} | keys, "config")
-    d = _read(cfg, "d", "config", int, 1)
+    d = _read(cfg, "d", "config", _whole, 1)
     try:
         e = validate_exponents(d, _read(cfg, "p", "config", float, 2.0))
     except ValueError as ex:
@@ -178,13 +185,6 @@ def _atomic_write(path: str, text: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _write_csv(path: str, header: list, rows: list):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +236,7 @@ def _run_search(cfg: dict, threads: int):
     # the optimizer keys, their types and their defaults are SearchOptions' fields
     optimizer = _read(cfg, "optimizer", "config", _mapping, {})
     coercions = {fl.name: type(fl.default) for fl in fields(SearchOptions)}
+    coercions = {k: _whole if c is int else c for k, c in coercions.items()}
     _check_keys(optimizer, set(coercions), "optimizer")
     try:
         opts = SearchOptions(**{k: _read(optimizer, k, "optimizer", coercions[k]) for k in optimizer})
@@ -255,15 +256,14 @@ BOX = {"lam_min": (_positive, 0.125), "lam_max": (_positive, 8.0),
        "xi_max": (float, 4.0), "t_max": (float, 4.0), "x_max": (float, 4.0)}
 
 
-def _run_verify_symmetry(cfg: dict, seed: int):
+def _run_verify_symmetry(cfg: dict):
     e, stg, f = _common(cfg, {"shift", "draws", "box", "seed"})
     shift = _shift(cfg, "shift", e.d)
-    draws = _read(cfg, "draws", "config", int, 100)
+    draws = _read(cfg, "draws", "config", _whole, 100)
     box = _read(cfg, "box", "config", _mapping, {})
     _check_keys(box, set(BOX), "box")
     lam_min, lam_max, xi_max, t_max, x_max = (_read(box, k, "box", c, v) for k, (c, v) in BOX.items())
-    if seed is None:
-        seed = _read(cfg, "seed", "config", int, 0)
+    seed = _read(cfg, "seed", "config", _whole, 0)
     rng = np.random.default_rng(seed)
     rows = []
     for i in range(draws):
@@ -313,24 +313,30 @@ def _run_shifted_limit(cfg: dict, threads: int):
 # driver
 # ---------------------------------------------------------------------------
 
-def run_experiment(kind: str, cfg: dict, out_dir: str, threads: int = 1, seed: int = None) -> dict:
+def run_experiment(kind: str, cfg: dict, out_dir: str, threads: int = 1) -> dict:
     if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind '{kind}' (expected one of {KINDS})")
 
     start = time.monotonic()
-    if kind == "quotient":
-        tables, extra = _run_quotient(cfg, threads)
-    elif kind == "sequence":
-        tables, extra = _run_sequence(cfg, threads)
-    elif kind == "search":
-        tables, extra = _run_search(cfg, threads)
-    elif kind == "verify-symmetry":
-        tables, extra = _run_verify_symmetry(cfg, seed)
-    elif kind == "separation":
-        tables, extra = _run_separation(cfg)
-    else:
-        tables, extra = _run_shifted_limit(cfg, threads)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ParextWarning)
+        if kind == "quotient":
+            tables, extra = _run_quotient(cfg, threads)
+        elif kind == "sequence":
+            tables, extra = _run_sequence(cfg, threads)
+        elif kind == "search":
+            tables, extra = _run_search(cfg, threads)
+        elif kind == "verify-symmetry":
+            tables, extra = _run_verify_symmetry(cfg)
+        elif kind == "separation":
+            tables, extra = _run_separation(cfg)
+        else:
+            tables, extra = _run_shifted_limit(cfg, threads)
     elapsed = time.monotonic() - start
+    # the report takes the package's warnings; any other warning goes on as raised
+    for w in caught:
+        if not issubclass(w.category, ParextWarning):
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
 
     os.makedirs(out_dir, exist_ok=True)
     report = {
@@ -338,18 +344,15 @@ def run_experiment(kind: str, cfg: dict, out_dir: str, threads: int = 1, seed: i
         "version": __version__,
         "config": cfg,
         "tables": {},
+        "warnings": sorted({str(w.message) for w in caught if issubclass(w.category, ParextWarning)}),
         **extra,
     }
     for name, (header, rows) in tables.items():
-        path = os.path.join(out_dir, f"{name}.csv")
-        _write_csv(path, header, rows)
-        report["tables"][name] = {
-            "file": f"{name}.csv",
-            "columns": header,
-            "rows": [
-                [(_fmt(v) if isinstance(v, float) else v) for v in row] for row in rows
-            ],
-        }
+        # one formatting of each cell feeds both the CSV and the report
+        cells = [[f"{v:.11e}" if isinstance(v, float) else v for v in row] for row in rows]
+        lines = [",".join(header)] + [",".join(str(v) for v in row) for row in cells]
+        _atomic_write(os.path.join(out_dir, f"{name}.csv"), "\n".join(lines) + "\n")
+        report["tables"][name] = {"file": f"{name}.csv", "columns": header, "rows": cells}
     _atomic_write(
         os.path.join(out_dir, "report.json"),
         json.dumps(report, indent=2, sort_keys=True) + "\n",
@@ -367,7 +370,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None)
     parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 
     try:
@@ -376,7 +378,7 @@ def main(argv=None) -> int:
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a YAML mapping")
         out_dir = args.out or _read(cfg, "out", "config", str, "parext_out")
-        run_experiment(args.kind, cfg, out_dir, threads=args.threads, seed=args.seed)
+        run_experiment(args.kind, cfg, out_dir, threads=args.threads)
         return 0
     except (ConfigError, yaml.YAMLError, OSError) as ex:
         print(f"config error: {ex}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Exception hierarchy; the CLI maps these onto exit codes."""
+"""Exceptions, which the CLI maps onto exit codes, and the package warning."""
 
 
 class ParextError(Exception):
@@ -24,3 +24,7 @@ class TailCertificationError(NumericalRefusalError):
 
 class CoverageError(NumericalRefusalError):
     """A symmetry pullback left too little of the grid covered."""
+
+
+class ParextWarning(UserWarning):
+    """A result computed outside the conditions its accuracy claims assume."""

@@ -43,13 +43,14 @@ computations.
 from __future__ import annotations
 
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sp_fft
 
-from .errors import NyquistError
+from .errors import NyquistError, ParextWarning
 from .grids import (
     FrequencyGrid,
     FrequencyProfile,
@@ -163,11 +164,12 @@ class ExtensionOperator:
                 f"{stg.x_half_width:.4g} (ratio {self.nyquist_ratio:.3g} exceeds "
                 f"the hard factor {NYQUIST_HARD_FACTOR})"
             )
-        self.warnings: list[str] = []
         if self.nyquist_ratio > 1.0:
-            self.warnings.append(
+            warnings.warn(
                 f"Nyquist condition violated (ratio {self.nyquist_ratio:.3g}); "
-                "aliased copies of the field may leak into the grid"
+                "aliased copies of the field may leak into the grid",
+                ParextWarning,
+                stacklevel=2,
             )
 
         # time phase t * (|xi - xi0|^2 + tau0), one quadratic per axis shaped
@@ -314,10 +316,7 @@ def extend(
     """Evaluate the extension of ``f`` from the paraboloid shifted by
     ``shift`` on the spacetime grid."""
     op = ExtensionOperator(f.grid, shift, stg)
-    samples = op.apply(f.samples, threads=threads)
-    fld = SpacetimeField(stg, samples)
-    fld.warnings.extend(op.warnings)
-    return fld
+    return SpacetimeField(stg, op.apply(f.samples, threads=threads))
 
 
 def plancherel_slice_defect(

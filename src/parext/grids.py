@@ -10,10 +10,13 @@ of the tails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .errors import ParextWarning
 
 
 def _as_vector(v, d: int, name: str) -> np.ndarray:
@@ -115,7 +118,6 @@ class FrequencyProfile:
 
     grid: FrequencyGrid
     samples: np.ndarray
-    warnings: list = field(default_factory=list)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=complex)
@@ -185,7 +187,6 @@ class SpacetimeField:
     grid: SpacetimeGrid
     samples: np.ndarray
     coverage: float = 1.0
-    warnings: list = field(default_factory=list)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=complex)
@@ -209,8 +210,8 @@ def gaussian_profile(
     """Sample exp(-|xi - center|^2 / width^2) * exp(i xi . v) on the grid.
 
     ``chirp`` adds a quadratic phase exp(i * chirp * |xi - center|^2).
-    A truncation warning is recorded when the center sits more than half a
-    grid half-width outside the grid.
+    A ParextWarning is raised when the center sits more than half a grid
+    half-width outside the grid.
     """
     if width <= 0:
         raise ValueError("width must be positive")
@@ -225,9 +226,8 @@ def gaussian_profile(
     prof = FrequencyProfile(grid, samples)
     for a in range(grid.d):
         if abs(c[a] - grid.center[a]) > 1.5 * grid.half_width:
-            prof.warnings.append(
-                f"center coordinate {c[a]} lies more than half a grid width outside the grid"
-            )
+            msg = f"center coordinate {c[a]} lies more than half a grid width outside the grid"
+            warnings.warn(msg, ParextWarning, stacklevel=2)
     return prof
 
 

@@ -46,18 +46,15 @@ class NormResult:
     wrap-around aliasing of the frequency Riemann sum: the interval may miss
     the truncated norm (``value`` exceeds the exact truncated norm of the
     width-1 Gaussian by 7.07e-6 on the frozen d = 1 grid, where the estimate
-    is 8.1e-10).
+    is 8.1e-10).  The tail bound is finite: non-integrable tails are refused.
     """
 
     value: float
     tail_bound: float
     quadrature_estimate: float
     q: float
-    certified: bool = True
 
     def certified_upper(self) -> float:
-        if not self.certified:
-            return math.inf
         return (self.value**self.q + self.tail_bound**self.q) ** (
             1.0 / self.q
         ) + self.quadrature_estimate
@@ -183,31 +180,23 @@ def lq_norm_spacetime(
     field: SpacetimeField,
     tail_pairs: list,
     q: float,
-    allow_uncertified: bool = False,
 ) -> NormResult:
     """Truncated-grid L^q norm of the field plus tail certification.
 
     ``tail_pairs`` lists the (profile, shift) pairs whose extensions sum to
-    the field; their tail norms add by Minkowski.
+    the field; their tail norms add by Minkowski.  Non-integrable tails refuse.
     """
     if q <= 2:
         raise ValueError("q must exceed 2")
     d = field.grid.d
     beta = d * (q - 2.0) / 2.0
+    if beta <= 1.0:
+        raise TailCertificationError(
+            f"d (q - 2) / 2 = {beta:.3g} <= 1: the dispersive tail is not integrable"
+        )
 
     value = _truncated_lq(field, q, stride=1)
-    coarse = _truncated_lq(field, q, stride=2)
-    quad_est = abs(value - coarse) / 3.0
-
-    if beta <= 1.0:
-        if not allow_uncertified:
-            raise TailCertificationError(
-                f"d (q - 2) / 2 = {beta:.3g} <= 1: the dispersive tail is not "
-                "integrable; enlarge T and pass allow_uncertified=True for an "
-                "uncertified value"
-            )
-        return NormResult(value, math.inf, quad_est, q, certified=False)
-
+    quad_est = abs(value - _truncated_lq(field, q, stride=2)) / 3.0
     T = field.grid.t_half_width
     X = field.grid.x_half_width
     tail = 0.0
@@ -215,7 +204,7 @@ def lq_norm_spacetime(
         ing = _tail_ingredients(prof, shift)
         mass = _time_tail_mass(ing, d, q, T) + _space_tail_mass(ing, d, q, T, X)
         tail += mass ** (1.0 / q)
-    return NormResult(value, tail, quad_est, q, certified=True)
+    return NormResult(value, tail, quad_est, q)
 
 
 def quotient_single(
@@ -270,7 +259,6 @@ def _pair_terms(
     field_f = extend(f, zero, stg, threads=threads)
     field_g = extend(g, shift, stg, threads=threads)
     total = SpacetimeField(stg, field_f.samples + field_g.samples)
-    total.warnings = field_f.warnings + field_g.warnings
     num = lq_norm_spacetime(total, [(f, zero), (g, shift)], e.q)
     return nf, ng, den, field_f, field_g, num
 

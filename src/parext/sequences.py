@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from .errors import NumericalRefusalError
 from .exponents import Exponents
 from .extension import ParaboloidShift, extend
 from .grids import (
@@ -297,6 +298,9 @@ def build_separating_testfn(
     R-ball, shrinking s0 until the hyperplane cutoff costs less than 1/4 of
     Phi's pairing with f.  Returns the margins
     m1 = |<f dsigma, Psi>| and m2 = sup |Psi| on the other paraboloid.
+
+    A zero profile or coinciding paraboloids raise ValueError; a pairing of
+    at most 3/4, a cutoff over budget or no positive separation refuse.
     """
     p = 2.0  # pairing margins quoted for the Hilbert-space normalization
     pc = 2.0
@@ -311,12 +315,12 @@ def build_separating_testfn(
     phi = FrequencyProfile(f.grid, _mollify(np.conj(f.samples) * ball))
     nphi = lp_norm_frequency(phi, pc)
     if nphi == 0.0:
-        raise ValueError("degenerate pairing profile")
+        raise NumericalRefusalError("pairing profile vanishes on the R-ball")
     phi = phi.scaled(1.0 / nphi)
 
     pairing0 = abs(complex((f.samples * phi.samples).sum() * f.grid.cell_volume))
     if pairing0 <= 0.75:
-        raise ValueError(
+        raise NumericalRefusalError(
             f"pairing profile captures only {pairing0:.3f} of the profile (need > 3/4)"
         )
 
@@ -332,14 +336,14 @@ def build_separating_testfn(
             break
         s_cur /= 2.0
     else:
-        raise ValueError("hyperplane cutoff never cleared the 1/4 budget")
+        raise NumericalRefusalError("hyperplane cutoff never cleared the 1/4 budget")
 
     # coinciding paraboloids have no hyperplane, so the loop stops at once
     rep = separation_report(shift0, shift_n, s_cur, R, f.grid)
     if rep.degenerate:
         raise ValueError("degenerate separation: the paraboloids coincide")
     if not np.isfinite(rep.c_estimate) or rep.c_estimate <= 0.0:
-        raise ValueError("no positive separation away from the hyperplane")
+        raise NumericalRefusalError("no positive separation away from the hyperplane")
 
     tf = SeparatingTestfn(
         m1=0.0, m2=0.0, s0=s_cur, c=rep.c_estimate, phi=phi,

@@ -16,12 +16,13 @@ output side:
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import CoverageError
+from .errors import CoverageError, ParextWarning
 from .exponents import Exponents
 from .extension import ParaboloidShift
 from .grids import (
@@ -154,9 +155,9 @@ def apply_symmetry_field(
 ) -> SpacetimeField:
     """Output-side action by cubic interpolation on F's grid.
 
-    Target points that fall outside the source grid are zeroed and recorded
-    in the coverage fraction; below ``MIN_COVERAGE`` the result would be
-    mostly zero fill and the call refuses.
+    Target points outside the source grid are zeroed, counted in the
+    coverage fraction and reported by a ParextWarning; below
+    ``MIN_COVERAGE`` the result would be mostly zero fill and the call refuses.
     """
     g = F.grid
     if S.d != g.d:
@@ -183,12 +184,9 @@ def apply_symmetry_field(
     im = ndimage.map_coordinates(F.samples.imag, coords, order=3, mode="constant")
     vals = (re + 1j * im) * inside
 
-    fld = SpacetimeField(out_grid, factor * vals, coverage=coverage)
     if coverage < 1.0:
-        fld.warnings.append(
-            f"symmetry pullback clipped: coverage {coverage:.3f}"
-        )
-    return fld
+        warnings.warn(f"symmetry pullback clipped: coverage {coverage:.3f}", ParextWarning, stacklevel=2)
+    return SpacetimeField(out_grid, factor * vals, coverage=coverage)
 
 
 def _pullback(S: Symmetry, stg: SpacetimeGrid, q: float) -> tuple:

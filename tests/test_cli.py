@@ -1,8 +1,11 @@
 import json
 import math
+import warnings
 
 import pytest
+import yaml
 
+from parext import cli
 from parext.cli import main, run_experiment
 from parext.errors import ConfigError
 
@@ -30,6 +33,7 @@ def test_quotient_kind_value(tmp_path):
     assert main(["quotient", "--config", cfg, "--out", str(out)]) == 0
     report = read_report(out)
     assert report["kind"] == "quotient"
+    assert report["warnings"] == []
 
     from parext.exponents import validate_exponents
     from parext.grids import FrequencyGrid, SpacetimeGrid, gaussian_profile
@@ -86,6 +90,7 @@ def test_all_kinds_run(tmp_path):
         report = read_report(out)
         assert report["kind"] == kind
         assert report["tables"]
+        assert report["warnings"] == [], kind
         for table in report["tables"].values():
             assert (out / table["file"]).exists()
 
@@ -136,12 +141,22 @@ SEQUENCE = SHIFT + "lambdas: [1.0, 0.5]\n"
         pytest.param(
             "quotient", "profile_g: {kind: bump}\nshift: {tau0: 0.0, xi0: 1.0}\n", "xi0", id="xi0-scalar"
         ),
+        # whole numbers that used to be truncated by int()
+        pytest.param("quotient", "d: 1.5\n", "config.d", id="d-fraction"),
+        pytest.param("quotient", BASE_GRID.replace("n: 256", "n: 256.9"), "grid.n", id="n-fraction"),
+        pytest.param("quotient", BASE_GRID.replace("m: 33", "m: 33.5"), "grid.m", id="m-fraction"),
+        pytest.param("quotient", BASE_GRID.replace("n_x: 65", "n_x: 65.5"), "grid.n_x", id="n_x-fraction"),
+        pytest.param("verify-symmetry", SHIFT + "draws: 2.5\n", "config.draws", id="draws-fraction"),
+        pytest.param("verify-symmetry", SHIFT + "seed: 1.5\n", "config.seed", id="seed-fraction"),
+        pytest.param(
+            "search", SHIFT + "optimizer: {max_steps: 2.5}\n", "optimizer.max_steps", id="max_steps-fraction"
+        ),
     ],
 )
 def test_stray_key_or_malformed_value_exits_2(tmp_path, capsys, kind, extra, key):
-    cfg = write_cfg(
-        tmp_path, "cfg.yaml", f"d: 1\n{BASE_GRID}\nprofile: {{kind: gaussian}}\n{extra}"
-    )
+    # a top-level key of ``extra`` replaces the base config's key of that name
+    base = f"d: 1\n{BASE_GRID}\nprofile: {{kind: gaussian}}\n"
+    cfg = write_cfg(tmp_path, "cfg.yaml", yaml.safe_dump({**yaml.safe_load(base), **yaml.safe_load(extra)}))
     assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -180,6 +195,51 @@ def test_nyquist_refusal_exits_3(tmp_path):
         "profile: {kind: gaussian}\n",
     )
     assert main(["quotient", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+def test_separation_refusal_exits_3(tmp_path, capsys):
+    # the R-ball |xi| < 0.2 holds almost none of a gaussian centred at 3, so
+    # no pairing profile can capture 3/4 of it
+    cfg = write_cfg(
+        tmp_path,
+        "sep.yaml",
+        f"d: 1\n{BASE_GRID}\nprofile: {{kind: gaussian, center: 3.0}}\n"
+        "shift: {tau0: 0.0, xi0: [1.0]}\nshift_n: {tau0: 0.0, xi0: [1.1]}\nr: 0.2\n",
+    )
+    assert main(["separation", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "pairing profile captures only" in capsys.readouterr().err
+
+
+def test_warnings_reach_the_report(tmp_path):
+    # Nyquist ratio 2.5 * 2 / pi = 1.59: both operators of the pair warn with
+    # the same message, which the report lists once
+    past_nyquist = "grid: {l_xi: 10.0, n: 8, t: 1.0, x: 2.0, m: 5, n_x: 9}\n"
+    cfg = write_cfg(
+        tmp_path,
+        "nyq.yaml",
+        f"d: 1\n{past_nyquist}profile: {{kind: gaussian}}\nprofile_g: {{kind: gaussian, width: 0.8}}\n"
+        "shift: {tau0: 0.0, xi0: [1.0]}\n",
+    )
+    outs = [tmp_path / "out1", tmp_path / "out2"]
+    for out, threads in zip(outs, ("1", "2")):
+        assert main(["quotient", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+    message = "Nyquist condition violated (ratio 1.59); aliased copies of the field may leak into the grid"
+    assert read_report(outs[0])["warnings"] == [message]
+    assert (outs[1] / "report.json").read_bytes() == (outs[0] / "report.json").read_bytes()
+
+
+def test_other_warnings_pass_through(tmp_path, monkeypatch):
+    # the report takes only ParextWarnings; any other warning reaches the caller
+    def noisy(*args, **kwargs):
+        warnings.warn("raised elsewhere", RuntimeWarning)
+        return [0.0]
+
+    monkeypatch.setattr(cli, "shifted_limit_test", noisy)
+    cfg = {"d": 1, **yaml.safe_load(BASE_GRID), "profile": {"kind": "gaussian"},
+           "shift": {"tau0": 0.0}, "shifts": [{"tau0": 0.5}]}
+    with pytest.warns(RuntimeWarning, match="raised elsewhere"):
+        report = run_experiment("shifted-limit", cfg, str(tmp_path / "o"))
+    assert report["warnings"] == []
 
 
 def test_unknown_kind_rejected(tmp_path):

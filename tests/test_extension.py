@@ -3,13 +3,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import parext
 from conftest import PAIR_FGRID, PAIR_STG
-from parext.errors import NyquistError
+from parext.errors import NyquistError, ParextWarning
 from parext.extension import (
     ExtensionOperator,
     ParaboloidShift,
@@ -69,8 +70,9 @@ def test_brute_force_past_nyquist(d):
     stg = SpacetimeGrid(d, 1.0, 6.0, 3, 17 if d == 1 else 9)
     f = gaussian_profile(fg, center=0.5, width=0.8, phase_velocity=0.7)
     shift = ParaboloidShift(0.2, (0.4, -0.5)[:d])
-    op = ExtensionOperator(fg, shift, stg)
-    assert 1.0 < op.nyquist_ratio < 4.0 and op.warnings
+    with pytest.warns(ParextWarning, match="Nyquist condition violated"):
+        op = ExtensionOperator(fg, shift, stg)
+    assert 1.0 < op.nyquist_ratio < 4.0
     got = op.apply(f.samples)
     ref = brute_force_extension(f, shift, stg)
     assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-12
@@ -177,7 +179,11 @@ def test_apply_bits_independent_of_blocking(d, kind, t_points, monkeypatch):
     # row of 71, sits inside a block or at its edge depending on the chunk
     fg = FrequencyGrid(d, 8.0, 64 if d == 1 else 16)
     stg = SpacetimeGrid(d, 3.0, 6.0, t_points, 33 if d == 1 else 17)
-    op = ExtensionOperator(fg, ParaboloidShift(0.3, (1.0, -0.5)[:d]), stg)
+    # the d = 2 grid runs past Nyquist (ratio 1.91) on purpose, and says so
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        op = ExtensionOperator(fg, ParaboloidShift(0.3, (1.0, -0.5)[:d]), stg)
+    assert [w.category for w in caught] == ([ParextWarning] if d == 2 else [])
     rng = np.random.default_rng(2)
     u = rng.standard_normal(fg.shape) + 1j * rng.standard_normal(fg.shape)
     if kind == "real":
@@ -300,8 +306,8 @@ def test_nyquist_refusal_and_warning():
     with pytest.raises(NyquistError):
         ExtensionOperator(coarse, ParaboloidShift(0.0, (0.0,)), wide)
     mild = SpacetimeGrid(1, 1.0, 2.0, 3, 9)  # ratio ~ 1.59: warn only
-    op = ExtensionOperator(coarse, ParaboloidShift(0.0, (0.0,)), mild)
-    assert op.warnings
+    with pytest.warns(ParextWarning, match=r"Nyquist condition violated \(ratio 1.59\)"):
+        ExtensionOperator(coarse, ParaboloidShift(0.0, (0.0,)), mild)
 
 
 def test_paraboloid_shift_helpers():

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parext.errors import ParextWarning
 from parext.grids import (
     FrequencyGrid,
     FrequencyProfile,
@@ -95,8 +97,11 @@ def test_bump_profile_compact_support():
 
 def test_gaussian_profile_truncation_warning():
     g = FrequencyGrid(1, 2.0, 32)
-    assert gaussian_profile(g, center=0.5).warnings == []
-    assert gaussian_profile(g, center=4.0).warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gaussian_profile(g, center=0.5)
+    with pytest.warns(ParextWarning, match="outside the grid"):
+        gaussian_profile(g, center=4.0)
 
 
 # -- exact symmetry operations ---------------------------------------------

@@ -5,10 +5,12 @@ import pickle
 import numpy as np
 import pytest
 
+from parext.errors import NumericalRefusalError
 from parext.extension import ParaboloidShift
 from parext.grids import (
     FrequencyGrid,
     SpacetimeGrid,
+    bump_profile,
     dilate_profile,
     gaussian_profile,
     lp_norm_frequency,
@@ -198,6 +200,18 @@ def test_separating_testfn_degenerate_raises():
     f = gaussian_profile(FG)
     with pytest.raises(ValueError):
         build_separating_testfn(ZERO, ZERO, f, 0.5, 8.0)
+
+
+# the R-ball |xi| < 0.2 holds a sliver of a gaussian centred at 3, and none of a bump
+@pytest.mark.parametrize(
+    "make, message",
+    [(gaussian_profile, "captures only"), (bump_profile, "vanishes")],
+    ids=["pairing-below-3/4", "pairing-profile-zero"],
+)
+def test_separating_testfn_refuses_a_weak_pairing(make, message):
+    f = make(FG, center=3.0)
+    with pytest.raises(NumericalRefusalError, match=message):
+        build_separating_testfn(ParaboloidShift(0.0, (1.0,)), ParaboloidShift(0.0, (1.1,)), f, 0.5, 0.2)
 
 
 def test_equal_shifts_are_degenerate():
