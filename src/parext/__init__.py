@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     ConfigError,
-    CoverageError,
     NumericalRefusalError,
     NyquistError,
     ParextError,
@@ -25,13 +24,11 @@ from .grids import (
     gaussian_profile,
     lp_norm_frequency,
     superpose,
-    translate_profile,
 )
 from .norms import NormResult, QuotientResult, lq_norm_spacetime, quotient_pair, quotient_single
 
 __all__ = [
     "ConfigError",
-    "CoverageError",
     "Exponents",
     "ExtensionOperator",
     "FrequencyGrid",
@@ -55,6 +52,5 @@ __all__ = [
     "quotient_pair",
     "quotient_single",
     "superpose",
-    "translate_profile",
     "validate_exponents",
 ]

@@ -10,7 +10,9 @@ configuration error (exit 2) naming the key.  Every run writes report.json
 plus one CSV per result table, atomically; wall-clock time goes to a
 run_meta.json sidecar so that report and tables are byte-identical across
 reruns and thread counts.  The report's ``warnings`` key lists the
-ParextWarning messages the run raised, sorted and once each.
+ParextWarning messages the run raised, sorted and once each.  --threads
+must be at least 1, and exactly 1 for verify-symmetry and separation, which
+run on one thread; any other value is a configuration error too.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .sequences import (
 from .symmetry import Symmetry, verify_intertwining
 
 KINDS = ("quotient", "sequence", "search", "verify-symmetry", "separation", "shifted-limit")
+SINGLE_THREADED = ("verify-symmetry", "separation")  # kinds that never read --threads
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +94,13 @@ def _whole(v) -> int:
         v = int(v)
     if isinstance(v, bool) or not isinstance(v, int) or v < 0:
         raise ValueError(f"must be a non-negative whole number, got {v!r}")
+    return v
+
+
+def _positive_whole(v) -> int:
+    v = _whole(v)
+    if v == 0:
+        raise ValueError("must be positive, got 0")
     return v
 
 
@@ -259,7 +269,7 @@ BOX = {"lam_min": (_positive, 0.125), "lam_max": (_positive, 8.0),
 def _run_verify_symmetry(cfg: dict):
     e, stg, f = _common(cfg, {"shift", "draws", "box", "seed"})
     shift = _shift(cfg, "shift", e.d)
-    draws = _read(cfg, "draws", "config", _whole, 100)
+    draws = _read(cfg, "draws", "config", _positive_whole, 100)
     box = _read(cfg, "box", "config", _mapping, {})
     _check_keys(box, set(BOX), "box")
     lam_min, lam_max, xi_max, t_max, x_max = (_read(box, k, "box", c, v) for k, (c, v) in BOX.items())
@@ -276,7 +286,7 @@ def _run_verify_symmetry(cfg: dict):
         rows.append((i, lam, *xt, t0, *x0, disc))
     header = ["draw", "lambda"] + [f"xi_tilde_{a}" for a in range(e.d)]
     header += ["t0"] + [f"x0_{a}" for a in range(e.d)] + ["discrepancy"]
-    worst = max(r[-1] for r in rows) if rows else 0.0
+    worst = max(r[-1] for r in rows)
     return {"verify_symmetry": (header, rows)}, {"worst_discrepancy": worst, "seed": seed}
 
 
@@ -316,6 +326,9 @@ def _run_shifted_limit(cfg: dict, threads: int):
 def run_experiment(kind: str, cfg: dict, out_dir: str, threads: int = 1) -> dict:
     if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind '{kind}' (expected one of {KINDS})")
+    if threads < 1 or (kind in SINGLE_THREADED and threads != 1):
+        allowed = "1" if kind in SINGLE_THREADED else "a positive whole number"
+        raise ConfigError(f"--threads must be {allowed} for {kind}, got {threads}")
 
     start = time.monotonic()
     with warnings.catch_warnings(record=True) as caught:

@@ -22,9 +22,5 @@ class TailCertificationError(NumericalRefusalError):
     """No certified tail bound exists for the requested exponents."""
 
 
-class CoverageError(NumericalRefusalError):
-    """A symmetry pullback left too little of the grid covered."""
-
-
 class ParextWarning(UserWarning):
     """A result computed outside the conditions its accuracy claims assume."""

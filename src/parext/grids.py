@@ -178,15 +178,10 @@ class SpacetimeGrid:
 
 @dataclass
 class SpacetimeField:
-    """Complex samples of an extension on a SpacetimeGrid.
-
-    ``coverage`` records the fraction of points genuinely evaluated (< 1
-    after a clipped symmetry pullback).
-    """
+    """Complex samples of an extension on a SpacetimeGrid."""
 
     grid: SpacetimeGrid
     samples: np.ndarray
-    coverage: float = 1.0
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=complex)
@@ -252,19 +247,6 @@ def superpose(f: FrequencyProfile, g: FrequencyProfile) -> FrequencyProfile:
     return FrequencyProfile(f.grid, f.samples + g.samples)
 
 
-def translate_profile(f: FrequencyProfile, shift_vec) -> FrequencyProfile:
-    """Exact translation xi -> f(xi + shift_vec): the grid center moves, the
-    samples are reused unchanged."""
-    s = _as_vector(shift_vec, f.grid.d, "shift_vec")
-    new_grid = FrequencyGrid(
-        d=f.grid.d,
-        half_width=f.grid.half_width,
-        points_per_axis=f.grid.points_per_axis,
-        center=tuple(np.asarray(f.grid.center) - s),
-    )
-    return FrequencyProfile(new_grid, f.samples.copy())
-
-
 def dilate_profile(f: FrequencyProfile, lam: float, p: float) -> FrequencyProfile:
     """Norm-preserving dilation f_lam(xi) = lam^(d/p) f(lam xi), on a grid
     rescaled by 1/lam so no resolution is lost.
@@ -298,13 +280,6 @@ def lp_norm_frequency(f: FrequencyProfile, p: float) -> float:
     return float((np.abs(f.samples) ** p).sum() * f.grid.cell_volume) ** (1.0 / p)
 
 
-def inner_product_frequency(f: FrequencyProfile, g: FrequencyProfile) -> complex:
-    """Discrete bilinear pairing integral f * g dxi (no conjugation)."""
-    if f.grid != g.grid:
-        raise ValueError("profiles live on different grids")
-    return complex((f.samples * g.samples).sum() * f.grid.cell_volume)
-
-
 def profile_centroid(f: FrequencyProfile, p: float = 2.0) -> np.ndarray:
     """|f|^p-weighted centroid of the profile."""
     w = np.abs(f.samples) ** p
@@ -315,13 +290,13 @@ def profile_centroid(f: FrequencyProfile, p: float = 2.0) -> np.ndarray:
     return np.array([(m * w).sum() / tot for m in mesh])
 
 
-def profile_second_moment(f: FrequencyProfile, p: float = 2.0, about=None) -> float:
-    """|f|^p-weighted mean square radius about the centroid (or ``about``)."""
+def profile_second_moment(f: FrequencyProfile, p: float = 2.0) -> float:
+    """|f|^p-weighted mean square radius about the centroid."""
     w = np.abs(f.samples) ** p
     tot = w.sum()
     if tot == 0:
         raise ValueError("degenerate profile: no mass")
-    c = profile_centroid(f, p) if about is None else _as_vector(about, f.grid.d, "about")
+    c = profile_centroid(f, p)
     mesh = f.grid.meshgrid()
     r2 = sum((m - ci) ** 2 for m, ci in zip(mesh, c))
     return float((r2 * w).sum() / tot)

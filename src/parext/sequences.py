@@ -1,7 +1,9 @@
 """Extremizing sequences for the pair functional and their diagnostics:
 dilation sequences, the limiting-quotient convergence study, weak-limit
 ratio/pairing diagnostics, paraboloid-separation reports, the separating
-test-function construction, shifted-operator limits, and the parameter
+test-function construction with its pairing margins m1 and m2 (the
+frequency-side half of the paper's contradiction step; the spacetime
+duality bound is not evaluated), shifted-operator limits, and the parameter
 trend checks for sequences of symmetries.
 """
 
@@ -29,7 +31,6 @@ from .grids import (
 from .norms import _pair_terms, _truncated_lq, quotient_pair, quotient_single
 
 SEPARATION_MAX_HALVINGS = 12  # halvings of s0 tried by build_separating_testfn
-DUALITY_TAU_POINTS = 129  # tau nodes of the Psi_hat quadrature in pairing_duality
 DIVERGE_THRESHOLD = 10.0  # final lambda_n that counts as diverging
 VANISH_THRESHOLD = 1e-2  # final |b_n|, |c_n| that count as vanishing
 
@@ -357,55 +358,6 @@ def build_separating_testfn(
     psi_on_pn = np.abs(tf.sample(shift_n.height(mesh), mesh))
     tf.m2 = float(psi_on_pn[ball].max()) if np.any(ball) else 0.0
     return tf
-
-
-def pairing_duality(
-    f: FrequencyProfile,
-    g: FrequencyProfile,
-    shift0: ParaboloidShift,
-    shift_n: ParaboloidShift,
-    tf: SeparatingTestfn,
-    e: Exponents,
-    stg: SpacetimeGrid,
-) -> tuple:
-    """Numerical form of the contradiction step: returns
-    (|<f dsigma, Psi>|, ||E_shift0 f - E_shift_n g||_q * ||Psi_hat||_q' ,
-    |<g dsigma', Psi>|); the first is bounded by the sum of the others.
-
-    Psi_hat is the spacetime transform of the separating test function,
-    computed by direct quadrature on its compact (tau, xi) support box;
-    implemented for d = 1 only.
-    """
-    grid = f.grid
-    if grid.d != 1:
-        raise ValueError("pairing duality check implemented for d = 1")
-    mesh = grid.meshgrid()
-    height0 = shift0.height(mesh)
-
-    lhs = abs(complex((f.samples * tf.sample(height0, mesh)).sum() * grid.cell_volume))
-    psi_n = tf.sample(shift_n.height(mesh), mesh)
-    pair_g = abs(complex((g.samples * psi_n).sum() * grid.cell_volume))
-
-    # field-difference factor
-    fld0 = extend(f, shift0, stg)
-    fldn = extend(g, shift_n, stg)
-    diff = SpacetimeField(stg, fld0.samples - fldn.samples)
-    fd = _truncated_lq(diff, e.q)
-
-    # ||Psi_hat||_{q'} on the same spacetime window
-    tau_lo = float(height0.min()) - tf.c
-    tau_hi = float(height0.max()) + tf.c
-    tau = np.linspace(tau_lo, tau_hi, DUALITY_TAU_POINTS)
-    xi = grid.axis_points()
-    psi = tf.sample(tau[:, None], [xi[None, :]])
-    t = stg.t_axis
-    x = stg.x_axis
-    Et = np.exp(1j * np.outer(t, tau)) * (tau[1] - tau[0])
-    Ex = np.exp(1j * np.outer(xi, x)) * grid.spacing
-    psi_hat = Et @ psi @ Ex
-    psi_norm = _truncated_lq(SpacetimeField(stg, psi_hat), e.q / (e.q - 1.0))
-
-    return lhs, fd * psi_norm, pair_g
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,14 @@
-"""The non-compact symmetry groups acting on frequency profiles (input side)
-and spacetime fields (output side), their composition law, the push-through
-rule converting a shifted operator into a differently-shifted one, and a
-numerical check of the intertwining identity.
+"""The non-compact symmetry groups acting on frequency profiles, their
+composition law, the push-through rule converting a shifted operator into a
+differently-shifted one, and a numerical check of the intertwining identity
+between the input-side action and the output-side action on spacetime fields.
 
 Canonical parameterization: scaling lambda > 0, frequency translation
 xi_tilde, spacetime translation (t0, x0).  Input side:
 
     S f(xi) = lambda^{d/p} e^{i (t0 |z|^2 + x0 . z)} f(z),   z = lambda xi - xi_tilde,
 
-output side:
+output side, evaluated only inside ``verify_intertwining``:
 
     T F(t, x) = lambda^{-(d+2)/q} e^{i (t |xi_tilde|^2 / lambda^2 + x . xi_tilde / lambda)}
                 F(t/lambda^2 + t0, x/lambda + x0 + 2 t xi_tilde / lambda^2).
@@ -16,13 +16,10 @@ output side:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .errors import CoverageError, ParextWarning
 from .exponents import Exponents
 from .extension import ParaboloidShift
 from .grids import (
@@ -32,8 +29,6 @@ from .grids import (
     SpacetimeGrid,
 )
 from .norms import _truncated_lq
-
-MIN_COVERAGE = 0.5  # pullbacks covering less of the target grid refuse
 
 
 @dataclass(frozen=True)
@@ -64,18 +59,6 @@ class Symmetry:
 
     def x0_vec(self) -> np.ndarray:
         return np.asarray(self.x0, dtype=float)
-
-    def is_identity(self) -> bool:
-        return (
-            self.lam == 1.0
-            and self.t0 == 0.0
-            and all(v == 0.0 for v in self.xi_tilde)
-            and all(v == 0.0 for v in self.x0)
-        )
-
-
-def identity_symmetry(d: int) -> Symmetry:
-    return Symmetry(1.0, (0.0,) * d, 0.0, (0.0,) * d)
 
 
 @dataclass
@@ -147,67 +130,6 @@ def compose_symmetry(S1: Symmetry, S2: Symmetry) -> tuple:
     return Symmetry(lam, tuple(xt), t0, tuple(x0)), phi
 
 
-def apply_symmetry_field(
-    S: Symmetry,
-    F: SpacetimeField,
-    q: float,
-    out_grid: SpacetimeGrid = None,
-) -> SpacetimeField:
-    """Output-side action by cubic interpolation on F's grid.
-
-    Target points outside the source grid are zeroed, counted in the
-    coverage fraction and reported by a ParextWarning; below
-    ``MIN_COVERAGE`` the result would be mostly zero fill and the call refuses.
-    """
-    g = F.grid
-    if S.d != g.d:
-        raise ValueError("symmetry dimension does not match the field")
-    if out_grid is None:
-        out_grid = g
-    ts, xs, factor = _pullback(S, out_grid, q)
-    coords = [(ts + g.t_half_width) / g.t_spacing]
-    coords += [(xa + g.x_half_width) / g.x_spacing for xa in xs]
-    coords = np.asarray(coords)
-
-    n_axis = (g.t_points,) + (g.x_points_per_axis,) * g.d
-    inside = np.ones(coords.shape[1:], dtype=bool)
-    for a, n in enumerate(n_axis):
-        inside &= (coords[a] >= 0.0) & (coords[a] <= n - 1)
-    coverage = float(inside.mean())
-    if coverage < MIN_COVERAGE:
-        raise CoverageError(
-            f"symmetry pullback covers only {coverage:.1%} of the target grid "
-            f"(minimum {MIN_COVERAGE:.0%})"
-        )
-
-    re = ndimage.map_coordinates(F.samples.real, coords, order=3, mode="constant")
-    im = ndimage.map_coordinates(F.samples.imag, coords, order=3, mode="constant")
-    vals = (re + 1j * im) * inside
-
-    if coverage < 1.0:
-        warnings.warn(f"symmetry pullback clipped: coverage {coverage:.3f}", ParextWarning, stacklevel=2)
-    return SpacetimeField(out_grid, factor * vals, coverage=coverage)
-
-
-def _pullback(S: Symmetry, stg: SpacetimeGrid, q: float) -> tuple:
-    """The output-side action at the points (t, x) of ``stg``, as
-    T F(t, x) = factor * F(ts, xs): the sheared times ts = t / lambda^2 + t0,
-    the positions xs (one array per axis) x / lambda + x0 + 2 t xi_tilde /
-    lambda^2, and factor = lambda^{-(d+2)/q} e^{i (t |xi_tilde|^2 / lambda^2 +
-    x . xi_tilde / lambda)}, all of the grid's field shape."""
-    d = S.d
-    lam = S.lam
-    xt = S.xi_tilde_vec()
-    x0 = S.x0_vec()
-    mesh = np.meshgrid(stg.t_axis, *[stg.x_axis] * d, indexing="ij")
-    ts = mesh[0] / lam**2 + S.t0
-    xs = [mesh[1 + a] / lam + x0[a] + 2.0 * mesh[0] * xt[a] / lam**2 for a in range(d)]
-    phase = mesh[0] * float(xt @ xt) / lam**2
-    for a in range(d):
-        phase = phase + mesh[1 + a] * xt[a] / lam
-    return ts, xs, lam ** (-(d + 2) / q) * np.exp(1j * phase)
-
-
 # ---------------------------------------------------------------------------
 # intertwining verification
 # ---------------------------------------------------------------------------
@@ -257,11 +179,19 @@ def verify_intertwining(
     # right side: the pushed-through extension at the grid points
     rhs = _eval_extension_points(g_new, push.new_shift, t, x_pts)
 
-    # left side: T applied to the original shifted extension; the sheared
-    # time depends on t alone
-    ts, xs, factor = _pullback(S, stg, e.q)
-    base = _eval_extension_points(f, shift, ts[(slice(None),) + (0,) * d], np.stack(xs, axis=-1))
-    lhs = factor * base
+    # left side: T applied to the original shifted extension at the sheared
+    # points (t / lambda^2 + t0, x / lambda + x0 + 2 t xi_tilde / lambda^2);
+    # the sheared time depends on t alone
+    lam = S.lam
+    xt = S.xi_tilde_vec()
+    x0 = S.x0_vec()
+    ts = t / lam**2 + S.t0
+    xs = [mesh[1 + a] / lam + x0[a] + 2.0 * mesh[0] * xt[a] / lam**2 for a in range(d)]
+    base = _eval_extension_points(f, shift, ts, np.stack(xs, axis=-1))
+    phase = mesh[0] * float(xt @ xt) / lam**2
+    for a in range(d):
+        phase = phase + mesh[1 + a] * xt[a] / lam
+    lhs = lam ** (-(d + 2) / e.q) * np.exp(1j * phase) * base
 
     denom = _truncated_lq(SpacetimeField(stg, rhs), e.q)
     if denom == 0.0:

@@ -12,6 +12,7 @@ import pytest
 from scipy import integrate, special
 
 from parext.exponents import validate_exponents
+from parext.extension import ParaboloidShift
 from parext.grids import FrequencyGrid, SpacetimeGrid, gaussian_profile
 from parext.norms import quotient_single
 
@@ -63,6 +64,45 @@ def gauss_l6_exact(width: float) -> float:
     """Exact full-space ||Ef||_6 for f = exp(-(xi-c)^2/w^2 + i v xi), d = 1;
     independent of center and phase velocity by symmetry invariance."""
     return A2_D1 * (width**2 * math.pi / 2.0) ** 0.25
+
+
+def gaussian_extension_oracle(
+    width: float,
+    center,
+    shift: ParaboloidShift,
+    t,
+    x,
+    phase_velocity=None,
+) -> np.ndarray:
+    """Closed-form extension of the Gaussian
+    f(xi) = exp(-|xi - center|^2 / width^2) * exp(i xi . v),
+    obtained by completing the square; principal branch throughout.
+
+    ``t`` broadcasts against the leading axes of ``x``; ``x`` has the spatial
+    coordinate on its last axis (or is scalar/1-d for d = 1).
+    """
+    if width <= 0:
+        raise ValueError("width must be positive")
+    d = shift.d
+    c = np.atleast_1d(np.asarray(center, dtype=float))
+    if c.shape != (d,):
+        raise ValueError(f"center must have length {d}")
+    v = np.zeros(d) if phase_velocity is None else np.atleast_1d(
+        np.asarray(phase_velocity, dtype=float)
+    )
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if d == 1 and (x.ndim == 0 or x.shape[-1:] != (1,)):
+        x = x[..., None]
+    xi0 = shift.xi0_vec()
+    cp = c - xi0
+
+    a = 1.0 / width**2 - 1j * t
+    b = 2.0 * cp / width**2 + 1j * (x + v)
+    quad = (b * b).sum(axis=-1) / (4.0 * a)
+    pref = (np.pi / a) ** (d / 2.0)
+    outer = shift.tau0 * t + (x * xi0).sum(axis=-1) + float(xi0 @ v)
+    return pref * np.exp(quad - (cp @ cp) / width**2 + 1j * outer)
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,8 @@ SEQUENCE = SHIFT + "lambdas: [1.0, 0.5]\n"
         pytest.param("quotient", BASE_GRID.replace("m: 33", "m: 33.5"), "grid.m", id="m-fraction"),
         pytest.param("quotient", BASE_GRID.replace("n_x: 65", "n_x: 65.5"), "grid.n_x", id="n_x-fraction"),
         pytest.param("verify-symmetry", SHIFT + "draws: 2.5\n", "config.draws", id="draws-fraction"),
+        # no draws used to report a worst discrepancy of 0.0
+        pytest.param("verify-symmetry", SHIFT + "draws: 0\n", "config.draws", id="draws-zero"),
         pytest.param("verify-symmetry", SHIFT + "seed: 1.5\n", "config.seed", id="seed-fraction"),
         pytest.param(
             "search", SHIFT + "optimizer: {max_steps: 2.5}\n", "optimizer.max_steps", id="max_steps-fraction"
@@ -159,6 +161,23 @@ def test_stray_key_or_malformed_value_exits_2(tmp_path, capsys, kind, extra, key
     cfg = write_cfg(tmp_path, "cfg.yaml", yaml.safe_dump({**yaml.safe_load(base), **yaml.safe_load(extra)}))
     assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, extra, threads",
+    [
+        pytest.param("quotient", "", "0", id="quotient-zero"),
+        pytest.param("quotient", "", "-3", id="quotient-negative"),
+        pytest.param("verify-symmetry", SHIFT + "draws: 1\n", "2", id="verify-symmetry-two"),
+        pytest.param("separation", SHIFT + "shift_n: {tau0: 0.0, xi0: [1.1]}\n", "2", id="separation-two"),
+    ],
+)
+def test_unread_or_nonpositive_threads_exit_2(tmp_path, capsys, kind, extra, threads):
+    # each of these used to run, ignoring the flag or falling back to one thread
+    cfg = write_cfg(tmp_path, "cfg.yaml", f"d: 1\n{BASE_GRID}\nprofile: {{kind: gaussian}}\n{extra}")
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "o"), "--threads", threads]) == 2
+    assert "--threads" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

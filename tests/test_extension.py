@@ -9,14 +9,13 @@ import numpy as np
 import pytest
 
 import parext
-from conftest import PAIR_FGRID, PAIR_STG
+from conftest import PAIR_FGRID, PAIR_STG, gaussian_extension_oracle
 from parext.errors import NyquistError, ParextWarning
 from parext.extension import (
     ExtensionOperator,
     ParaboloidShift,
     _ChirpZ,
     extend,
-    gaussian_extension_oracle,
     plancherel_slice_defect,
 )
 from parext.grids import FrequencyGrid, SpacetimeGrid, gaussian_profile

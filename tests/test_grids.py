@@ -13,7 +13,6 @@ from parext.grids import (
     bump_profile,
     dilate_profile,
     gaussian_profile,
-    inner_product_frequency,
     lp_norm_frequency,
     plateau_bump,
     profile_centroid,
@@ -21,7 +20,6 @@ from parext.grids import (
     profile_second_moment,
     smooth_bump,
     superpose,
-    translate_profile,
 )
 
 
@@ -106,16 +104,6 @@ def test_gaussian_profile_truncation_warning():
 
 # -- exact symmetry operations ---------------------------------------------
 
-def test_translate_profile_exact():
-    g = FrequencyGrid(1, 8.0, 256)
-    f = gaussian_profile(g, center=1.0)
-    ft = translate_profile(f, (1.0,))  # xi -> f(xi + 1): center moves to 0
-    assert np.array_equal(ft.samples, f.samples)
-    assert ft.grid.center == (-1.0,)
-    assert lp_norm_frequency(ft, 2.0) == lp_norm_frequency(f, 2.0)
-    assert profile_centroid(ft)[0] == pytest.approx(0.0, abs=1e-12)
-
-
 @given(
     lam=st.floats(0.1, 10.0),
     p=st.floats(1.0, 6.0),
@@ -154,24 +142,12 @@ def test_lp_norm_homogeneity(c):
     )
 
 
-def test_inner_product_bilinear_no_conjugate():
-    g = FrequencyGrid(1, 6.0, 128)
-    f = gaussian_profile(g).scaled(1j)
-    h = gaussian_profile(g, width=0.5).scaled(1j)
-    # bilinear pairing: (i f, i h) = -(f, h)
-    base = inner_product_frequency(gaussian_profile(g), gaussian_profile(g, width=0.5))
-    assert inner_product_frequency(f, h) == pytest.approx(-base, rel=1e-12)
-
-
 def test_centroid_and_second_moment():
     g = FrequencyGrid(1, 12.0, 1024)
     f = gaussian_profile(g, center=1.5, width=2.0)
     assert profile_centroid(f, 2.0)[0] == pytest.approx(1.5, abs=1e-10)
     # |f|^2 = exp(-2 (xi-c)^2 / w^2): variance w^2 / 4
     assert profile_second_moment(f, 2.0) == pytest.approx(1.0, rel=1e-10)
-    assert profile_second_moment(f, 2.0, about=(0.0,)) == pytest.approx(
-        1.0 + 1.5**2, rel=1e-10
-    )
 
 
 def test_gradient_l2sq_gaussian():

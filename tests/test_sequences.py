@@ -17,7 +17,6 @@ from parext.grids import (
     profile_second_moment,
 )
 from parext.norms import quotient_pair, quotient_single
-from parext import sequences
 from parext.sequences import (
     SeparatingTestfn,
     TestFunction,
@@ -26,7 +25,6 @@ from parext.sequences import (
     convergence_study,
     default_test_functions,
     dilation_sequence,
-    pairing_duality,
     scaled_spacetime_grid,
     separation_height,
     separation_report,
@@ -230,34 +228,6 @@ def test_separating_testfn_survives_replace_and_pickle():
     want = tf.sample(tau, mesh)
     for copy in (dataclasses.replace(tf), pickle.loads(pickle.dumps(tf))):
         assert np.array_equal(copy.sample(tau, mesh), want)
-
-
-def test_pairing_duality_refuses_d2_before_extending(exponents_d1, monkeypatch):
-    def no_extend(*args, **kwargs):
-        raise AssertionError("extend called before the dimension check")
-
-    monkeypatch.setattr(sequences, "extend", no_extend)
-    f = gaussian_profile(FrequencyGrid(2, 6.0, 32))
-    shift0, shift_n = ParaboloidShift(0.0, (1.0, 0.0)), ParaboloidShift(0.0, (2.0, 0.0))
-    tf = build_separating_testfn(shift0, shift_n, f, 0.5, 4.0)
-    stg = SpacetimeGrid(2, 1.0, 1.0, 3, 3)
-    with pytest.raises(ValueError, match="d = 1"):
-        pairing_duality(f, f, shift0, shift_n, tf, exponents_d1, stg)
-
-
-def test_pairing_duality_inequality(exponents_d1):
-    shift0 = ParaboloidShift(0.0, (1.0,))
-    shift_n = ParaboloidShift(0.0, (2.0,))
-    f = gaussian_profile(FG)
-    tf = build_separating_testfn(shift0, shift_n, f, 0.5, 8.0)
-    fn = f.scaled(1.0 / lp_norm_frequency(f, 2.0))
-    g = gaussian_profile(FG, center=0.2, width=1.1)
-    g = g.scaled(1.0 / lp_norm_frequency(g, 2.0))
-    stg = SpacetimeGrid(1, 30.0, 20.0, 241, 161)
-    lhs, mid, pair_g = pairing_duality(fn, g, shift0, shift_n, tf, exponents_d1, stg)
-    assert lhs > 0.5          # the test function still sees f
-    assert pair_g < 1e-6      # and is blind to the separated paraboloid
-    assert lhs <= mid + pair_g
 
 
 # -- shifted limits -----------------------------------------------------------

@@ -1,21 +1,17 @@
 import numpy as np
 import pytest
 
-from parext.errors import CoverageError, ParextWarning
-from parext.extension import ParaboloidShift, extend
+from parext.extension import ParaboloidShift
 from parext.grids import (
     FrequencyGrid,
     SpacetimeGrid,
     gaussian_profile,
     lp_norm_frequency,
 )
-from parext.norms import _truncated_lq
 from parext.symmetry import (
     Symmetry,
-    apply_symmetry_field,
     apply_symmetry_frequency,
     compose_symmetry,
-    identity_symmetry,
     pushthrough_shift,
     verify_intertwining,
 )
@@ -36,10 +32,9 @@ def random_symmetry(rng, d=1, lam_range=(0.125, 8.0), box=4.0):
 
 def test_identity_action():
     f = gaussian_profile(FG, center=0.3)
-    out = apply_symmetry_frequency(identity_symmetry(1), f, 2.0)
+    out = apply_symmetry_frequency(Symmetry(1.0, (0.0,), 0.0, (0.0,)), f, 2.0)
     assert np.array_equal(out.samples, f.samples)
     assert out.grid == f.grid
-    assert identity_symmetry(2).is_identity()
 
 
 def test_frequency_action_exact_isometry(rng):
@@ -105,7 +100,7 @@ def test_compose_parameter_law():
 def test_intertwining_identity_symmetry(exponents_d1):
     f = gaussian_profile(FG)
     disc = verify_intertwining(
-        identity_symmetry(1), f, ParaboloidShift(1.0, (1.0,)), exponents_d1, STG_SMALL
+        Symmetry(1.0, (0.0,), 0.0, (0.0,)), f, ParaboloidShift(1.0, (1.0,)), exponents_d1, STG_SMALL
     )
     assert disc < 1e-13
 
@@ -126,39 +121,3 @@ def test_intertwining_random_box(exponents_d1, rng):
             worst = max(worst, verify_intertwining(S, f, shift, exponents_d1, STG_SMALL))
     assert worst < 1e-4
 
-
-# -- field-side action --------------------------------------------------------
-
-def test_field_identity_action():
-    fg = FrequencyGrid(1, 8.0, 256)
-    stg = SpacetimeGrid(1, 2.0, 6.0, 17, 33)
-    fld = extend(gaussian_profile(fg), ParaboloidShift(0.0, (0.0,)), stg)
-    out = apply_symmetry_field(identity_symmetry(1), fld, 6.0)
-    assert out.coverage == 1.0
-    assert np.max(np.abs(out.samples - fld.samples)) < 1e-12 * np.max(np.abs(fld.samples))
-
-
-@pytest.mark.parametrize("lam", [2.0, 0.5])
-def test_field_pure_scaling_exact_isometry(lam):
-    fg = FrequencyGrid(1, 8.0, 256)
-    stg = SpacetimeGrid(1, 2.0, 6.0, 17, 33)
-    fld = extend(gaussian_profile(fg), ParaboloidShift(0.0, (0.0,)), stg)
-    S = Symmetry(lam, (0.0,), 0.0, (0.0,))
-    out_grid = SpacetimeGrid(1, lam**2 * 2.0, lam * 6.0, 17, 33)
-    out = apply_symmetry_field(S, fld, 6.0, out_grid=out_grid)
-    # pullback lands exactly on source nodes: truncated norms agree
-    assert out.coverage == 1.0
-    assert _truncated_lq(out, 6.0) == pytest.approx(_truncated_lq(fld, 6.0), rel=1e-12)
-
-
-def test_field_clipping_and_refusal():
-    fg = FrequencyGrid(1, 8.0, 256)
-    stg = SpacetimeGrid(1, 2.0, 6.0, 17, 33)
-    fld = extend(gaussian_profile(fg), ParaboloidShift(0.0, (0.0,)), stg)
-    # moderate time translation: clipped but above the coverage floor
-    with pytest.warns(ParextWarning, match="symmetry pullback clipped"):
-        out = apply_symmetry_field(Symmetry(1.0, (0.0,), 1.0, (0.0,)), fld, 6.0)
-    assert 0.5 <= out.coverage < 1.0
-    # strong shrink: the pullback t / lam^2 leaves the source window
-    with pytest.raises(CoverageError):
-        apply_symmetry_field(Symmetry(0.125, (0.0,), 0.0, (0.0,)), fld, 6.0)
