@@ -20,7 +20,6 @@ from .grids import (
     SpacetimeField,
     SpacetimeGrid,
     bump_profile,
-    dilate_profile,
     gaussian_profile,
     lp_norm_frequency,
     superpose,
@@ -44,7 +43,6 @@ __all__ = [
     "SpacetimeGrid",
     "TailCertificationError",
     "bump_profile",
-    "dilate_profile",
     "extend",
     "gaussian_profile",
     "lp_norm_frequency",

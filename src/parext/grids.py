@@ -247,26 +247,6 @@ def superpose(f: FrequencyProfile, g: FrequencyProfile) -> FrequencyProfile:
     return FrequencyProfile(f.grid, f.samples + g.samples)
 
 
-def dilate_profile(f: FrequencyProfile, lam: float, p: float) -> FrequencyProfile:
-    """Norm-preserving dilation f_lam(xi) = lam^(d/p) f(lam xi), on a grid
-    rescaled by 1/lam so no resolution is lost.
-
-    The new samples are the old samples scaled in amplitude; the L^p norm is
-    preserved exactly by the rescaled quadrature weights.
-    """
-    if lam <= 0:
-        raise ValueError("dilation parameter must be positive")
-    g = f.grid
-    new_grid = FrequencyGrid(
-        d=g.d,
-        half_width=g.half_width / lam,
-        points_per_axis=g.points_per_axis,
-        center=tuple(np.asarray(g.center) / lam),
-    )
-    amp = lam ** (g.d / p)
-    return FrequencyProfile(new_grid, amp * f.samples)
-
-
 # ---------------------------------------------------------------------------
 # discrete norms and moments
 # ---------------------------------------------------------------------------
@@ -280,9 +260,9 @@ def lp_norm_frequency(f: FrequencyProfile, p: float) -> float:
     return float((np.abs(f.samples) ** p).sum() * f.grid.cell_volume) ** (1.0 / p)
 
 
-def profile_centroid(f: FrequencyProfile, p: float = 2.0) -> np.ndarray:
-    """|f|^p-weighted centroid of the profile."""
-    w = np.abs(f.samples) ** p
+def profile_centroid(f: FrequencyProfile) -> np.ndarray:
+    """|f|^2-weighted centroid of the profile."""
+    w = np.abs(f.samples) ** 2
     tot = w.sum()
     if tot == 0:
         return np.asarray(f.grid.center, dtype=float)
@@ -290,13 +270,13 @@ def profile_centroid(f: FrequencyProfile, p: float = 2.0) -> np.ndarray:
     return np.array([(m * w).sum() / tot for m in mesh])
 
 
-def profile_second_moment(f: FrequencyProfile, p: float = 2.0) -> float:
-    """|f|^p-weighted mean square radius about the centroid."""
-    w = np.abs(f.samples) ** p
+def profile_second_moment(f: FrequencyProfile) -> float:
+    """|f|^2-weighted mean square radius about the centroid."""
+    w = np.abs(f.samples) ** 2
     tot = w.sum()
     if tot == 0:
         raise ValueError("degenerate profile: no mass")
-    c = profile_centroid(f, p)
+    c = profile_centroid(f)
     mesh = f.grid.meshgrid()
     r2 = sum((m - ci) ** 2 for m, ci in zip(mesh, c))
     return float((r2 * w).sum() / tot)

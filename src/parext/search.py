@@ -135,7 +135,7 @@ def maximize_quotient_pair(
     for k in range(opts.max_steps + 1):
         nf = math.sqrt((np.abs(fs) ** 2).sum() * vol_f)
         ng = math.sqrt((np.abs(gs) ** 2).sum() * vol_g)
-        iterates.append((k, Q, fit_symmetry(FrequencyProfile(f0.grid, fs), 2.0), nf, ng))
+        iterates.append((k, Q, fit_symmetry(FrequencyProfile(f0.grid, fs)), nf, ng))
         if converged:
             reason = "step_tolerance"
             break
@@ -197,21 +197,18 @@ def quotient_gradient(
     return _pair_gradient(op_f, op_g, f.samples, g.samples, F, N, e.q)
 
 
-def fit_symmetry(f: FrequencyProfile, p: float) -> Symmetry:
+def fit_symmetry(f: FrequencyProfile) -> Symmetry:
     """Moment-matching estimate of the symmetry carrying the canonical
-    centered width-1 profile onto f: scaling from the |f|^p width, frequency
+    centered width-1 profile onto f: scaling from the |f|^2 width, frequency
     translation from the centroid, spacetime translation from a weighted
     least-squares fit of the local phase gradient."""
-    w = np.abs(f.samples) ** p
-    total = w.sum()
-    if total == 0.0:
-        raise ValueError("zero profile")
     d = f.grid.d
-    sigma = math.sqrt(profile_second_moment(f, p) / d)
+    # a zero profile has no second moment and raises ValueError there
+    sigma = math.sqrt(profile_second_moment(f) / d)
     if sigma == 0.0:
         raise ValueError("degenerate point-mass profile")
     lam = CANONICAL_WIDTH / sigma
-    centroid = profile_centroid(f, p)
+    centroid = profile_centroid(f)
     xi_tilde = lam * centroid
 
     # phase gradient from adjacent-sample phase increments — exact for the

@@ -1,10 +1,11 @@
 """Extremizing sequences for the pair functional and their diagnostics:
-dilation sequences, the limiting-quotient convergence study, weak-limit
-ratio/pairing diagnostics, paraboloid-separation reports, the separating
-test-function construction with its pairing margins m1 and m2 (the
-frequency-side half of the paper's contradiction step; the spacetime
-duality bound is not evaluated), shifted-operator limits, and the parameter
-trend checks for sequences of symmetries.
+dilation sequences (the scaling symmetry acting on a profile), the
+limiting-quotient convergence study, weak-limit ratio/pairing diagnostics,
+paraboloid-separation reports, the separating test-function construction
+with its pairing margins m1 and m2 (the frequency-side half of the paper's
+contradiction step; the spacetime duality bound is not evaluated),
+shifted-operator limits, and the parameter trend checks for sequences of
+symmetries.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from .grids import (
     FrequencyProfile,
     SpacetimeField,
     SpacetimeGrid,
-    dilate_profile,
     lp_norm_frequency,
     plateau_bump,
     smooth_bump,
 )
 from .norms import _pair_terms, _truncated_lq, quotient_pair, quotient_single
+from .symmetry import Symmetry, apply_symmetry_frequency
 
 SEPARATION_MAX_HALVINGS = 12  # halvings of s0 tried by build_separating_testfn
 DIVERGE_THRESHOLD = 10.0  # final lambda_n that counts as diverging
@@ -68,9 +69,9 @@ def default_test_functions(d: int) -> list:
     ]
 
 
-def surface_pairing(f: FrequencyProfile, shift: ParaboloidShift, phi: TestFunction) -> complex:
+def surface_pairing(f: FrequencyProfile, shift: ParaboloidShift, phi) -> complex:
     """<f dsigma_shift, psi>: frequency-side quadrature of f against the test
-    function restricted to the shifted paraboloid."""
+    function ``phi`` (anything with ``sample``) on the shifted paraboloid."""
     mesh = f.grid.meshgrid()
     w = phi.sample(shift.height(mesh), mesh)
     return complex((f.samples * w).sum() * f.grid.cell_volume)
@@ -82,9 +83,13 @@ def surface_pairing(f: FrequencyProfile, shift: ParaboloidShift, phi: TestFuncti
 
 def dilation_sequence(f: FrequencyProfile, lambdas, p: float, stg: SpacetimeGrid) -> list:
     """The members (lambda, f_lambda, grid) of the dilation sequence of f:
-    the L^p-preserving dilate f_lambda and the grid ``stg`` rescaled to
-    follow its parabolic concentration."""
-    members = [(lam, dilate_profile(f, lam, p), scaled_spacetime_grid(stg, lam)) for lam in lambdas]
+    f_lambda = S f for the scaling element S = (lambda, 0, 0, 0), and the
+    grid ``stg`` rescaled to follow its parabolic concentration."""
+    zero = ParaboloidShift.zero(f.grid.d)
+    members = []
+    for lam in lambdas:
+        S = Symmetry(lam, zero.xi0, 0.0, zero.xi0)
+        members.append((lam, apply_symmetry_frequency(S, f, p, zero), scaled_spacetime_grid(stg, lam)))
     if not members:
         raise ValueError("empty dilation list")
     return members
@@ -351,8 +356,7 @@ def build_separating_testfn(
         shift0=shift0, shift_n=shift_n,
     )
     # m1: pairing of f against Psi restricted to the reference paraboloid
-    psi_on_p0 = tf.sample(shift0.height(mesh), mesh)
-    tf.m1 = abs(complex((f.samples * psi_on_p0).sum() * f.grid.cell_volume))
+    tf.m1 = abs(surface_pairing(f, shift0, tf))
 
     # m2: sup of |Psi| along the other paraboloid over the R-ball
     psi_on_pn = np.abs(tf.sample(shift_n.height(mesh), mesh))

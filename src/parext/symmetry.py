@@ -1,12 +1,13 @@
-"""The non-compact symmetry groups acting on frequency profiles, their
-composition law, the push-through rule converting a shifted operator into a
-differently-shifted one, and a numerical check of the intertwining identity
-between the input-side action and the output-side action on spacetime fields.
+"""The symmetry group of the paraboloid acting on frequency profiles, its
+composition law, the push-through rule giving the new shift of a shifted
+operator, and a numerical check of the intertwining identity between the
+input-side action and the output-side action on spacetime fields.
 
 Canonical parameterization: scaling lambda > 0, frequency translation
-xi_tilde, spacetime translation (t0, x0).  Input side:
+xi_tilde, spacetime translation (t0, x0).  Input side, on the paraboloid
+h(z) = |z - xi0|^2 + tau0 of a shift (the zero shift gives the plain action):
 
-    S f(xi) = lambda^{d/p} e^{i (t0 |z|^2 + x0 . z)} f(z),   z = lambda xi - xi_tilde,
+    S f(xi) = lambda^{d/p} e^{i (t0 h(z) + x0 . z)} f(z),   z = lambda xi - xi_tilde,
 
 output side, evaluated only inside ``verify_intertwining``:
 
@@ -61,23 +62,12 @@ class Symmetry:
         return np.asarray(self.x0, dtype=float)
 
 
-@dataclass
-class PushthroughResult:
-    new_shift: ParaboloidShift
-    frequency_action: "callable"
-
-
-def apply_symmetry_frequency(S: Symmetry, f: FrequencyProfile, p: float) -> FrequencyProfile:
-    """Input-side action; exact regrid, so the L^p isometry holds to
-    machine precision."""
-    return _frequency_action(S, f, p, ParaboloidShift.zero(f.grid.d))
-
-
-def _frequency_action(
+def apply_symmetry_frequency(
     S: Symmetry, f: FrequencyProfile, p: float, shift: ParaboloidShift
 ) -> FrequencyProfile:
-    """Shared regridding kernel: the t0-phase is evaluated on the shifted
-    paraboloid |z - xi0|^2 + tau0 (shift zero recovers the plain action)."""
+    """Input-side action, an exact regrid, so the L^p isometry holds to
+    machine precision.  The t0-phase is evaluated on the paraboloid of
+    ``shift``, |z - xi0|^2 + tau0; the zero shift gives the plain action."""
     g = f.grid
     if S.d != g.d:
         raise ValueError("symmetry dimension does not match the profile")
@@ -96,21 +86,16 @@ def _frequency_action(
     return FrequencyProfile(new_grid, samples)
 
 
-def pushthrough_shift(S: Symmetry, shift: ParaboloidShift, p: float) -> PushthroughResult:
-    """Output-side symmetry applied to a shifted extension equals the
-    extension with the new shift of a transformed profile."""
+def pushthrough_shift(S: Symmetry, shift: ParaboloidShift) -> ParaboloidShift:
+    """The new shift of the push-through rule: the output-side symmetry
+    applied to E_shift f is E_new (S f), with S acting on the paraboloid
+    of ``shift``."""
     lam = S.lam
-    xt = S.xi_tilde_vec()
     xi0 = shift.xi0_vec()
-    new_shift = ParaboloidShift(
-        (shift.tau0 + 2.0 * float(xi0 @ xt)) / lam**2,
+    return ParaboloidShift(
+        (shift.tau0 + 2.0 * float(xi0 @ S.xi_tilde_vec())) / lam**2,
         tuple(xi0 / lam),
     )
-
-    def action(g: FrequencyProfile) -> FrequencyProfile:
-        return _frequency_action(S, g, p, shift)
-
-    return PushthroughResult(new_shift=new_shift, frequency_action=action)
 
 
 def compose_symmetry(S1: Symmetry, S2: Symmetry) -> tuple:
@@ -163,13 +148,14 @@ def verify_intertwining(
     e: Exponents,
     stg: SpacetimeGrid,
 ) -> float:
-    """Relative L^q discrepancy between T(E_shift f) and
-    E_new_shift(frequency_action f), both evaluated by direct quadrature at
-    the same spacetime points (the sheared pullback points of ``stg``)."""
+    """Relative L^q discrepancy between T(E_shift f) and E_new_shift(S f),
+    with S acting on the paraboloid of ``shift``, both evaluated by direct
+    quadrature at the same spacetime points (the sheared pullback points of
+    ``stg``)."""
     d = f.grid.d
 
-    push = pushthrough_shift(S, shift, e.p)
-    g_new = push.frequency_action(f)
+    new_shift = pushthrough_shift(S, shift)
+    g_new = apply_symmetry_frequency(S, f, e.p, shift)
 
     t = stg.t_axis
     x_axes = [stg.x_axis] * d
@@ -177,7 +163,7 @@ def verify_intertwining(
     x_pts = np.stack(mesh[1:], axis=-1)
 
     # right side: the pushed-through extension at the grid points
-    rhs = _eval_extension_points(g_new, push.new_shift, t, x_pts)
+    rhs = _eval_extension_points(g_new, new_shift, t, x_pts)
 
     # left side: T applied to the original shifted extension at the sheared
     # points (t / lambda^2 + t0, x / lambda + x0 + 2 t xi_tilde / lambda^2);

@@ -23,7 +23,6 @@ from parext.grids import (
     FrequencyProfile,
     SpacetimeGrid,
     bump_profile,
-    dilate_profile,
     gaussian_profile,
     lp_norm_frequency,
     superpose,
@@ -33,7 +32,7 @@ from parext.search import SearchOptions, maximize_quotient_pair, quotient_gradie
 from parext.sequences import (
     build_separating_testfn,
     convergence_study,
-    scaled_spacetime_grid,
+    dilation_sequence,
     shifted_limit_test,
     weak_limit_diagnostics,
 )
@@ -138,16 +137,10 @@ def test_criterion_4_weak_limit_diagnostics(exponents_d1, frozen_quotient_d1, em
     f = gaussian_profile(FROZEN_FGRID_D1)
     shift = ParaboloidShift(0.0, (1.0,))
     a_p = frozen_quotient_d1[0].quotient
-    diags = []
-    for lam in LAMBDAS:
-        f_lam = dilate_profile(f, lam, 2.0)
-        diags.append(
-            weak_limit_diagnostics(
-                f_lam, f_lam, shift, exponents_d1,
-                scaled_spacetime_grid(FROZEN_STG_D1, lam),
-                a_p_estimate=a_p,
-            )
-        )
+    diags = [
+        weak_limit_diagnostics(f_lam, f_lam, shift, exponents_d1, stg_lam, a_p_estimate=a_p)
+        for _, f_lam, stg_lam in dilation_sequence(f, LAMBDAS, 2.0, FROZEN_STG_D1)
+    ]
     last = diags[-1]
     ratios = (last.ratio_first, last.ratio_second, last.ratio_third)
     ratios_ok = all(0.97 <= r <= 1.01 for r in ratios)
@@ -220,7 +213,7 @@ def test_criterion_6_symmetry_algebra(exponents_d1, rng, emit):
             tuple(rng.uniform(-4, 4, 1)), 0.0, (0.0,),
         )
         sh = ParaboloidShift(float(rng.uniform(-3, 3)), tuple(rng.uniform(-3, 3, 1)))
-        new = pushthrough_shift(S, sh, 2.0).new_shift
+        new = pushthrough_shift(S, sh)
         lit_tau = (sh.tau0 + 2.0 * sh.xi0[0] * S.xi_tilde[0]) / S.lam**2
         lit_xi = sh.xi0[0] / S.lam
         if not (

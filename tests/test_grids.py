@@ -11,7 +11,6 @@ from parext.grids import (
     FrequencyProfile,
     SpacetimeGrid,
     bump_profile,
-    dilate_profile,
     gaussian_profile,
     lp_norm_frequency,
     plateau_bump,
@@ -102,21 +101,6 @@ def test_gaussian_profile_truncation_warning():
         gaussian_profile(g, center=4.0)
 
 
-# -- exact symmetry operations ---------------------------------------------
-
-@given(
-    lam=st.floats(0.1, 10.0),
-    p=st.floats(1.0, 6.0),
-)
-@settings(max_examples=30, deadline=None)
-def test_dilate_profile_preserves_lp(lam, p):
-    g = FrequencyGrid(1, 8.0, 128)
-    f = gaussian_profile(g, width=1.3)
-    fd = dilate_profile(f, lam, p)
-    assert lp_norm_frequency(fd, p) == pytest.approx(lp_norm_frequency(f, p), rel=1e-12)
-    assert fd.grid.half_width == pytest.approx(8.0 / lam)
-
-
 def test_superpose_grid_mismatch():
     f = gaussian_profile(FrequencyGrid(1, 8.0, 128))
     g = gaussian_profile(FrequencyGrid(1, 4.0, 128))
@@ -145,9 +129,9 @@ def test_lp_norm_homogeneity(c):
 def test_centroid_and_second_moment():
     g = FrequencyGrid(1, 12.0, 1024)
     f = gaussian_profile(g, center=1.5, width=2.0)
-    assert profile_centroid(f, 2.0)[0] == pytest.approx(1.5, abs=1e-10)
+    assert profile_centroid(f)[0] == pytest.approx(1.5, abs=1e-10)
     # |f|^2 = exp(-2 (xi-c)^2 / w^2): variance w^2 / 4
-    assert profile_second_moment(f, 2.0) == pytest.approx(1.0, rel=1e-10)
+    assert profile_second_moment(f) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_gradient_l2sq_gaussian():

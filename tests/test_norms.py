@@ -22,7 +22,6 @@ from parext.grids import (
     FrequencyGrid,
     SpacetimeField,
     SpacetimeGrid,
-    dilate_profile,
     gaussian_profile,
 )
 from parext.norms import (
@@ -38,6 +37,7 @@ from parext.norms import (
     sharp_holder_gap,
 )
 from parext.sequences import scaled_spacetime_grid
+from parext.symmetry import Symmetry, apply_symmetry_frequency
 
 ZERO1 = ParaboloidShift(0.0, (0.0,))
 
@@ -74,12 +74,32 @@ def test_certified_containment_variants(exponents_d1):
         assert res.value <= exact <= res.certified_upper(), kw
 
 
+def test_certified_containment_short_window():
+    # T = 0.5 lies below the crossover t_c = (sqrt(pi) m1 / l1)^2 = 1 of the
+    # width-1 Gaussian, so the time tail charges the plain L1 bound on
+    # [T, t_c] before the dispersive one takes over
+    f = gaussian_profile(FrequencyGrid(1, 10.0, 512))
+    stg = SpacetimeGrid(1, 0.5, 20.0, 129, 513)
+    ing = _tail_ingredients(f, ZERO1)
+    t_c = (math.sqrt(math.pi) * ing.m1 / ing.l1) ** 2
+    assert stg.t_half_width < t_c
+    res = lq_norm_spacetime(extend(f, ZERO1, stg), [(f, ZERO1)], 6.0)
+    assert res.value <= gauss_l6_exact(1.0) <= res.certified_upper()
+    # below t_c the tail grows as T shrinks, but by the L1 bound, not the
+    # dispersive one: against the dispersive bound alone, 2 energy c^4 / T
+    # (beta = 2, c = l1 sqrt(t_c)), it keeps the fraction (2 t_c - T) T / t_c^2
+    T = stg.t_half_width
+    masses = [_time_tail_mass(ing, 1, 6.0, s) for s in (T / 2.0, T, t_c)]
+    assert masses[0] > masses[1] > masses[2]
+    dispersive = 2.0 * (2.0 * math.pi * ing.l2**2) * (math.sqrt(math.pi) * ing.m1) ** 4 / T
+    assert masses[1] / dispersive == pytest.approx((2.0 * t_c - T) * T / t_c**2, rel=1e-12)
+
+
 def test_quotient_dilation_invariance(exponents_d1):
     f = gaussian_profile(MED_FGRID)
     q1 = quotient_single(f, exponents_d1, MED_STG).quotient
-    q2 = quotient_single(
-        dilate_profile(f, 0.5, 2.0), exponents_d1, scaled_spacetime_grid(MED_STG, 0.5)
-    ).quotient
+    f_half = apply_symmetry_frequency(Symmetry(0.5, (0.0,), 0.0, (0.0,)), f, 2.0, ZERO1)
+    q2 = quotient_single(f_half, exponents_d1, scaled_spacetime_grid(MED_STG, 0.5)).quotient
     assert q2 == pytest.approx(q1, rel=1e-10)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import SEARCH_FGRID, SEARCH_STG
+from parext import search
 from parext.extension import ParaboloidShift
 from parext.grids import FrequencyGrid, FrequencyProfile, SpacetimeGrid, gaussian_profile
 from parext.norms import quotient_single
@@ -24,7 +25,7 @@ def test_fit_symmetry_identity():
     fg = FrequencyGrid(1, 12.0, 512)
     # the canonical reference profile exp(-xi^2) itself
     f = gaussian_profile(fg)
-    S = fit_symmetry(f, 2.0)
+    S = fit_symmetry(f)
     assert S.lam == pytest.approx(1.0, rel=1e-10)
     assert abs(S.xi_tilde[0]) < 1e-10
     assert abs(S.t0) < 1e-10 and abs(S.x0[0]) < 1e-10
@@ -38,7 +39,7 @@ def test_fit_symmetry_literal_example():
     f = gaussian_profile(
         fg, center=xt / lam, width=1.0 / lam, phase_velocity=lam * x0, chirp=lam**2 * t0
     )
-    S = fit_symmetry(f, 2.0)
+    S = fit_symmetry(f)
     assert S.lam == pytest.approx(lam, rel=1e-10)
     assert S.xi_tilde[0] == pytest.approx(xt, abs=1e-10)
     assert S.t0 == pytest.approx(t0, abs=1e-10)
@@ -56,7 +57,7 @@ def test_fit_symmetry_roundtrip_box(rng):
         f = gaussian_profile(
             fg, center=xt / lam, width=1.0 / lam, phase_velocity=lam * x0, chirp=lam**2 * t0
         )
-        S = fit_symmetry(f, 2.0)
+        S = fit_symmetry(f)
         err = max(
             abs(S.lam - lam) / lam,
             abs(S.xi_tilde[0] - xt),
@@ -77,7 +78,7 @@ def test_fit_symmetry_roundtrip_d2():
         phase_velocity=lam * np.asarray(x0),
         chirp=lam**2 * t0,
     )
-    S = fit_symmetry(f, 2.0)
+    S = fit_symmetry(f)
     assert S.lam == pytest.approx(lam, rel=1e-9)
     assert np.allclose(S.xi_tilde, xt, atol=1e-9)
     assert S.t0 == pytest.approx(t0, abs=1e-9)
@@ -87,7 +88,7 @@ def test_fit_symmetry_roundtrip_d2():
 def test_fit_symmetry_zero_profile():
     fg = FrequencyGrid(1, 4.0, 64)
     with pytest.raises(ValueError):
-        fit_symmetry(FrequencyProfile(fg, np.zeros(64)), 2.0)
+        fit_symmetry(FrequencyProfile(fg, np.zeros(64)))
 
 
 # -- gradient -------------------------------------------------------------------
@@ -135,6 +136,42 @@ def test_ascent_is_monotone(exponents_d1):
     qs = [it[1] for it in traj.iterates]
     assert all(b >= a - 1e-12 for a, b in zip(qs, qs[1:]))
     assert traj.final_quotient == qs[-1]
+
+
+def test_small_gain_ends_on_step_tolerance(exponents_d1):
+    f = gaussian_profile(SEARCH_FGRID)
+    traj = maximize_quotient_pair(
+        f, f, ZERO, exponents_d1, SEARCH_STG, opts=SearchOptions(step_tolerance=1e-3)
+    )
+    qs = [it[1] for it in traj.iterates]
+    assert traj.terminated_reason == "step_tolerance"
+    assert len(qs) == 4
+    assert all(b >= a for a, b in zip(qs, qs[1:]))
+    # the last step is the first to gain less than the tolerance, and it is kept
+    gains = [(b - a) / a for a, b in zip(qs, qs[1:])]
+    assert min(gains[:-1]) >= 1e-3 > gains[-1]
+    assert traj.final_quotient == qs[-1]
+
+
+def test_armijo_backtracks_a_rejected_step(exponents_d1, monkeypatch):
+    # a coarse frequency grid under a window just inside its Nyquist limit:
+    # the first trial step of one iterate fails the Armijo test and is halved
+    calls = []
+    pair_field = search._pair_field
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return pair_field(*args, **kwargs)
+
+    monkeypatch.setattr(search, "_pair_field", counted)
+    fg = FrequencyGrid(1, 40.0, 64)
+    stg = SpacetimeGrid(1, 3.0, 0.9 * math.pi / fg.spacing, 33, 65)
+    f = gaussian_profile(fg)
+    traj = maximize_quotient_pair(f, f, ParaboloidShift(0.5, (1.0,)), exponents_d1, stg)
+    qs = [it[1] for it in traj.iterates]
+    assert all(b >= a for a, b in zip(qs, qs[1:]))
+    # one evaluation per iterate, plus the one rejected trial step
+    assert len(qs) == 5 and len(calls) == 6
 
 
 def test_nonzero_shift_exhausts_grid(exponents_d1):

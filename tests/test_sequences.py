@@ -11,12 +11,11 @@ from parext.grids import (
     FrequencyGrid,
     SpacetimeGrid,
     bump_profile,
-    dilate_profile,
     gaussian_profile,
     lp_norm_frequency,
     profile_second_moment,
 )
-from parext.norms import quotient_pair, quotient_single
+from parext.norms import quotient_pair
 from parext.sequences import (
     SeparatingTestfn,
     TestFunction,
@@ -32,7 +31,7 @@ from parext.sequences import (
     surface_pairing,
     weak_limit_diagnostics,
 )
-from parext.symmetry import Symmetry, pushthrough_shift
+from parext.symmetry import Symmetry, apply_symmetry_frequency, pushthrough_shift
 
 FG = FrequencyGrid(1, 10.0, 512)
 STG = SpacetimeGrid(1, 10.0, 20.0, 81, 129)
@@ -50,8 +49,8 @@ def test_dilation_sequence_norms_and_widths():
         assert lam_m == lam and stg_l == scaled_spacetime_grid(STG, lam)
         assert lp_norm_frequency(fl, 2.0) == pytest.approx(n0, rel=1e-12)
         # the |f|^2 width scales as 1/lambda
-        assert profile_second_moment(fl, 2.0) == pytest.approx(
-            profile_second_moment(f, 2.0) / lam**2, rel=1e-10
+        assert profile_second_moment(fl) == pytest.approx(
+            profile_second_moment(f) / lam**2, rel=1e-10
         )
     with pytest.raises(ValueError):
         dilation_sequence(f, [], 2.0, STG)
@@ -106,9 +105,9 @@ def test_dilated_pair_quotient_equals_pushed_through_shift(shift, exponents_d1):
     f = gaussian_profile(FG)
     s = ParaboloidShift(*shift)
     for lam in (0.5, 0.2, 0.1):
-        f_lam = dilate_profile(f, lam, e.p)
+        f_lam = apply_symmetry_frequency(Symmetry(lam, (0.0,), 0.0, (0.0,)), f, e.p, ZERO)
         dilated = quotient_pair(f_lam, f_lam, s, e, scaled_spacetime_grid(STG, lam))
-        s_new = pushthrough_shift(Symmetry(1.0 / lam, (0.0,), 0.0, (0.0,)), s, e.p).new_shift
+        s_new = pushthrough_shift(Symmetry(1.0 / lam, (0.0,), 0.0, (0.0,)), s)
         assert s_new.tau0 == pytest.approx(lam**2 * s.tau0) and s_new.xi0 == pytest.approx((lam * s.xi0[0],))
         pushed = quotient_pair(f, f, s_new, e, STG)
         assert dilated.quotient == pytest.approx(pushed.quotient, rel=1e-14, abs=0.0)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parext.extension import ParaboloidShift
 from parext.grids import (
@@ -17,6 +18,7 @@ from parext.symmetry import (
 )
 
 FG = FrequencyGrid(1, 6.0, 128)
+ZERO = ParaboloidShift.zero(1)
 STG_SMALL = SpacetimeGrid(1, 1.5, 2.0, 7, 9)
 
 
@@ -32,7 +34,7 @@ def random_symmetry(rng, d=1, lam_range=(0.125, 8.0), box=4.0):
 
 def test_identity_action():
     f = gaussian_profile(FG, center=0.3)
-    out = apply_symmetry_frequency(Symmetry(1.0, (0.0,), 0.0, (0.0,)), f, 2.0)
+    out = apply_symmetry_frequency(Symmetry(1.0, (0.0,), 0.0, (0.0,)), f, 2.0, ZERO)
     assert np.array_equal(out.samples, f.samples)
     assert out.grid == f.grid
 
@@ -42,20 +44,33 @@ def test_frequency_action_exact_isometry(rng):
     for p in (2.0, 4.0):
         for _ in range(5):
             S = random_symmetry(rng)
-            out = apply_symmetry_frequency(S, f, p)
+            out = apply_symmetry_frequency(S, f, p, ZERO)
             assert lp_norm_frequency(out, p) == pytest.approx(
                 lp_norm_frequency(f, p), rel=1e-12
             )
 
 
+@given(
+    lam=st.floats(0.1, 10.0),
+    p=st.floats(1.0, 6.0),
+)
+@settings(max_examples=30, deadline=None)
+def test_scaling_action_preserves_lp(lam, p):
+    g = FrequencyGrid(1, 8.0, 128)
+    f = gaussian_profile(g, width=1.3)
+    fd = apply_symmetry_frequency(Symmetry(lam, (0.0,), 0.0, (0.0,)), f, p, ZERO)
+    assert lp_norm_frequency(fd, p) == pytest.approx(lp_norm_frequency(f, p), rel=1e-12)
+    assert fd.grid.half_width == pytest.approx(8.0 / lam)
+
+
 def test_pushthrough_literal_values():
     # lambda = 2 acting on (tau0, xi0) = (1, 0): new shift (1/4, 0)
     S = Symmetry(2.0, (0.0,), 0.0, (0.0,))
-    new = pushthrough_shift(S, ParaboloidShift(1.0, (0.0,)), 2.0).new_shift
+    new = pushthrough_shift(S, ParaboloidShift(1.0, (0.0,)))
     assert new.tau0 == pytest.approx(0.25) and new.xi0 == (0.0,)
     # xi_tilde = 3 acting on (1, 2): (1 + 2*2*3, 2) = (13, 2)
     S = Symmetry(1.0, (3.0,), 0.0, (0.0,))
-    new = pushthrough_shift(S, ParaboloidShift(1.0, (2.0,)), 2.0).new_shift
+    new = pushthrough_shift(S, ParaboloidShift(1.0, (2.0,)))
     assert new.tau0 == pytest.approx(13.0) and new.xi0 == (2.0,)
 
 
@@ -63,7 +78,7 @@ def test_pushthrough_formula_property(rng):
     for _ in range(20):
         S = random_symmetry(rng)
         shift = ParaboloidShift(float(rng.uniform(-3, 3)), tuple(rng.uniform(-3, 3, 1)))
-        new = pushthrough_shift(S, shift, 2.0).new_shift
+        new = pushthrough_shift(S, shift)
         xt = S.xi_tilde_vec()
         xi0 = shift.xi0_vec()
         assert new.tau0 == pytest.approx(
@@ -77,9 +92,9 @@ def test_compose_closure_with_phase(rng):
     for _ in range(10):
         S1 = random_symmetry(rng, lam_range=(0.5, 2.0), box=2.0)
         S2 = random_symmetry(rng, lam_range=(0.5, 2.0), box=2.0)
-        lhs = apply_symmetry_frequency(S1, apply_symmetry_frequency(S2, f, 2.0), 2.0)
+        lhs = apply_symmetry_frequency(S1, apply_symmetry_frequency(S2, f, 2.0, ZERO), 2.0, ZERO)
         S12, phi = compose_symmetry(S1, S2)
-        rhs = apply_symmetry_frequency(S12, f, 2.0)
+        rhs = apply_symmetry_frequency(S12, f, 2.0, ZERO)
         assert lhs.grid.half_width == pytest.approx(rhs.grid.half_width, rel=1e-12)
         assert np.allclose(lhs.grid.center, rhs.grid.center, atol=1e-12)
         scale = np.max(np.abs(rhs.samples))
