@@ -260,26 +260,32 @@ def lp_norm_frequency(f: FrequencyProfile, p: float) -> float:
     return float((np.abs(f.samples) ** p).sum() * f.grid.cell_volume) ** (1.0 / p)
 
 
-def profile_centroid(f: FrequencyProfile) -> np.ndarray:
-    """|f|^2-weighted centroid of the profile."""
-    w = np.abs(f.samples) ** 2
-    tot = w.sum()
-    if tot == 0:
-        return np.asarray(f.grid.center, dtype=float)
-    mesh = f.grid.meshgrid()
-    return np.array([(m * w).sum() / tot for m in mesh])
-
-
-def profile_second_moment(f: FrequencyProfile) -> float:
-    """|f|^2-weighted mean square radius about the centroid."""
+def _profile_moments(f: FrequencyProfile) -> tuple:
+    """The frequency mesh, the |f|^2-weighted centroid of the profile and
+    its |f|^2-weighted mean square radius about the centroid, from one |f|^2
+    and one mesh.  A zero profile has no moments and raises ValueError."""
     w = np.abs(f.samples) ** 2
     tot = w.sum()
     if tot == 0:
         raise ValueError("degenerate profile: no mass")
-    c = profile_centroid(f)
     mesh = f.grid.meshgrid()
+    c = np.array([(m * w).sum() / tot for m in mesh])
     r2 = sum((m - ci) ** 2 for m, ci in zip(mesh, c))
-    return float((r2 * w).sum() / tot)
+    return mesh, c, float((r2 * w).sum() / tot)
+
+
+def profile_centroid(f: FrequencyProfile) -> np.ndarray:
+    """|f|^2-weighted centroid of the profile (the grid center for a zero
+    profile)."""
+    try:
+        return _profile_moments(f)[1]
+    except ValueError:
+        return np.asarray(f.grid.center, dtype=float)
+
+
+def profile_second_moment(f: FrequencyProfile) -> float:
+    """|f|^2-weighted mean square radius about the centroid."""
+    return _profile_moments(f)[2]
 
 
 def profile_gradient_l2sq(f: FrequencyProfile) -> float:

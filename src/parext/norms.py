@@ -17,6 +17,8 @@ whenever d (q - 2) / 2 > 1.
 from __future__ import annotations
 
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +27,6 @@ from .errors import TailCertificationError
 from .exponents import Exponents
 from .grids import (
     FrequencyProfile,
-    SpacetimeField,
     SpacetimeGrid,
     _trapezoid_weights,
     lp_norm_frequency,
@@ -76,33 +77,97 @@ class QuotientResult:
         return self.numerator.certified_error() / self.denominator
 
 
-# float64 points of |F|^q held at once by the reduction (2 MB); the block
-# boundaries depend only on the grid, never on a thread count
+# float64 points of |F|^q held at once by each thread of the reduction
+# (2 MB, next to the 4 MB of a formed combination); the block boundaries
+# depend only on the grid and the strides, never on a thread count
 _LQ_BLOCK_POINTS = 1 << 18
 # BLAS matrix-vector kernels reduce rows in groups, with other kernels for
 # the rows left over and for a one-row product; blocks that start at
 # multiples of this many rows and never end in a single row keep every row
 # on the kernel that one whole-array product gives it (with single-threaded
-# BLAS, which splits no rows of its own), and so keep its bits
+# BLAS, which splits no rows of its own), and so keep its bits.  The
+# stride-2 rows are read from the stride-1 blocks, so with stride 2 the
+# blocks start at multiples of twice this many rows, and the last block
+# keeps at least two rows at every stride
 _LQ_ROW_ALIGN = 8
 
 
-def _truncated_lq(field: SpacetimeField, q: float, stride: int = 1) -> float:
-    """Trapezoid-weighted L^q norm of the samples on every ``stride``-th grid
-    point, reduced over the space axes one block of t-rows at a time."""
-    g = field.grid
-    wt = _trapezoid_weights(len(range(0, g.t_points, stride)), g.t_spacing * stride)
-    wx = _trapezoid_weights(len(range(0, g.x_points_per_axis, stride)), g.x_spacing * stride)
-    samples = field.samples[(slice(None, None, stride),) * (g.d + 1)]
-    chunk = max(1, _LQ_BLOCK_POINTS // wx.size**g.d // _LQ_ROW_ALIGN) * _LQ_ROW_ALIGN
-    bounds = [0, *range(chunk, wt.size - 1, chunk), wt.size]
-    rows = np.empty(wt.size)
-    for i, j in zip(bounds, bounds[1:]):
-        block = np.abs(samples[i:j]) ** q
-        for _ in range(g.d):
-            block = block @ wx
-        rows[i:j] = block
-    return float((rows @ wt) ** (1.0 / q))
+def _combine(signs: tuple, parts: list, out: np.ndarray) -> np.ndarray:
+    """The sum of the ``parts`` with the ``signs`` 1, -1 or 0, up to its
+    overall sign (which |.| drops): the parts are added to or subtracted
+    from the first one left to right, into ``out``; a lone part is returned
+    itself."""
+    (first, acc), *rest = [(s, a) for s, a in zip(signs, parts) if s]
+    for s, a in rest:
+        acc = (np.add if s == first else np.subtract)(acc, a, out=out)
+    return acc
+
+
+def _truncated_lq(
+    stg: SpacetimeGrid,
+    fields: tuple,
+    q: float,
+    combos: tuple | None = None,
+    strides: tuple = (1,),
+    threads: int = 1,
+) -> list:
+    """Trapezoid-weighted L^q norms of linear combinations of the sample
+    arrays ``fields`` on ``stg``.
+
+    Each combination is one sign per field, 1, -1 or 0: with fields (F, G),
+    (1, 1) is F + G and (1, -1) is F - G; the default is the sum of all
+    fields.  For each combination, and within it for each stride in
+    ``strides`` (1 or 2), the result lists the norm on every ``stride``-th
+    grid point.  The t-rows are reduced over the space
+    axes one block at a time: each block forms each combination once,
+    raises it to |.|^q once and reduces that array at every stride.  The
+    blocks run on ``threads`` threads and each writes only its own rows, so
+    the norms do not depend on the thread count."""
+    if combos is None:
+        combos = ((1,) * len(fields),)
+    d = stg.d
+    n_t, n_x = stg.t_points, stg.x_points_per_axis
+    step = _LQ_ROW_ALIGN * max(strides)
+    chunk = max(1, _LQ_BLOCK_POINTS // n_x**d // step) * step
+    bounds = [0, *range(chunk, n_t - max(strides), chunk), n_t]
+    blocks = list(zip(bounds, bounds[1:]))
+    longest = max(j - i for i, j in blocks)
+    weights = [
+        (_trapezoid_weights(len(range(0, n_t, s)), stg.t_spacing * s),
+         _trapezoid_weights(len(range(0, n_x, s)), stg.x_spacing * s))
+        for s in strides
+    ]
+    rows = [[np.empty(wt.size) for wt, _ in weights] for _ in combos]
+    local = threading.local()  # one pair of scratch blocks per thread
+
+    def work(block):
+        i, j = block
+        if not hasattr(local, "power"):
+            # the combination block is never touched when no combination
+            # mixes two fields
+            shape = (longest,) + (n_x,) * d
+            local.power, local.mix = np.empty(shape), np.empty(shape, dtype=complex)
+        parts = [a[i:j] for a in fields]
+        for signs, combo_rows in zip(combos, rows):
+            power = np.abs(_combine(signs, parts, local.mix[: j - i]), out=local.power[: j - i])
+            power **= q
+            for s, (_, wx), r in zip(strides, weights, combo_rows):
+                sub = power if s == 1 else np.ascontiguousarray(power[(slice(None, None, s),) * (d + 1)])
+                for _ in range(d):
+                    sub = sub @ wx
+                r[i // s : i // s + sub.size] = sub
+
+    if threads > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            list(ex.map(work, blocks))
+    else:
+        for b in blocks:
+            work(b)
+    return [
+        float((r @ wt) ** (1.0 / q))
+        for combo_rows in rows
+        for r, (wt, _) in zip(combo_rows, weights)
+    ]
 
 
 @dataclass
@@ -177,28 +242,36 @@ def _space_tail_mass(ing: _TailIngredients, d: int, q: float, T: float, X: float
 
 
 def lq_norm_spacetime(
-    field: SpacetimeField,
+    fields: list,
     tail_pairs: list,
     q: float,
+    threads: int = 1,
 ) -> NormResult:
-    """Truncated-grid L^q norm of the field plus tail certification.
+    """Truncated-grid L^q norm of the sum of the fields plus tail
+    certification.
 
-    ``tail_pairs`` lists the (profile, shift) pairs whose extensions sum to
-    the field; their tail norms add by Minkowski.  Non-integrable tails refuse.
+    ``tail_pairs`` lists the (profile, shift) pair whose extension is each
+    field; their tail norms add by Minkowski.  The sum is reduced block by
+    block on ``threads`` threads and never formed whole.  Non-integrable
+    tails refuse.
     """
     if q <= 2:
         raise ValueError("q must exceed 2")
-    d = field.grid.d
+    if len(fields) != len(tail_pairs):
+        raise ValueError(f"{len(fields)} fields for {len(tail_pairs)} tail pairs")
+    stg = fields[0].grid
+    d = stg.d
     beta = d * (q - 2.0) / 2.0
     if beta <= 1.0:
         raise TailCertificationError(
             f"d (q - 2) / 2 = {beta:.3g} <= 1: the dispersive tail is not integrable"
         )
 
-    value = _truncated_lq(field, q, stride=1)
-    quad_est = abs(value - _truncated_lq(field, q, stride=2)) / 3.0
-    T = field.grid.t_half_width
-    X = field.grid.x_half_width
+    samples = [fld.samples for fld in fields]
+    value, coarse = _truncated_lq(stg, samples, q, strides=(1, 2), threads=threads)
+    quad_est = abs(value - coarse) / 3.0
+    T = stg.t_half_width
+    X = stg.x_half_width
     tail = 0.0
     for prof, shift in tail_pairs:
         ing = _tail_ingredients(prof, shift)
@@ -219,7 +292,7 @@ def quotient_single(
         raise ValueError("zero profile")
     zero = ParaboloidShift.zero(f.grid.d)
     field = extend(f, zero, stg, threads=threads)
-    num = lq_norm_spacetime(field, [(f, zero)], e.q)
+    num = lq_norm_spacetime([field], [(f, zero)], e.q, threads=threads)
     return QuotientResult(num.value / den, num, den, e)
 
 
@@ -258,8 +331,7 @@ def _pair_terms(
     zero = ParaboloidShift.zero(f.grid.d)
     field_f = extend(f, zero, stg, threads=threads)
     field_g = extend(g, shift, stg, threads=threads)
-    total = SpacetimeField(stg, field_f.samples + field_g.samples)
-    num = lq_norm_spacetime(total, [(f, zero), (g, shift)], e.q)
+    num = lq_norm_spacetime([field_f, field_g], [(f, zero), (g, shift)], e.q, threads=threads)
     return nf, ng, den, field_f, field_g, num
 
 

@@ -18,10 +18,8 @@ from .exponents import Exponents
 from .extension import ExtensionOperator, ParaboloidShift
 from .grids import (
     FrequencyProfile,
-    SpacetimeField,
     SpacetimeGrid,
-    profile_centroid,
-    profile_second_moment,
+    _profile_moments,
 )
 from .norms import _truncated_lq
 from .symmetry import Symmetry
@@ -72,7 +70,7 @@ def _boundary_mass_fraction(samples: np.ndarray, shell: float) -> float:
 def _pair_field(op_f, op_g, fs, gs, q: float, threads: int = 1) -> tuple:
     """The field F = A_f f + A_g g and its truncated norm N = ||F||_q."""
     F = op_f.apply(fs, threads=threads) + op_g.apply(gs, threads=threads)
-    return F, _truncated_lq(SpacetimeField(op_f.stg, F), q)
+    return F, _truncated_lq(op_f.stg, (F,), q, threads=threads)[0]
 
 
 def _pair_gradient(op_f, op_g, fs, gs, F, N: float, q: float) -> tuple:
@@ -203,18 +201,17 @@ def fit_symmetry(f: FrequencyProfile) -> Symmetry:
     translation from the centroid, spacetime translation from a weighted
     least-squares fit of the local phase gradient."""
     d = f.grid.d
-    # a zero profile has no second moment and raises ValueError there
-    sigma = math.sqrt(profile_second_moment(f) / d)
+    # a zero profile has no moments and raises ValueError there
+    mesh, centroid, second_moment = _profile_moments(f)
+    sigma = math.sqrt(second_moment / d)
     if sigma == 0.0:
         raise ValueError("degenerate point-mass profile")
     lam = CANONICAL_WIDTH / sigma
-    centroid = profile_centroid(f)
     xi_tilde = lam * centroid
 
     # phase gradient from adjacent-sample phase increments — exact for the
     # model's quadratic phase t0 |lam xi - xi_tilde|^2 + x0 . (lam xi - xi_tilde)
     h = f.grid.spacing
-    mesh = f.grid.meshgrid()
     rows = []
     rhs = []
     wts = []

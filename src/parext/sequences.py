@@ -22,7 +22,6 @@ from .extension import ParaboloidShift, extend
 from .grids import (
     FrequencyGrid,
     FrequencyProfile,
-    SpacetimeField,
     SpacetimeGrid,
     lp_norm_frequency,
     plateau_bump,
@@ -166,10 +165,9 @@ def weak_limit_diagnostics(
     gap, the field difference and the pairings with
     ``default_test_functions``."""
     nf, ng, den_p, field_f, field_g, num = _pair_terms(f_n, g_n, shift, e, stg, threads)
-    nqf = _truncated_lq(field_f, e.q)
-    nqg = _truncated_lq(field_g, e.q)
-    diff = SpacetimeField(stg, field_f.samples - field_g.samples)
-    field_difference = _truncated_lq(diff, e.q)
+    nqf, nqg, field_difference = _truncated_lq(
+        stg, (field_f.samples, field_g.samples), e.q, ((1, 0), (0, 1), (1, -1)), threads=threads,
+    )
 
     ratio_first = num.value / (nqf + nqg)
     ratio_second = (nqf + nqg) / (a_p_estimate * (nf + ng))
@@ -385,8 +383,7 @@ def shifted_limit_test(
     out = []
     for sh in shifts:
         fld = extend(f, sh, stg, threads=threads)
-        diff = SpacetimeField(stg, ref.samples - fld.samples)
-        out.append(_truncated_lq(diff, e.q))
+        out.extend(_truncated_lq(stg, (ref.samples, fld.samples), e.q, ((1, -1),), threads=threads))
     return out
 
 

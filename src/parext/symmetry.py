@@ -26,7 +26,6 @@ from .extension import ParaboloidShift
 from .grids import (
     FrequencyGrid,
     FrequencyProfile,
-    SpacetimeField,
     SpacetimeGrid,
 )
 from .norms import _truncated_lq
@@ -179,7 +178,7 @@ def verify_intertwining(
         phase = phase + mesh[1 + a] * xt[a] / lam
     lhs = lam ** (-(d + 2) / e.q) * np.exp(1j * phase) * base
 
-    denom = _truncated_lq(SpacetimeField(stg, rhs), e.q)
+    denom, discrepancy = _truncated_lq(stg, (lhs, rhs), e.q, ((0, 1), (1, -1)))
     if denom == 0.0:
         raise ValueError("zero field on the comparison grid")
-    return _truncated_lq(SpacetimeField(stg, lhs - rhs), e.q) / denom
+    return discrepancy / denom

@@ -50,22 +50,31 @@ def test_quotient_kind_value(tmp_path):
 
 
 def test_byte_identical_across_threads_and_reruns(tmp_path):
-    cfg = write_cfg(
-        tmp_path,
-        "q.yaml",
-        f"d: 1\np: 2.0\n{BASE_GRID}\n"
+    profiles = "profile: {kind: gaussian, width: 1.0, chirp: 0.3}\n"
+    # 257 t-rows of 2049 points: the L^q reduction runs in several blocks
+    wide = (
+        f"d: 1\np: 2.0\ngrid: {{l_xi: 8.0, n: 256, t: 3.0, x: 10.0, m: 257, n_x: 2049}}\n{profiles}"
+        "shift: {tau0: 0.5, xi0: [1.0]}\n"
+    )
+    cases = {
+        "quotient": f"d: 1\np: 2.0\n{BASE_GRID}\n"
         "profile: {kind: gaussian, width: 1.0}\n"
         "profile_g: {kind: gaussian, width: 0.8}\n"
         "shift: {tau0: 0.0, xi0: [1.0]}\n",
-    )
-    outs = [tmp_path / f"out{i}" for i in range(3)]
-    for out, threads in zip(outs, ("1", "4", "1")):
-        assert main(["quotient", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
-    ref_report = (outs[0] / "report.json").read_bytes()
-    ref_csv = (outs[0] / "quotient.csv").read_bytes()
-    for out in outs[1:]:
-        assert (out / "report.json").read_bytes() == ref_report
-        assert (out / "quotient.csv").read_bytes() == ref_csv
+        "sequence": wide + "lambdas: [1.0, 0.5]\n",
+        "shifted-limit": wide + "shifts:\n  - {tau0: 0.25, xi0: [0.5]}\n  - {tau0: 0.5, xi0: [1.0]}\n",
+    }
+    for kind, text in cases.items():
+        cfg = write_cfg(tmp_path, f"{kind}.yaml", text)
+        outs = [tmp_path / f"{kind}{i}" for i in range(4)]
+        for out, threads in zip(outs, ("1", "2", "4", "1")):
+            assert main([kind, "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+        # report.json and the CSV; run_meta.json holds timings
+        names = sorted(p.name for p in outs[0].iterdir() if p.name != "run_meta.json")
+        assert len(names) == 2 and "report.json" in names
+        for out in outs[1:]:
+            for name in names:
+                assert (out / name).read_bytes() == (outs[0] / name).read_bytes(), (kind, name)
 
 
 def test_all_kinds_run(tmp_path):

@@ -26,6 +26,7 @@ from parext.grids import (
 )
 from parext.norms import (
     _LQ_BLOCK_POINTS,
+    _LQ_ROW_ALIGN,
     _space_tail_mass,
     _sup_bound,
     _tail_ingredients,
@@ -69,7 +70,7 @@ def test_certified_containment_variants(exponents_d1):
     for kw in cases:
         f = gaussian_profile(fgrid, **kw)
         fld = extend(f, ZERO1, stg)
-        res = lq_norm_spacetime(fld, [(f, ZERO1)], 6.0)
+        res = lq_norm_spacetime([fld], [(f, ZERO1)], 6.0)
         exact = gauss_l6_exact(kw["width"])
         assert res.value <= exact <= res.certified_upper(), kw
 
@@ -83,7 +84,7 @@ def test_certified_containment_short_window():
     ing = _tail_ingredients(f, ZERO1)
     t_c = (math.sqrt(math.pi) * ing.m1 / ing.l1) ** 2
     assert stg.t_half_width < t_c
-    res = lq_norm_spacetime(extend(f, ZERO1, stg), [(f, ZERO1)], 6.0)
+    res = lq_norm_spacetime([extend(f, ZERO1, stg)], [(f, ZERO1)], 6.0)
     assert res.value <= gauss_l6_exact(1.0) <= res.certified_upper()
     # below t_c the tail grows as T shrinks, but by the L1 bound, not the
     # dispersive one: against the dispersive bound alone, 2 energy c^4 / T
@@ -130,7 +131,7 @@ def test_pair_triangle_chain(exponents_d1):
 
     ff = extend(f, ZERO1, MED_STG)
     fgd = extend(g, shift, MED_STG)
-    nf, ng = _truncated_lq(ff, 6.0), _truncated_lq(fgd, 6.0)
+    nf, ng = _truncated_lq(MED_STG, (ff.samples, fgd.samples), 6.0, ((1, 0), (0, 1)))
     assert qp.numerator.value <= nf + ng + 1e-12
     a2 = quotient_single(f, exponents_d1, MED_STG).quotient
     a2 = max(a2, quotient_single(g, exponents_d1, MED_STG).quotient)
@@ -173,9 +174,9 @@ def test_tail_refusal_at_nonintegrable_exponent():
     stg = SpacetimeGrid(1, 10.0, 20.0, 65, 65)
     fld = extend(f, ZERO1, stg)
     with pytest.raises(TailCertificationError):
-        lq_norm_spacetime(fld, [(f, ZERO1)], 3.9)  # beta = 0.95 <= 1
+        lq_norm_spacetime([fld], [(f, ZERO1)], 3.9)  # beta = 0.95 <= 1
     with pytest.raises(ValueError):
-        lq_norm_spacetime(fld, [(f, ZERO1)], 2.0)
+        lq_norm_spacetime([fld], [(f, ZERO1)], 2.0)
 
 
 def test_d2_frozen_config(exponents_d2):
@@ -211,39 +212,53 @@ def _random_field(stg, seed=0):
     return SpacetimeField(stg, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-@pytest.mark.parametrize("d, n_t, n_x", [(1, 2049, 2049), (2, 257, 97)])
-@pytest.mark.parametrize("stride", [1, 2])
-def test_truncated_lq_matches_the_whole_array_form(d, n_t, n_x, stride):
+@pytest.mark.parametrize("d, n_t, n_x", [(1, 2049, 2049), (2, 257, 97), (1, 2018, 2049)])
+@pytest.mark.parametrize("coarsest", [1, 2])
+def test_truncated_lq_matches_the_whole_array_form(d, n_t, n_x, coarsest):
     # the PAIR and a FROZEN d=2 spatial grid: the reduction splits the t-rows
     # into several blocks and a shorter last one, and must still add the same
     # products in the same order as (|F|^q @ wx ... @ wt)^{1/q} on the whole
-    # array
+    # array, for each combination, at stride 1 and, read from the same
+    # blocks, at stride 2, on one thread or two
     stg = SpacetimeGrid(d, 3.0, 5.0, n_t, n_x)
-    fld = _random_field(stg)
+    fld, gld = _random_field(stg), _random_field(stg, seed=1)
+    strides = (1, 2)[:coarsest]
+    step = _LQ_ROW_ALIGN * coarsest
+    chunk = _LQ_BLOCK_POINTS // n_x**d // step * step
+    if n_t == 2018 and coarsest == 2:
+        # whole blocks would leave a last block of two rows, a single row at
+        # stride 2
+        assert (n_t - 2) % chunk == 0
 
-    def weights(n, h):
+    def weights(n, h, stride):
         w = np.full(np.arange(n)[::stride].size, h * stride)
         w[0] *= 0.5
         w[-1] *= 0.5
         return w
 
-    wt = weights(stg.t_points, stg.t_spacing)
-    wx = weights(stg.x_points_per_axis, stg.x_spacing)
-    assert wt.size > _LQ_BLOCK_POINTS // wx.size**d
+    assert stg.t_points > chunk
+    combos = {(1, 0): fld.samples, (0, 1): gld.samples,
+              (1, 1): fld.samples + gld.samples, (1, -1): fld.samples - gld.samples}
     for q in (6.0, 4.0, 1.2):
-        whole = np.abs(fld.samples[(slice(None, None, stride),) * (d + 1)]) ** q
-        for _ in range(d):
-            whole = whole @ wx
-        assert _truncated_lq(fld, q, stride) == float((whole @ wt) ** (1.0 / q))
+        expected = []
+        for whole_field in combos.values():
+            for stride in strides:
+                whole = np.abs(whole_field[(slice(None, None, stride),) * (d + 1)]) ** q
+                for _ in range(d):
+                    whole = whole @ weights(stg.x_points_per_axis, stg.x_spacing, stride)
+                wt = weights(stg.t_points, stg.t_spacing, stride)
+                expected.append(float((whole @ wt) ** (1.0 / q)))
+        for threads in (1, 2):
+            got = _truncated_lq(stg, (fld.samples, gld.samples), q, tuple(combos), strides, threads)
+            assert got == expected
 
 
 def test_truncated_lq_memory_stays_below_the_field():
     stg = SpacetimeGrid(1, 3.0, 5.0, 2049, 2049)
-    fld = _random_field(stg)
+    fld, gld = _random_field(stg), _random_field(stg, seed=1)
     tracemalloc.start()
     try:
-        for stride in (1, 2):
-            _truncated_lq(fld, 6.0, stride)
+        _truncated_lq(stg, (fld.samples, gld.samples), 6.0, strides=(1, 2))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

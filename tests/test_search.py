@@ -174,6 +174,30 @@ def test_armijo_backtracks_a_rejected_step(exponents_d1, monkeypatch):
     assert len(qs) == 5 and len(calls) == 6
 
 
+def test_armijo_gives_up_when_every_trial_falls(exponents_d1, monkeypatch):
+    # the start and the first trial step are evaluated honestly; from then on
+    # every trial quotient falls to zero, so the second iterate's line search
+    # halves the step down to MIN_BACKTRACK without accepting one
+    calls = []
+    pair_field = search._pair_field
+
+    def falling(*args, **kwargs):
+        calls.append(1)
+        F, N = pair_field(*args, **kwargs)
+        return F, N if len(calls) <= 2 else 0.0
+
+    monkeypatch.setattr(search, "_pair_field", falling)
+    f = gaussian_profile(SEARCH_FGRID)
+    traj = maximize_quotient_pair(f, f, ParaboloidShift(0.0, (1.0,)), exponents_d1, SEARCH_STG)
+    qs = [it[1] for it in traj.iterates]
+    assert traj.terminated_reason == "step_tolerance"
+    assert len(qs) == 2 and qs[1] > qs[0]
+    assert traj.final_quotient == qs[-1]
+    # one trial for each step 2^-k >= MIN_BACKTRACK
+    halvings = sum(1 for k in range(64) if 0.5**k >= search.MIN_BACKTRACK)
+    assert len(calls) == 2 + halvings
+
+
 def test_nonzero_shift_exhausts_grid(exponents_d1):
     f = gaussian_profile(SEARCH_FGRID)
     traj = maximize_quotient_pair(
