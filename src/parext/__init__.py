@@ -17,7 +17,6 @@ from .extension import ExtensionOperator, ParaboloidShift, extend
 from .grids import (
     FrequencyGrid,
     FrequencyProfile,
-    SpacetimeField,
     SpacetimeGrid,
     bump_profile,
     gaussian_profile,
@@ -39,7 +38,6 @@ __all__ = [
     "ParextError",
     "ParextWarning",
     "QuotientResult",
-    "SpacetimeField",
     "SpacetimeGrid",
     "TailCertificationError",
     "bump_profile",

@@ -297,12 +297,15 @@ def _run_separation(cfg: dict):
     s0 = _read(cfg, "s0", "config", _positive, 0.5)
     R = _read(cfg, "r", "config", _positive, f.grid.half_width * 0.8)
     rep = separation_report(shift0, shift_n, s0, R, f.grid)
-    rows = [(rep.s, rep.R, rep.zero_set_offset, rep.c_estimate, float(rep.degenerate))]
-    header = ["s", "r", "zero_set_offset", "c_estimate", "degenerate"]
     extra = {}
     if not rep.degenerate:
+        # the test function halves s0 until its cutoff fits; report the
+        # separation at the s it ends with
         tf = build_separating_testfn(shift0, shift_n, f, s0, R)
-        extra = {"m1": tf.m1, "m2": tf.m2, "s0_final": tf.s0, "c_estimate": tf.c}
+        rep = separation_report(shift0, shift_n, tf.s0, R, f.grid)
+        extra = {"m1": tf.m1, "m2": tf.m2}
+    rows = [(rep.s, rep.R, rep.zero_set_offset, rep.c_estimate, float(rep.degenerate))]
+    header = ["s", "r", "zero_set_offset", "c_estimate", "degenerate"]
     return {"separation": (header, rows)}, extra
 
 

@@ -42,6 +42,8 @@ computations.
 
 from __future__ import annotations
 
+import math
+import os
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -50,16 +52,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sp_fft
 
-from .errors import NyquistError, ParextWarning
-from .grids import (
-    FrequencyGrid,
-    FrequencyProfile,
-    SpacetimeField,
-    SpacetimeGrid,
-)
+from .errors import NumericalRefusalError, NyquistError, ParextWarning
+from .grids import FrequencyGrid, FrequencyProfile, SpacetimeGrid
 
 NYQUIST_HARD_FACTOR = 4.0
 CHIRP_PERIOD = 32  # time slices sharing one directly evaluated time chirp
+# largest share of physical memory one field may take: a caller holds up to
+# three fields at once (the search sums two applies), which this keeps under
+# half of it
+FIELD_MEMORY_FRACTION = 1 / 8
 
 
 @dataclass(frozen=True)
@@ -143,6 +144,28 @@ def _head(a: np.ndarray, axis: int, length: int) -> np.ndarray:
     return a[(slice(None),) * axis + (slice(0, length),)]
 
 
+def _run_blocks(work, blocks: list, scratch, threads: int) -> None:
+    """Call ``work(block, buffers)`` for each block, with ``buffers`` the
+    result of ``scratch()``, made once per thread.  The blocks run on a pool
+    of ``threads`` threads when ``threads`` > 1 and there is more than one
+    block, and otherwise in order on the calling thread; a block that writes
+    only its own outputs therefore gives the same bits on any thread
+    count."""
+    local = threading.local()
+
+    def run(block):
+        if not hasattr(local, "buffers"):
+            local.buffers = scratch()
+        work(block, local.buffers)
+
+    if threads > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            list(ex.map(run, blocks))
+    else:
+        for b in blocks:
+            run(b)
+
+
 class ExtensionOperator:
     """The discrete linear map from profile samples on a fixed frequency grid
     to field samples on a fixed spacetime grid, for a fixed shift.
@@ -153,6 +176,14 @@ class ExtensionOperator:
     def __init__(self, fgrid: FrequencyGrid, shift: ParaboloidShift, stg: SpacetimeGrid):
         if fgrid.d != stg.d or shift.d != fgrid.d:
             raise ValueError("dimension mismatch between grid, shift and spacetime grid")
+        field_bytes = 16 * math.prod(stg.field_shape)
+        budget = FIELD_MEMORY_FRACTION * os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if field_bytes > budget:
+            raise NumericalRefusalError(
+                f"a field of shape {stg.field_shape} takes {field_bytes / 2**30:.4g} GiB, above "
+                f"the {budget / 2**30:.4g} GiB ({FIELD_MEMORY_FRACTION:.3g} of physical memory) "
+                "one field may take"
+            )
         self.fgrid = fgrid
         self.stg = stg
         self.shift = shift
@@ -261,13 +292,10 @@ class ExtensionOperator:
         blocks = self._blocks(n_t // 2 if mirror else 0)
         rows = blocks[0][1] - blocks[0][0]
         flip = (slice(None, None, -1),) * (d + 1)
-        local = threading.local()  # one set of buffers per thread
 
-        def work(block):
+        def work(block, buffers):
             i, j = block
-            if not hasattr(local, "buffers"):
-                local.buffers = self._buffers(rows, n, m)
-            bufs = [buf[: j - i] for buf in local.buffers]
+            bufs = [buf[: j - i] for buf in buffers]
             head = _head(bufs[0], 1, n)
             np.multiply(self._time_chirp(i, j, head), samples, out=head)
             for axis, (czt, buf) in enumerate(zip(self._czt, bufs), start=1):
@@ -276,12 +304,7 @@ class ExtensionOperator:
             if mirror and lo < hi:
                 np.conjugate(out[n_t - hi : n_t - lo][flip], out=out[lo:hi])
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                list(ex.map(work, blocks))
-        else:
-            for b in blocks:
-                work(b)
+        _run_blocks(work, blocks, lambda: self._buffers(rows, n, m), threads)
         return out
 
     # -- adjoint ------------------------------------------------------------
@@ -312,11 +335,10 @@ def extend(
     shift: ParaboloidShift,
     stg: SpacetimeGrid,
     threads: int = 1,
-) -> SpacetimeField:
-    """Evaluate the extension of ``f`` from the paraboloid shifted by
-    ``shift`` on the spacetime grid."""
-    op = ExtensionOperator(f.grid, shift, stg)
-    return SpacetimeField(stg, op.apply(f.samples, threads=threads))
+) -> np.ndarray:
+    """The samples, shaped ``stg.field_shape``, of the extension of ``f``
+    from the paraboloid shifted by ``shift`` on the spacetime grid."""
+    return ExtensionOperator(f.grid, shift, stg).apply(f.samples, threads=threads)
 
 
 def plancherel_slice_defect(

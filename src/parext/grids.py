@@ -1,5 +1,5 @@
-"""Uniform frequency and spacetime grids, sampled profiles and fields,
-and the discrete L^p machinery on the frequency side.
+"""Uniform frequency and spacetime grids, sampled profiles, and the
+discrete L^p machinery on the frequency side.
 
 Frequency grids are FFT-style: N points per axis (N a power of two) at
 spacing 2*half_width/N, starting at center - half_width and excluding the
@@ -176,21 +176,6 @@ class SpacetimeGrid:
         return (self.t_points,) + (self.x_points_per_axis,) * self.d
 
 
-@dataclass
-class SpacetimeField:
-    """Complex samples of an extension on a SpacetimeGrid."""
-
-    grid: SpacetimeGrid
-    samples: np.ndarray
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=complex)
-        if self.samples.shape != self.grid.field_shape:
-            raise ValueError(
-                f"samples shape {self.samples.shape} does not match grid {self.grid.field_shape}"
-            )
-
-
 # ---------------------------------------------------------------------------
 # profile constructors
 # ---------------------------------------------------------------------------
@@ -272,20 +257,6 @@ def _profile_moments(f: FrequencyProfile) -> tuple:
     c = np.array([(m * w).sum() / tot for m in mesh])
     r2 = sum((m - ci) ** 2 for m, ci in zip(mesh, c))
     return mesh, c, float((r2 * w).sum() / tot)
-
-
-def profile_centroid(f: FrequencyProfile) -> np.ndarray:
-    """|f|^2-weighted centroid of the profile (the grid center for a zero
-    profile)."""
-    try:
-        return _profile_moments(f)[1]
-    except ValueError:
-        return np.asarray(f.grid.center, dtype=float)
-
-
-def profile_second_moment(f: FrequencyProfile) -> float:
-    """|f|^2-weighted mean square radius about the centroid."""
-    return _profile_moments(f)[2]
 
 
 def profile_gradient_l2sq(f: FrequencyProfile) -> float:

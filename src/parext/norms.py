@@ -17,8 +17,6 @@ whenever d (q - 2) / 2 > 1.
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +30,7 @@ from .grids import (
     lp_norm_frequency,
     profile_gradient_l2sq,
 )
-from .extension import ParaboloidShift, extend
+from .extension import ParaboloidShift, _run_blocks, extend
 
 
 @dataclass
@@ -69,7 +67,6 @@ class QuotientResult:
     quotient: float
     numerator: NormResult
     denominator: float
-    exponents: Exponents
 
     def certified_error(self) -> float:
         """Half-width-style error on the quotient inherited from the
@@ -138,18 +135,19 @@ def _truncated_lq(
         for s in strides
     ]
     rows = [[np.empty(wt.size) for wt, _ in weights] for _ in combos]
-    local = threading.local()  # one pair of scratch blocks per thread
 
-    def work(block):
+    def scratch():
+        # the combination block is never touched when no combination mixes
+        # two fields
+        shape = (longest,) + (n_x,) * d
+        return np.empty(shape), np.empty(shape, dtype=complex)
+
+    def work(block, buffers):
         i, j = block
-        if not hasattr(local, "power"):
-            # the combination block is never touched when no combination
-            # mixes two fields
-            shape = (longest,) + (n_x,) * d
-            local.power, local.mix = np.empty(shape), np.empty(shape, dtype=complex)
+        power_rows, mix_rows = (b[: j - i] for b in buffers)
         parts = [a[i:j] for a in fields]
         for signs, combo_rows in zip(combos, rows):
-            power = np.abs(_combine(signs, parts, local.mix[: j - i]), out=local.power[: j - i])
+            power = np.abs(_combine(signs, parts, mix_rows), out=power_rows)
             power **= q
             for s, (_, wx), r in zip(strides, weights, combo_rows):
                 sub = power if s == 1 else np.ascontiguousarray(power[(slice(None, None, s),) * (d + 1)])
@@ -157,12 +155,7 @@ def _truncated_lq(
                     sub = sub @ wx
                 r[i // s : i // s + sub.size] = sub
 
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(work, blocks))
-    else:
-        for b in blocks:
-            work(b)
+    _run_blocks(work, blocks, scratch, threads)
     return [
         float((r @ wt) ** (1.0 / q))
         for combo_rows in rows
@@ -242,13 +235,14 @@ def _space_tail_mass(ing: _TailIngredients, d: int, q: float, T: float, X: float
 
 
 def lq_norm_spacetime(
+    stg: SpacetimeGrid,
     fields: list,
     tail_pairs: list,
     q: float,
     threads: int = 1,
 ) -> NormResult:
-    """Truncated-grid L^q norm of the sum of the fields plus tail
-    certification.
+    """Truncated-grid L^q norm of the sum of the sample arrays ``fields`` on
+    ``stg`` plus tail certification.
 
     ``tail_pairs`` lists the (profile, shift) pair whose extension is each
     field; their tail norms add by Minkowski.  The sum is reduced block by
@@ -259,7 +253,9 @@ def lq_norm_spacetime(
         raise ValueError("q must exceed 2")
     if len(fields) != len(tail_pairs):
         raise ValueError(f"{len(fields)} fields for {len(tail_pairs)} tail pairs")
-    stg = fields[0].grid
+    for a in fields:
+        if a.shape != stg.field_shape:
+            raise ValueError(f"field shape {a.shape} does not match grid {stg.field_shape}")
     d = stg.d
     beta = d * (q - 2.0) / 2.0
     if beta <= 1.0:
@@ -267,8 +263,7 @@ def lq_norm_spacetime(
             f"d (q - 2) / 2 = {beta:.3g} <= 1: the dispersive tail is not integrable"
         )
 
-    samples = [fld.samples for fld in fields]
-    value, coarse = _truncated_lq(stg, samples, q, strides=(1, 2), threads=threads)
+    value, coarse = _truncated_lq(stg, fields, q, strides=(1, 2), threads=threads)
     quad_est = abs(value - coarse) / 3.0
     T = stg.t_half_width
     X = stg.x_half_width
@@ -292,8 +287,8 @@ def quotient_single(
         raise ValueError("zero profile")
     zero = ParaboloidShift.zero(f.grid.d)
     field = extend(f, zero, stg, threads=threads)
-    num = lq_norm_spacetime([field], [(f, zero)], e.q, threads=threads)
-    return QuotientResult(num.value / den, num, den, e)
+    num = lq_norm_spacetime(stg, [field], [(f, zero)], e.q, threads=threads)
+    return QuotientResult(num.value / den, num, den)
 
 
 def quotient_pair(
@@ -306,7 +301,7 @@ def quotient_pair(
 ) -> QuotientResult:
     """||Ef + E_shift g||_q / (||f||_p^p + ||g||_p^p)^{1/p}."""
     _, _, den, _, _, num = _pair_terms(f, g, shift, e, stg, threads)
-    return QuotientResult(num.value / den, num, den, e)
+    return QuotientResult(num.value / den, num, den)
 
 
 def _pair_terms(
@@ -331,7 +326,7 @@ def _pair_terms(
     zero = ParaboloidShift.zero(f.grid.d)
     field_f = extend(f, zero, stg, threads=threads)
     field_g = extend(g, shift, stg, threads=threads)
-    num = lq_norm_spacetime([field_f, field_g], [(f, zero), (g, shift)], e.q, threads=threads)
+    num = lq_norm_spacetime(stg, [field_f, field_g], [(f, zero), (g, shift)], e.q, threads=threads)
     return nf, ng, den, field_f, field_g, num
 
 

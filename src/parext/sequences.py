@@ -166,7 +166,7 @@ def weak_limit_diagnostics(
     ``default_test_functions``."""
     nf, ng, den_p, field_f, field_g, num = _pair_terms(f_n, g_n, shift, e, stg, threads)
     nqf, nqg, field_difference = _truncated_lq(
-        stg, (field_f.samples, field_g.samples), e.q, ((1, 0), (0, 1), (1, -1)), threads=threads,
+        stg, (field_f, field_g), e.q, ((1, 0), (0, 1), (1, -1)), threads=threads,
     )
 
     ratio_first = num.value / (nqf + nqg)
@@ -383,7 +383,7 @@ def shifted_limit_test(
     out = []
     for sh in shifts:
         fld = extend(f, sh, stg, threads=threads)
-        out.extend(_truncated_lq(stg, (ref.samples, fld.samples), e.q, ((1, -1),), threads=threads))
+        out.extend(_truncated_lq(stg, (ref, fld), e.q, ((1, -1),), threads=threads))
     return out
 
 

@@ -166,7 +166,7 @@ def test_criterion_5_shifted_limits_and_separation(exponents_d1, emit):
     fn = f.scaled(1.0 / lp_norm_frequency(f, 2.0))
     from parext.extension import extend
 
-    ref_norm, = _truncated_lq(stg, (extend(fn, ZERO, stg).samples,), 6.0)
+    ref_norm, = _truncated_lq(stg, (extend(fn, ZERO, stg),), 6.0)
     floor = 0.05 * ref_norm
 
     conv = [ParaboloidShift(2.0**-n, (2.0**-n,)) for n in range(1, 9)]

@@ -237,6 +237,25 @@ def test_separation_refusal_exits_3(tmp_path, capsys):
     assert "pairing profile captures only" in capsys.readouterr().err
 
 
+def test_separation_row_is_the_final_separation(tmp_path):
+    # the cutoff around the hyperplane fits only after s0 = 4 is halved eight
+    # times; the row reports that s and the separation c there
+    cfg = write_cfg(
+        tmp_path,
+        "sep.yaml",
+        "d: 1\ngrid: {l_xi: 10.0, n: 1024, t: 3.0, x: 10.0, m: 33, n_x: 65}\n"
+        "profile: {kind: gaussian, center: 1.0}\n"
+        "shift: {tau0: 0.0, xi0: [1.0]}\nshift_n: {tau0: 0.0, xi0: [1.1]}\ns0: 4.0\nr: 6.0\n",
+    )
+    out = tmp_path / "o"
+    assert main(["separation", "--config", cfg, "--out", str(out)]) == 0
+    rep = read_report(out)
+    s, r, _, c, degenerate = map(float, rep["tables"]["separation"]["rows"][0])
+    assert (s, r, degenerate) == (4.0 / 2**8, 6.0, 0.0)
+    assert c == pytest.approx(0.00484375, rel=1e-10)
+    assert "s0_final" not in rep and "c_estimate" not in rep
+
+
 def test_warnings_reach_the_report(tmp_path):
     # Nyquist ratio 2.5 * 2 / pi = 1.59: both operators of the pair warn with
     # the same message, which the report lists once

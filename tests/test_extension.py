@@ -10,7 +10,7 @@ import pytest
 
 import parext
 from conftest import PAIR_FGRID, PAIR_STG, gaussian_extension_oracle
-from parext.errors import NyquistError, ParextWarning
+from parext.errors import NumericalRefusalError, NyquistError, ParextWarning
 from parext.extension import (
     ExtensionOperator,
     ParaboloidShift,
@@ -88,7 +88,7 @@ def test_gaussian_oracle_agreement():
     oracle = gaussian_extension_oracle(
         1.3, (0.3,), shift, t[:, None], x[None, :, None], phase_velocity=(0.8,)
     )
-    assert np.max(np.abs(fld.samples - oracle)) / np.max(np.abs(oracle)) < 1e-6
+    assert np.max(np.abs(fld - oracle)) / np.max(np.abs(oracle)) < 1e-6
 
 
 def test_gaussian_oracle_agreement_d2():
@@ -100,7 +100,7 @@ def test_gaussian_oracle_agreement_d2():
     t = stg.t_axis
     xm = np.stack(np.meshgrid(stg.x_axis, stg.x_axis, indexing="ij"), axis=-1)
     oracle = gaussian_extension_oracle(1.2, (0.0, 0.0), shift, t[:, None, None], xm[None])
-    assert np.max(np.abs(fld.samples - oracle)) / np.max(np.abs(oracle)) < 1e-6
+    assert np.max(np.abs(fld - oracle)) / np.max(np.abs(oracle)) < 1e-6
 
 
 def test_value_at_t1_x0():
@@ -111,7 +111,7 @@ def test_value_at_t1_x0():
     fg = FrequencyGrid(1, 8.0, 512)
     stg = SpacetimeGrid(1, 1.0, 1.0, 3, 3)
     fld = extend(gaussian_profile(fg), ParaboloidShift(0.0, (0.0,)), stg)
-    assert abs(fld.samples[-1, 1]) == pytest.approx((math.pi**2 / 2.0) ** 0.25, rel=1e-9)
+    assert abs(fld[-1, 1]) == pytest.approx((math.pi**2 / 2.0) ** 0.25, rel=1e-9)
 
 
 def test_modulation_identity():
@@ -307,6 +307,15 @@ def test_nyquist_refusal_and_warning():
     mild = SpacetimeGrid(1, 1.0, 2.0, 3, 9)  # ratio ~ 1.59: warn only
     with pytest.warns(ParextWarning, match=r"Nyquist condition violated \(ratio 1.59\)"):
         ExtensionOperator(coarse, ParaboloidShift(0.0, (0.0,)), mild)
+
+
+def test_oversized_field_refusal():
+    # 2^20 t-rows of 2^20 points: the field would take 16 TiB, and the
+    # operator refuses before it tabulates anything or allocates the field
+    huge = SpacetimeGrid(1, 1.0, 10.0, 2**20, 2**20)
+    f = gaussian_profile(FrequencyGrid(1, 10.0, 256))
+    with pytest.raises(NumericalRefusalError, match=r"takes 1\.638e\+04 GiB"):
+        extend(f, ParaboloidShift(0.0, (0.0,)), huge)
 
 
 def test_paraboloid_shift_helpers():

@@ -13,9 +13,7 @@ TESTS = sorted(Path(__file__).parent.glob("*.py"))
 BENCHMARKS = sorted((Path(__file__).parent.parent / "benchmarks").glob("*.py"))
 
 # public names that only tests call, on purpose: the acceptance criteria use
-# the first four; the next two wait for the symmetry-sequence checks; the
-# last two read one moment each, where fit_symmetry takes all of them from
-# their shared helper
+# the first four; the last two wait for the symmetry-sequence checks
 TEST_ONLY = {
     "plancherel_slice_defect",
     "sharp_holder_gap",
@@ -23,8 +21,6 @@ TEST_ONLY = {
     "ConvergenceStudy.final_gap",
     "check_sequence_conditions",
     "compose_symmetry",
-    "profile_centroid",
-    "profile_second_moment",
 }
 
 
@@ -58,6 +54,17 @@ def unused_parameters(source: str) -> list:
         name = getattr(node, "name", "<lambda>")
         found += [(node.lineno, f"{name}({a.arg})") for a in params if a.arg not in used]
     return sorted(found)
+
+
+def imported_packages(source: str) -> set:
+    """The top-level packages of the absolute imports in ``source``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
 
 
 def names_in(tree: ast.AST) -> Counter:
@@ -109,6 +116,15 @@ def test_package_modules_import_nothing_unused():
     assert MODULES and TESTS
     found = {p.name: unused_imports(p.read_text()) for p in MODULES + TESTS}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_only_the_block_runner_starts_threads():
+    # extension._run_blocks is the package's one thread pool
+    assert imported_packages("import concurrent.futures\nfrom threading import local\n") == {
+        "concurrent", "threading",
+    }
+    found = {p.name for p in MODULES if imported_packages(p.read_text()) & {"concurrent", "threading"}}
+    assert found == {"extension.py"}
 
 
 def test_unused_parameters_are_detected():

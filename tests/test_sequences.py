@@ -10,10 +10,10 @@ from parext.extension import ParaboloidShift
 from parext.grids import (
     FrequencyGrid,
     SpacetimeGrid,
+    _profile_moments,
     bump_profile,
     gaussian_profile,
     lp_norm_frequency,
-    profile_second_moment,
 )
 from parext.norms import quotient_pair
 from parext.sequences import (
@@ -49,9 +49,7 @@ def test_dilation_sequence_norms_and_widths():
         assert lam_m == lam and stg_l == scaled_spacetime_grid(STG, lam)
         assert lp_norm_frequency(fl, 2.0) == pytest.approx(n0, rel=1e-12)
         # the |f|^2 width scales as 1/lambda
-        assert profile_second_moment(fl) == pytest.approx(
-            profile_second_moment(f) / lam**2, rel=1e-10
-        )
+        assert _profile_moments(fl)[2] == pytest.approx(_profile_moments(f)[2] / lam**2, rel=1e-10)
     with pytest.raises(ValueError):
         dilation_sequence(f, [], 2.0, STG)
 
