@@ -5,11 +5,11 @@ Usage: parext <kind> --config <path> [--out <dir>] [--threads <n>]
 Kinds: quotient | sequence | search | verify-symmetry | separation |
 shifted-limit.  Configs are strict YAML: each kind accepts d, p, grid,
 profile, out and the keys its runner declares, each profile kind only its
-constructor's keys; any other key, a missing key or a malformed value is a
-configuration error (exit 2) naming the key.  Every run writes report.json
-plus one CSV per result table, atomically; wall-clock time goes to a
-run_meta.json sidecar so that report and tables are byte-identical across
-reruns and thread counts.  The report's ``warnings`` key lists the
+constructor's keys; any other key, a missing key or a malformed value (a
+non-finite number included) is a configuration error (exit 2) naming the
+key.  Every run writes report.json plus one CSV per result table,
+atomically; wall-clock time goes to a run_meta.json sidecar so that report
+and tables are byte-identical across reruns and thread counts.  The report's ``warnings`` key lists the
 ParextWarning messages the run raised, sorted and once each.  --threads
 must be at least 1, and exactly 1 for verify-symmetry and separation, which
 run on one thread; any other value is a configuration error too.
@@ -24,7 +24,7 @@ import sys
 import tempfile
 import time
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import yaml
@@ -81,8 +81,15 @@ def _mapping(v) -> dict:
     return v
 
 
-def _positive(v) -> float:
+def _finite(v) -> float:
     v = float(v)
+    if not np.isfinite(v):
+        raise ValueError(f"must be finite, got {v}")
+    return v
+
+
+def _positive(v) -> float:
+    v = _finite(v)
     if not v > 0.0:
         raise ValueError(f"must be positive, got {v}")
     return v
@@ -105,7 +112,7 @@ def _positive_whole(v) -> int:
 
 
 def _floats(v) -> np.ndarray:
-    return np.asarray(v, dtype=float)
+    return np.vectorize(_finite, otypes=[float])(v)
 
 
 def _list_of(coerce):
@@ -119,8 +126,8 @@ def _list_of(coerce):
 
 def _parse_shift(cfg: dict, d: int, section: str) -> ParaboloidShift:
     _check_keys(cfg, {"tau0", "xi0"}, section)
-    tau0 = _read(cfg, "tau0", section, float)
-    xi0 = _read(cfg, "xi0", section, _list_of(float), [0.0] * d)
+    tau0 = _read(cfg, "tau0", section, _finite)
+    xi0 = _read(cfg, "xi0", section, _list_of(_finite), [0.0] * d)
     if len(xi0) != d:
         raise ConfigError(f"{section}.xi0 must have {d} components")
     return ParaboloidShift(tau0, tuple(xi0))
@@ -134,9 +141,9 @@ def _shift(cfg: dict, key: str, d: int) -> ParaboloidShift:
 # config leaves out takes the default of the constructor, which is called by
 # name below rather than stored here, so that rebinding the name traces it
 PROFILES = {
-    "gaussian": {"center": _floats, "width": float, "phase_velocity": _floats, "chirp": float},
-    "bump": {"center": _floats, "radius": float},
-    "two_bump": {"separation": float, "radius": float},
+    "gaussian": {"center": _floats, "width": _finite, "phase_velocity": _floats, "chirp": _finite},
+    "bump": {"center": _floats, "radius": _finite},
+    "two_bump": {"separation": _finite, "radius": _finite},
 }
 
 
@@ -160,7 +167,7 @@ def _parse_profile(cfg: dict, grid: FrequencyGrid, section: str):
 
 
 # grid key -> coercion: the frequency grid (l_xi, n), then the spacetime grid
-GRID = {"l_xi": float, "n": _whole, "t": float, "x": float, "m": _whole, "n_x": _whole}
+GRID = {"l_xi": _finite, "n": _whole, "t": _finite, "x": _finite, "m": _whole, "n_x": _whole}
 
 
 def _common(cfg: dict, keys: set):
@@ -169,7 +176,7 @@ def _common(cfg: dict, keys: set):
     _check_keys(cfg, {"d", "p", "grid", "profile", "out"} | keys, "config")
     d = _read(cfg, "d", "config", _whole, 1)
     try:
-        e = validate_exponents(d, _read(cfg, "p", "config", float, 2.0))
+        e = validate_exponents(d, _read(cfg, "p", "config", _finite, 2.0))
     except ValueError as ex:
         raise ConfigError(str(ex)) from ex
     grid = _read(cfg, "grid", "config", _mapping)
@@ -245,8 +252,8 @@ def _run_search(cfg: dict, threads: int):
     shift = _shift(cfg, "shift", e.d)
     # the optimizer keys, their types and their defaults are SearchOptions' fields
     optimizer = _read(cfg, "optimizer", "config", _mapping, {})
-    coercions = {fl.name: type(fl.default) for fl in fields(SearchOptions)}
-    coercions = {k: _whole if c is int else c for k, c in coercions.items()}
+    coercions = {fl.name: {int: _whole, float: _finite}[type(fl.default)]
+                 for fl in fields(SearchOptions)}
     _check_keys(optimizer, set(coercions), "optimizer")
     try:
         opts = SearchOptions(**{k: _read(optimizer, k, "optimizer", coercions[k]) for k in optimizer})
@@ -263,7 +270,7 @@ def _run_search(cfg: dict, threads: int):
 # the box verify-symmetry draws from, key -> (coercion, default): the scaling
 # log-uniform in [lam_min, lam_max], each other parameter uniform in [-max, max]
 BOX = {"lam_min": (_positive, 0.125), "lam_max": (_positive, 8.0),
-       "xi_max": (float, 4.0), "t_max": (float, 4.0), "x_max": (float, 4.0)}
+       "xi_max": (_finite, 4.0), "t_max": (_finite, 4.0), "x_max": (_finite, 4.0)}
 
 
 def _run_verify_symmetry(cfg: dict):
@@ -299,10 +306,10 @@ def _run_separation(cfg: dict):
     rep = separation_report(shift0, shift_n, s0, R, f.grid)
     extra = {}
     if not rep.degenerate:
-        # the test function halves s0 until its cutoff fits; report the
-        # separation at the s it ends with
+        # the test function halves s0 until its cutoff fits and estimates c
+        # at the s it ends with; the hyperplane's offset does not depend on s
         tf = build_separating_testfn(shift0, shift_n, f, s0, R)
-        rep = separation_report(shift0, shift_n, tf.s0, R, f.grid)
+        rep = replace(rep, s=tf.s0, c_estimate=tf.c)
         extra = {"m1": tf.m1, "m2": tf.m2}
     rows = [(rep.s, rep.R, rep.zero_set_offset, rep.c_estimate, float(rep.degenerate))]
     header = ["s", "r", "zero_set_offset", "c_estimate", "degenerate"]

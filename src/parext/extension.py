@@ -53,7 +53,7 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from .errors import NumericalRefusalError, NyquistError, ParextWarning
-from .grids import FrequencyGrid, FrequencyProfile, SpacetimeGrid
+from .grids import FrequencyGrid, FrequencyProfile, SpacetimeGrid, _squared_distance
 
 NYQUIST_HARD_FACTOR = 4.0
 CHIRP_PERIOD = 32  # time slices sharing one directly evaluated time chirp
@@ -88,7 +88,7 @@ class ParaboloidShift:
 
     def height(self, mesh: list) -> np.ndarray:
         """|xi - xi0|^2 + tau0 at the points of a frequency mesh."""
-        return sum((m - z) ** 2 for m, z in zip(mesh, self.xi0_vec())) + self.tau0
+        return _squared_distance(mesh, self.xi0_vec()) + self.tau0
 
     @classmethod
     def zero(cls, d: int) -> "ParaboloidShift":
@@ -142,6 +142,11 @@ class _ChirpZ:
 def _head(a: np.ndarray, axis: int, length: int) -> np.ndarray:
     """The first ``length`` entries of ``a`` along ``axis``, as a view."""
     return a[(slice(None),) * axis + (slice(0, length),)]
+
+
+def _split(start: int, stop: int, chunk: int) -> list:
+    """The blocks (i, j) of rows i..j-1, ``chunk`` rows each but the last, from ``start`` to ``stop``."""
+    return [(i, min(i + chunk, stop)) for i in range(start, stop, chunk)]
 
 
 def _run_blocks(work, blocks: list, scratch, threads: int) -> None:
@@ -268,13 +273,6 @@ class ExtensionOperator:
             for a in range(1, d + 1)
         ]
 
-    def _blocks(self, start: int = 0) -> list:
-        """The blocks (i, j) of slices i..j-1 from slice ``start`` on; the
-        first is a longest one."""
-        chunk = self._default_chunk()
-        n_t = self.stg.t_points
-        return [(i, min(i + chunk, n_t)) for i in range(start, n_t, chunk)]
-
     # -- forward ------------------------------------------------------------
 
     def apply(self, samples: np.ndarray, threads: int = 1) -> np.ndarray:
@@ -289,8 +287,7 @@ class ExtensionOperator:
         # row depends on its source row alone, so the bits still depend on
         # neither the block split nor the thread count
         mirror = not samples.imag.any()
-        blocks = self._blocks(n_t // 2 if mirror else 0)
-        rows = blocks[0][1] - blocks[0][0]
+        blocks = _split(n_t // 2 if mirror else 0, n_t, self._default_chunk())
         flip = (slice(None, None, -1),) * (d + 1)
 
         def work(block, buffers):
@@ -304,7 +301,7 @@ class ExtensionOperator:
             if mirror and lo < hi:
                 np.conjugate(out[n_t - hi : n_t - lo][flip], out=out[lo:hi])
 
-        _run_blocks(work, blocks, lambda: self._buffers(rows, n, m), threads)
+        _run_blocks(work, blocks, lambda: self._buffers(blocks[0][1] - blocks[0][0], n, m), threads)
         return out
 
     # -- adjoint ------------------------------------------------------------
@@ -313,7 +310,7 @@ class ExtensionOperator:
         """Exact conjugate transpose of ``apply`` on sample vectors."""
         n, m, d = self._czt[0].n, self._czt[0].m, self.fgrid.d
         acc = np.zeros(self.fgrid.shape, dtype=complex)
-        blocks = self._blocks()
+        blocks = _split(0, self.stg.t_points, self._default_chunk())
         full = self._buffers(blocks[0][1], m, n)
         y_full = np.empty((blocks[0][1],) + self.fgrid.shape, dtype=complex)
         for i, j in blocks:

@@ -36,6 +36,13 @@ def _trapezoid_weights(n: int, spacing: float) -> np.ndarray:
     return w
 
 
+def _squared_distance(mesh: list, center=None) -> np.ndarray:
+    """|xi - center|^2 on a frequency mesh, the axes added in order; the center defaults to 0."""
+    if center is None:
+        center = (0.0,) * len(mesh)
+    return sum((m - c) ** 2 for m, c in zip(mesh, center))
+
+
 def smooth_bump(u: np.ndarray) -> np.ndarray:
     """Standard smooth bump exp(1 - 1/(1-u^2)) on |u| < 1, zero outside,
     identically 1 at u = 0 and >= exp(1 - 4/3) on |u| <= 1/2."""
@@ -198,7 +205,7 @@ def gaussian_profile(
     c = _as_vector(center, grid.d, "center")
     v = _as_vector(phase_velocity, grid.d, "phase_velocity")
     mesh = grid.meshgrid()
-    r2 = sum((m - ci) ** 2 for m, ci in zip(mesh, c))
+    r2 = _squared_distance(mesh, c)
     phase = sum(m * vi for m, vi in zip(mesh, v))
     samples = np.exp(-r2 / width**2) * np.exp(1j * phase)
     if chirp != 0.0:
@@ -221,7 +228,7 @@ def bump_profile(
         raise ValueError("radius must be positive")
     c = _as_vector(center, grid.d, "center")
     mesh = grid.meshgrid()
-    r2 = sum((m - ci) ** 2 for m, ci in zip(mesh, c))
+    r2 = _squared_distance(mesh, c)
     samples = smooth_bump(np.sqrt(r2) / radius).astype(complex)
     return FrequencyProfile(grid, samples)
 
@@ -255,7 +262,7 @@ def _profile_moments(f: FrequencyProfile) -> tuple:
         raise ValueError("degenerate profile: no mass")
     mesh = f.grid.meshgrid()
     c = np.array([(m * w).sum() / tot for m in mesh])
-    r2 = sum((m - ci) ** 2 for m, ci in zip(mesh, c))
+    r2 = _squared_distance(mesh, c)
     return mesh, c, float((r2 * w).sum() / tot)
 
 

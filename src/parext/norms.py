@@ -26,11 +26,12 @@ from .exponents import Exponents
 from .grids import (
     FrequencyProfile,
     SpacetimeGrid,
+    _squared_distance,
     _trapezoid_weights,
     lp_norm_frequency,
     profile_gradient_l2sq,
 )
-from .extension import ParaboloidShift, _run_blocks, extend
+from .extension import ParaboloidShift, _run_blocks, _split, extend
 
 
 @dataclass
@@ -75,18 +76,8 @@ class QuotientResult:
 
 
 # float64 points of |F|^q held at once by each thread of the reduction
-# (2 MB, next to the 4 MB of a formed combination); the block boundaries
-# depend only on the grid and the strides, never on a thread count
+# (2 MB, next to the 4 MB of a formed combination)
 _LQ_BLOCK_POINTS = 1 << 18
-# BLAS matrix-vector kernels reduce rows in groups, with other kernels for
-# the rows left over and for a one-row product; blocks that start at
-# multiples of this many rows and never end in a single row keep every row
-# on the kernel that one whole-array product gives it (with single-threaded
-# BLAS, which splits no rows of its own), and so keep its bits.  The
-# stride-2 rows are read from the stride-1 blocks, so with stride 2 the
-# blocks start at multiples of twice this many rows, and the last block
-# keeps at least two rows at every stride
-_LQ_ROW_ALIGN = 8
 
 
 def _combine(signs: tuple, parts: list, out: np.ndarray) -> np.ndarray:
@@ -115,20 +106,17 @@ def _truncated_lq(
     (1, 1) is F + G and (1, -1) is F - G; the default is the sum of all
     fields.  For each combination, and within it for each stride in
     ``strides`` (1 or 2), the result lists the norm on every ``stride``-th
-    grid point.  The t-rows are reduced over the space
-    axes one block at a time: each block forms each combination once,
-    raises it to |.|^q once and reduces that array at every stride.  The
-    blocks run on ``threads`` threads and each writes only its own rows, so
-    the norms do not depend on the thread count."""
+    grid point.  The t-rows run in blocks on ``threads`` threads: each block
+    forms each combination once, raises it to |.|^q once and reduces that
+    array over the space axes at every stride, each row by dot products of
+    its own, so the norms depend on neither the block split (each block
+    starts on an even row for stride 2) nor the thread count."""
     if combos is None:
         combos = ((1,) * len(fields),)
     d = stg.d
     n_t, n_x = stg.t_points, stg.x_points_per_axis
-    step = _LQ_ROW_ALIGN * max(strides)
-    chunk = max(1, _LQ_BLOCK_POINTS // n_x**d // step) * step
-    bounds = [0, *range(chunk, n_t - max(strides), chunk), n_t]
-    blocks = list(zip(bounds, bounds[1:]))
-    longest = max(j - i for i, j in blocks)
+    step = max(strides)
+    blocks = _split(0, n_t, max(1, _LQ_BLOCK_POINTS // n_x**d // step) * step)
     weights = [
         (_trapezoid_weights(len(range(0, n_t, s)), stg.t_spacing * s),
          _trapezoid_weights(len(range(0, n_x, s)), stg.x_spacing * s))
@@ -139,7 +127,7 @@ def _truncated_lq(
     def scratch():
         # the combination block is never touched when no combination mixes
         # two fields
-        shape = (longest,) + (n_x,) * d
+        shape = (blocks[0][1],) + (n_x,) * d
         return np.empty(shape), np.empty(shape, dtype=complex)
 
     def work(block, buffers):
@@ -152,7 +140,7 @@ def _truncated_lq(
             for s, (_, wx), r in zip(strides, weights, combo_rows):
                 sub = power if s == 1 else np.ascontiguousarray(power[(slice(None, None, s),) * (d + 1)])
                 for _ in range(d):
-                    sub = sub @ wx
+                    sub = np.vecdot(sub, wx)
                 r[i // s : i // s + sub.size] = sub
 
     _run_blocks(work, blocks, scratch, threads)
@@ -188,8 +176,7 @@ def _tail_ingredients(f: FrequencyProfile, shift: ParaboloidShift) -> _TailIngre
 
     sigma_x = math.sqrt(profile_gradient_l2sq(f)) / l2
     mesh = f.grid.meshgrid()
-    xi0 = shift.xi0_vec()
-    r2 = sum((m - z) ** 2 for m, z in zip(mesh, xi0))
+    r2 = _squared_distance(mesh, shift.xi0_vec())
     sigma_xi = math.sqrt(float((r2 * np.abs(f.samples) ** 2).sum() * f.grid.cell_volume)) / l2
     return _TailIngredients(l1, l2, m1, sigma_x, sigma_xi)
 

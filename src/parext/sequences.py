@@ -23,6 +23,7 @@ from .grids import (
     FrequencyGrid,
     FrequencyProfile,
     SpacetimeGrid,
+    _squared_distance,
     lp_norm_frequency,
     plateau_bump,
     smooth_bump,
@@ -240,7 +241,7 @@ def separation_report(
         # pure tau-shift: constant separation, no hyperplane within reach
         return SeparationReport(math.inf, abs(b), s, R)
 
-    ball = sum(m**2 for m in mesh) < R**2
+    ball = _squared_distance(mesh) < R**2
     region = ball & (_hyperplane_distance(h, a) > s)
     c = float(np.abs(h[region]).min()) if np.any(region) else math.inf
     # signed along a: the hyperplane lies on the +a side of 0 when b < 0
@@ -314,7 +315,7 @@ def build_separating_testfn(
     f = f.scaled(1.0 / nf)
 
     mesh = f.grid.meshgrid()
-    ball = sum(m**2 for m in mesh) < R**2
+    ball = _squared_distance(mesh) < R**2
 
     phi = FrequencyProfile(f.grid, _mollify(np.conj(f.samples) * ball))
     nphi = lp_norm_frequency(phi, pc)

@@ -161,6 +161,13 @@ SEQUENCE = SHIFT + "lambdas: [1.0, 0.5]\n"
         pytest.param(
             "search", SHIFT + "optimizer: {max_steps: 2.5}\n", "optimizer.max_steps", id="max_steps-fraction"
         ),
+        # non-finite floats that used to run to exit 0 and write NaN reports
+        pytest.param("quotient", BASE_GRID.replace("t: 3.0", "t: .nan"), "grid.t", id="t-nan"),
+        pytest.param("quotient", BASE_GRID.replace("t: 3.0", "t: .inf"), "grid.t", id="t-inf"),
+        pytest.param("quotient", BASE_GRID.replace("x: 10.0", "x: .nan"), "grid.x", id="x-nan"),
+        pytest.param("quotient", "p: .nan\n", "config.p", id="p-nan"),
+        pytest.param("quotient", "p: .inf\n", "config.p", id="p-inf"),
+        pytest.param("sequence", "shift: {tau0: .nan, xi0: [1.0]}\nlambdas: [1.0]\n", "shift.tau0", id="tau0-nan"),
     ],
 )
 def test_stray_key_or_malformed_value_exits_2(tmp_path, capsys, kind, extra, key):

@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -9,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-import parext
 from conftest import (
     A2_D1,
     FROZEN_FGRID_D2,
@@ -20,6 +16,7 @@ from conftest import (
     truncated_gauss_l4_d2,
     truncated_gauss_l6_d1,
 )
+from parext import norms
 from parext.errors import TailCertificationError
 from parext.extension import ParaboloidShift, extend
 from parext.grids import (
@@ -29,7 +26,6 @@ from parext.grids import (
 )
 from parext.norms import (
     _LQ_BLOCK_POINTS,
-    _LQ_ROW_ALIGN,
     _space_tail_mass,
     _sup_bound,
     _tail_ingredients,
@@ -217,17 +213,23 @@ def _random_field(stg, seed=0):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _check_whole_array_form(d, n_t, n_x, coarsest, tail_weight=1.0):
-    """Assert that ``_truncated_lq`` gives the bits of the whole-array form
-    for two random fields whose last two t-rows are scaled by
-    ``tail_weight``."""
+@pytest.mark.parametrize("d, n_t, n_x", [(1, 2049, 2049), (2, 257, 97), (1, 2018, 2049)])
+@pytest.mark.parametrize("coarsest", [1, 2])
+def test_truncated_lq_matches_the_whole_array_form(d, n_t, n_x, coarsest):
+    # the PAIR and a FROZEN d=2 spatial grid, and a t-grid whose last block
+    # holds two rows, a single one at stride 2: the reduction splits the
+    # t-rows into several blocks and a shorter last one, and must still give
+    # the bits of the whole-array form, each row reduced over the space axes
+    # by dot products with the weights, for each combination, at stride 1
+    # and, read from the same blocks, at stride 2, on one thread or two.  The
+    # last two rows weigh 1e3 times the others, so that an ulp on either of
+    # them shows in the norm
     stg = SpacetimeGrid(d, 3.0, 5.0, n_t, n_x)
     fld, gld = _random_field(stg), _random_field(stg, seed=1)
-    fld[-2:] *= tail_weight
-    gld[-2:] *= tail_weight
+    fld[-2:] *= 1e3
+    gld[-2:] *= 1e3
     strides = (1, 2)[:coarsest]
-    step = _LQ_ROW_ALIGN * coarsest
-    chunk = _LQ_BLOCK_POINTS // n_x**d // step * step
+    assert stg.t_points > _LQ_BLOCK_POINTS // n_x**d
 
     def weights(n, h, stride):
         w = np.full(np.arange(n)[::stride].size, h * stride)
@@ -235,7 +237,6 @@ def _check_whole_array_form(d, n_t, n_x, coarsest, tail_weight=1.0):
         w[-1] *= 0.5
         return w
 
-    assert stg.t_points > chunk
     combos = {(1, 0): fld, (0, 1): gld, (1, 1): fld + gld, (1, -1): fld - gld}
     for q in (6.0, 4.0, 1.2):
         expected = []
@@ -243,7 +244,7 @@ def _check_whole_array_form(d, n_t, n_x, coarsest, tail_weight=1.0):
             for stride in strides:
                 whole = np.abs(whole_field[(slice(None, None, stride),) * (d + 1)]) ** q
                 for _ in range(d):
-                    whole = whole @ weights(stg.x_points_per_axis, stg.x_spacing, stride)
+                    whole = np.vecdot(whole, weights(stg.x_points_per_axis, stg.x_spacing, stride))
                 wt = weights(stg.t_points, stg.t_spacing, stride)
                 expected.append(float((whole @ wt) ** (1.0 / q)))
         for threads in (1, 2):
@@ -251,30 +252,22 @@ def _check_whole_array_form(d, n_t, n_x, coarsest, tail_weight=1.0):
             assert got == expected
 
 
-@pytest.mark.parametrize("d, n_t, n_x", [(1, 2049, 2049), (2, 257, 97), (1, 2018, 2049)])
-@pytest.mark.parametrize("coarsest", [1, 2])
-def test_truncated_lq_matches_the_whole_array_form(d, n_t, n_x, coarsest):
-    # the PAIR and a FROZEN d=2 spatial grid: the reduction splits the t-rows
-    # into several blocks and a shorter last one, and must still add the same
-    # products in the same order as (|F|^q @ wx ... @ wt)^{1/q} on the whole
-    # array, for each combination, at stride 1 and, read from the same
-    # blocks, at stride 2, on one thread or two
-    if (n_t, coarsest) != (2018, 2):
-        _check_whole_array_form(d, n_t, n_x, coarsest)
-        return
-    # whole blocks would leave a last block of two rows, a single row at
-    # stride 2.  A one-row product changes that row by an ulp, which the norm
-    # shows only when the last two rows weigh 1e3 times the others, and
-    # only against a reference on single-threaded BLAS: threaded BLAS splits
-    # the whole-array product's rows among its own kernels
-    step = _LQ_ROW_ALIGN * coarsest
-    assert (n_t - 2) % (_LQ_BLOCK_POINTS // n_x**d // step * step) == 0
-    code = f"from test_norms import _check_whole_array_form as c; c({d}, {n_t}, {n_x}, {coarsest}, 1e3)"
-    paths = [os.path.dirname(os.path.dirname(parext.__file__)), os.path.dirname(__file__)]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+@pytest.mark.parametrize("d, n_t, n_x", [(1, 61, 129), (2, 31, 17)])
+def test_truncated_lq_accepts_any_block_split(monkeypatch, d, n_t, n_x):
+    # blocks of 2, 6 and 10 rows, each split ending in a one-row block, and
+    # one block of the whole grid give the same bits at every stride and on
+    # one thread or two
+    stg = SpacetimeGrid(d, 3.0, 5.0, n_t, n_x)
+    fld, gld = _random_field(stg), _random_field(stg, seed=1)
+    combos = ((1, 0), (0, 1), (1, 1), (1, -1))
+    for strides in ((1,), (1, 2)):
+        results = []
+        for rows in (2, 6, 10, n_t + 1):
+            assert n_t % rows == 1 or rows > n_t
+            monkeypatch.setattr(norms, "_LQ_BLOCK_POINTS", rows * n_x**d)
+            for threads in (1, 2):
+                results.append(_truncated_lq(stg, (fld, gld), 6.0, combos, strides, threads))
+        assert all(r == results[-1] for r in results)
 
 
 def test_truncated_lq_memory_stays_below_the_field():
