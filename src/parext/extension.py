@@ -31,13 +31,22 @@ block split or the thread count.
 The t- and x-grids are symmetric, so for real samples (the exact test: no
 nonzero imaginary part) the Riemann sum satisfies F(-t, x) = conj F(t, -x)
 for any shift.  ``apply`` then transforms only the slices with t >= 0 and
-writes the conjugate of each, flipped along t and every x axis, into its
+forms the conjugate of each, flipped along t and every x axis, as its
 mirror slice with t < 0.  A mirrored slice depends on its source slice
 alone, so the bits still do not depend on the block split or the thread
-count; complex samples take the same loop over every slice.  The pipeline is
-linear in f, and its exact discrete adjoint (the same transforms with
-conjugated chirps and the lengths swapped) is available for gradient
-computations.
+count; complex samples take the same loop over every slice.
+
+The output is either the whole field, one sample array, or a stream: given
+a consumer, ``apply`` allocates no field and hands each finished block of
+slices, and then its block of mirror slices, to the consumer on the thread
+that made it, out of a per-thread block buffer.  A caller that only reduces
+a field (the L^q norms of ``parext.norms``) therefore holds one block of it
+per thread.  The memory guard sizes what a call allocates: the field when
+it is materialized, the per-thread block buffers when it is streamed.
+
+The pipeline is linear in f, and its exact discrete adjoint (the same
+transforms with conjugated chirps and the lengths swapped) is available for
+gradient computations.
 """
 
 from __future__ import annotations
@@ -57,9 +66,10 @@ from .grids import FrequencyGrid, FrequencyProfile, SpacetimeGrid, _squared_dist
 
 NYQUIST_HARD_FACTOR = 4.0
 CHIRP_PERIOD = 32  # time slices sharing one directly evaluated time chirp
-# largest share of physical memory one field may take: a caller holds up to
-# three fields at once (the search sums two applies), which this keeps under
-# half of it
+# largest share of physical memory one call may allocate (a field, or the
+# block buffers of a streamed call): a caller holds up to three fields at once
+# (the search keeps its accepted field while it sums a candidate's two applies
+# in place), which this keeps under half of it
 FIELD_MEMORY_FRACTION = 1 / 8
 
 
@@ -149,6 +159,22 @@ def _split(start: int, stop: int, chunk: int) -> list:
     return [(i, min(i + chunk, stop)) for i in range(start, stop, chunk)]
 
 
+def _refuse_above_budget(nbytes: int, what: str) -> None:
+    """Refuse, before anything is allocated, a call that would allocate
+    ``nbytes`` for ``what``, when that exceeds FIELD_MEMORY_FRACTION of
+    physical memory."""
+    budget = FIELD_MEMORY_FRACTION * os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > budget:
+        raise NumericalRefusalError(
+            f"{what} takes {nbytes / 2**30:.4g} GiB, above the {budget / 2**30:.4g} GiB "
+            f"({FIELD_MEMORY_FRACTION:.3g} of physical memory) one call may allocate"
+        )
+
+
+def _refuse_oversized_field(stg: SpacetimeGrid) -> None:
+    _refuse_above_budget(16 * math.prod(stg.field_shape), f"a field of shape {stg.field_shape}")
+
+
 def _run_blocks(work, blocks: list, scratch, threads: int) -> None:
     """Call ``work(block, buffers)`` for each block, with ``buffers`` the
     result of ``scratch()``, made once per thread.  The blocks run on a pool
@@ -181,14 +207,6 @@ class ExtensionOperator:
     def __init__(self, fgrid: FrequencyGrid, shift: ParaboloidShift, stg: SpacetimeGrid):
         if fgrid.d != stg.d or shift.d != fgrid.d:
             raise ValueError("dimension mismatch between grid, shift and spacetime grid")
-        field_bytes = 16 * math.prod(stg.field_shape)
-        budget = FIELD_MEMORY_FRACTION * os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if field_bytes > budget:
-            raise NumericalRefusalError(
-                f"a field of shape {stg.field_shape} takes {field_bytes / 2**30:.4g} GiB, above "
-                f"the {budget / 2**30:.4g} GiB ({FIELD_MEMORY_FRACTION:.3g} of physical memory) "
-                "one field may take"
-            )
         self.fgrid = fgrid
         self.stg = stg
         self.shift = shift
@@ -262,47 +280,79 @@ class ExtensionOperator:
         # only on the grids, never on the thread count
         return max(1, min(128, (1 << 17) // self._czt[0].n_fft ** self.fgrid.d))
 
-    def _buffers(self, rows: int, n_in: int, n_out: int) -> list:
-        """One transform buffer per axis for a block of ``rows`` slices: the
-        buffer of axis a is n_fft long on axis a, n_out long on the axes
-        before it (already transformed) and n_in long on the axes after."""
+    def _buffer_shapes(self, rows: int, n_in: int, n_out: int) -> list:
+        """The shape of one transform buffer per axis for a block of ``rows``
+        slices: the buffer of axis a is n_fft long on axis a, n_out long on
+        the axes before it (already transformed) and n_in long on the axes
+        after."""
         d = self.fgrid.d
         n_fft = self._czt[0].n_fft
-        return [
-            np.empty((rows,) + (n_out,) * (a - 1) + (n_fft,) + (n_in,) * (d - a), dtype=complex)
-            for a in range(1, d + 1)
-        ]
+        return [(rows,) + (n_out,) * (a - 1) + (n_fft,) + (n_in,) * (d - a) for a in range(1, d + 1)]
+
+    def _buffers(self, rows: int, n_in: int, n_out: int) -> list:
+        return [np.empty(shape, dtype=complex) for shape in self._buffer_shapes(rows, n_in, n_out)]
 
     # -- forward ------------------------------------------------------------
 
-    def apply(self, samples: np.ndarray, threads: int = 1) -> np.ndarray:
+    def apply(self, samples: np.ndarray, threads: int = 1, consumer=None) -> np.ndarray:
+        """The field of ``samples``, shaped ``stg.field_shape``.
+
+        With a ``consumer``, no field is allocated: each finished block of
+        slices i..i+k-1 is passed as ``consumer(i, rows, scratch)``, rows
+        shaped (k,) + the x-shape, on the thread that made it, with that
+        thread's ``consumer.scratch(chunk)``, made once per thread for blocks
+        of up to ``chunk`` rows; the rows are reused once the call returns.
+        ``apply`` then returns ``consumer.sums``, the array the consumer
+        reduces into.  Each slice reaches the consumer exactly once, blocks
+        of mirror slices starting on any row, odd ones included."""
         n, m, d = self._czt[0].n, self._czt[0].m, self.fgrid.d
         n_t = self.stg.t_points
-        out = np.empty(self.stg.field_shape, dtype=complex)
         # on the symmetric t- and x-grids a real profile gives
         # F(-t, x) = conj F(t, -x): only slices n_t // 2 .. n_t - 1 (t > 0,
-        # and t = 0 when n_t is odd) are transformed, and each block writes
-        # the conjugate flip of its rows r into their mirror rows n_t - 1 - r
-        # below n_t // 2; a mirrored
-        # row depends on its source row alone, so the bits still depend on
-        # neither the block split nor the thread count
+        # and t = 0 when n_t is odd) are transformed, and each block forms
+        # the conjugate flip of its rows r as their mirror rows n_t - 1 - r
+        # below n_t // 2; a mirrored row depends on its source row alone, so
+        # the bits still depend on neither the block split nor the thread
+        # count
         mirror = not samples.imag.any()
         blocks = _split(n_t // 2 if mirror else 0, n_t, self._default_chunk())
+        chunk = blocks[0][1] - blocks[0][0]
         flip = (slice(None, None, -1),) * (d + 1)
+        shapes = self._buffer_shapes(chunk, n, m)
+        if consumer is None:
+            _refuse_oversized_field(self.stg)
+            out = np.empty(self.stg.field_shape, dtype=complex)
+        else:
+            # each thread's transform buffers, plus one block and its mirror
+            shapes.append((2 * chunk,) + (m,) * d)
+            per_thread = 16 * sum(math.prod(shape) for shape in shapes)
+            used = min(threads, len(blocks))
+            _refuse_above_budget(used * per_thread, f"the block buffers of {used} thread(s)")
 
         def work(block, buffers):
             i, j = block
-            bufs = [buf[: j - i] for buf in buffers]
+            bufs = [buf[: j - i] for buf in buffers[:d]]
+            rows = out[i:j] if consumer is None else buffers[d][: j - i]
             head = _head(bufs[0], 1, n)
             np.multiply(self._time_chirp(i, j, head), samples, out=head)
             for axis, (czt, buf) in enumerate(zip(self._czt, bufs), start=1):
-                czt.forward(buf, axis, out[i:j] if axis == d else _head(bufs[axis], axis + 1, n))
+                czt.forward(buf, axis, rows if axis == d else _head(bufs[axis], axis + 1, n))
+            if consumer is not None:
+                consumer(i, rows, buffers[-1])
             lo, hi = n_t - j, min(n_t - i, n_t // 2)
             if mirror and lo < hi:
-                np.conjugate(out[n_t - hi : n_t - lo][flip], out=out[lo:hi])
+                # mirror rows lo..hi-1 are the source rows j-1 down to n_t-hi
+                mirrored = out[lo:hi] if consumer is None else buffers[d][chunk : chunk + hi - lo]
+                np.conjugate(rows[n_t - hi - i :][flip], out=mirrored)
+                if consumer is not None:
+                    consumer(lo, mirrored, buffers[-1])
 
-        _run_blocks(work, blocks, lambda: self._buffers(blocks[0][1] - blocks[0][0], n, m), threads)
-        return out
+        def scratch():
+            buffers = [np.empty(shape, dtype=complex) for shape in shapes]
+            return buffers if consumer is None else buffers + [consumer.scratch(chunk)]
+
+        _run_blocks(work, blocks, scratch, threads)
+        return out if consumer is None else consumer.sums
 
     # -- adjoint ------------------------------------------------------------
 
@@ -332,10 +382,16 @@ def extend(
     shift: ParaboloidShift,
     stg: SpacetimeGrid,
     threads: int = 1,
+    consumer=None,
 ) -> np.ndarray:
     """The samples, shaped ``stg.field_shape``, of the extension of ``f``
-    from the paraboloid shifted by ``shift`` on the spacetime grid."""
-    return ExtensionOperator(f.grid, shift, stg).apply(f.samples, threads=threads)
+    from the paraboloid shifted by ``shift`` on the spacetime grid, or, with
+    a ``consumer``, that field streamed block by block into it (see
+    ``ExtensionOperator.apply``).  A field too large for memory is refused
+    before the operator is built."""
+    if consumer is None:
+        _refuse_oversized_field(stg)
+    return ExtensionOperator(f.grid, shift, stg).apply(f.samples, threads=threads, consumer=consumer)
 
 
 def plancherel_slice_defect(

@@ -53,6 +53,7 @@ class NormResult:
     tail_bound: float
     quadrature_estimate: float
     q: float
+    parts: tuple = ()  # truncated norms of the combinations a caller asked for
 
     def certified_upper(self) -> float:
         return (self.value**self.q + self.tail_bound**self.q) ** (
@@ -75,8 +76,8 @@ class QuotientResult:
         return self.numerator.certified_error() / self.denominator
 
 
-# float64 points of |F|^q held at once by each thread of the reduction
-# (2 MB, next to the 4 MB of a formed combination)
+# float64 points of |F|^q held at once by each thread of the reduction of
+# held fields (2 MB, next to the 4 MB of a formed combination)
 _LQ_BLOCK_POINTS = 1 << 18
 
 
@@ -91,6 +92,76 @@ def _combine(signs: tuple, parts: list, out: np.ndarray) -> np.ndarray:
     return acc
 
 
+class _LqRows:
+    """The package's one L^q reduction: trapezoid-weighted sums over the
+    space axes of |c|^q, one per t-row, for signed combinations c of sample
+    arrays on ``stg``.
+
+    ``terms`` lists (signs, strides) pairs: one sign (1, -1 or 0) per part,
+    the parts being the ``held`` arrays followed, when rows are streamed in,
+    by the streamed field; and the strides (1 or 2) at which that
+    combination is reduced, on every ``stride``-th grid point.  A block of
+    rows is reduced by ``reduce(i, parts, scratch)``, or, for a streamed
+    field, by calling the object itself on (i, rows, scratch) (the consumer
+    protocol of ``ExtensionOperator.apply``), in a thread's buffers from
+    ``scratch``, on any thread and starting on any row:
+    each block forms each combination once, raises it to |.|^q once and
+    reduces every t-row by dot products of its own with the weights, so the
+    sums depend on neither the block split nor the thread count.  ``norms``
+    finishes them with the t-weights."""
+
+    def __init__(self, stg: SpacetimeGrid, held: tuple, q: float, terms: tuple):
+        self.held, self.q, self.terms = held, q, terms
+        self._d = stg.d
+        strides = {s for _, ss in terms for s in ss}
+        n_t, n_x = stg.t_points, stg.x_points_per_axis
+        self._wt = {s: _trapezoid_weights(len(range(0, n_t, s)), stg.t_spacing * s) for s in strides}
+        self._wx = {s: _trapezoid_weights(len(range(0, n_x, s)), stg.x_spacing * s) for s in strides}
+        sizes = [self._wt[s].size for _, ss in terms for s in ss]
+        self.sums = np.empty(sum(sizes))
+        views = iter(np.split(self.sums, np.cumsum(sizes)[:-1]))
+        self._rows = [[next(views) for _ in ss] for _, ss in terms]
+        # the combination buffer is needed only when a term mixes two parts
+        self._mixes = any(sum(map(bool, signs)) > 1 for signs, _ in terms)
+        self._row_shape = (stg.x_points_per_axis,) * stg.d
+
+    def scratch(self, rows: int) -> tuple:
+        """One thread's |.|^q and combination buffers for blocks of up to
+        ``rows`` rows."""
+        shape = (rows,) + self._row_shape
+        return np.empty(shape), np.empty(shape, dtype=complex) if self._mixes else None
+
+    def __call__(self, i: int, rows: np.ndarray, scratch: tuple) -> None:
+        self.reduce(i, [a[i : i + rows.shape[0]] for a in self.held] + [rows], scratch)
+
+    def reduce(self, i: int, parts: list, scratch: tuple) -> None:
+        """Reduce rows i.. of every term from ``parts``, the same rows of
+        each part, in a thread's ``scratch``."""
+        d = self._d
+        k = parts[0].shape[0]
+        power_rows, mix_rows = (b if b is None else b[:k] for b in scratch)
+        for (signs, strides), term_rows in zip(self.terms, self._rows):
+            power = np.abs(_combine(signs, parts, mix_rows), out=power_rows)
+            power **= self.q
+            for s, r in zip(strides, term_rows):
+                # the first row of the block on the stride-s grid
+                o = -i % s
+                sub = power
+                if s > 1:
+                    sub = np.ascontiguousarray(power[(slice(o, None, s),) + (slice(None, None, s),) * d])
+                for _ in range(d):
+                    sub = np.vecdot(sub, self._wx[s])
+                r[(i + o) // s : (i + o) // s + sub.size] = sub
+
+    def norms(self) -> list:
+        """The norm of each term at each of its strides, in order."""
+        return [
+            float((r @ self._wt[s]) ** (1.0 / self.q))
+            for (_, strides), term_rows in zip(self.terms, self._rows)
+            for s, r in zip(strides, term_rows)
+        ]
+
+
 def _truncated_lq(
     stg: SpacetimeGrid,
     fields: tuple,
@@ -100,55 +171,35 @@ def _truncated_lq(
     threads: int = 1,
 ) -> list:
     """Trapezoid-weighted L^q norms of linear combinations of the sample
-    arrays ``fields`` on ``stg``.
+    arrays ``fields`` on ``stg``, all held.
 
     Each combination is one sign per field, 1, -1 or 0: with fields (F, G),
     (1, 1) is F + G and (1, -1) is F - G; the default is the sum of all
     fields.  For each combination, and within it for each stride in
     ``strides`` (1 or 2), the result lists the norm on every ``stride``-th
-    grid point.  The t-rows run in blocks on ``threads`` threads: each block
-    forms each combination once, raises it to |.|^q once and reduces that
-    array over the space axes at every stride, each row by dot products of
-    its own, so the norms depend on neither the block split (each block
-    starts on an even row for stride 2) nor the thread count."""
+    grid point.  The t-rows run through ``_LqRows`` in blocks on ``threads``
+    threads, so the norms are those of the streamed reduction, bit for bit."""
     if combos is None:
         combos = ((1,) * len(fields),)
-    d = stg.d
-    n_t, n_x = stg.t_points, stg.x_points_per_axis
-    step = max(strides)
-    blocks = _split(0, n_t, max(1, _LQ_BLOCK_POINTS // n_x**d // step) * step)
-    weights = [
-        (_trapezoid_weights(len(range(0, n_t, s)), stg.t_spacing * s),
-         _trapezoid_weights(len(range(0, n_x, s)), stg.x_spacing * s))
-        for s in strides
-    ]
-    rows = [[np.empty(wt.size) for wt, _ in weights] for _ in combos]
+    red = _LqRows(stg, fields, q, tuple((signs, strides) for signs in combos))
+    rows = max(1, _LQ_BLOCK_POINTS // stg.x_points_per_axis**stg.d)
 
-    def scratch():
-        # the combination block is never touched when no combination mixes
-        # two fields
-        shape = (blocks[0][1],) + (n_x,) * d
-        return np.empty(shape), np.empty(shape, dtype=complex)
-
-    def work(block, buffers):
+    def work(block, scratch):
         i, j = block
-        power_rows, mix_rows = (b[: j - i] for b in buffers)
-        parts = [a[i:j] for a in fields]
-        for signs, combo_rows in zip(combos, rows):
-            power = np.abs(_combine(signs, parts, mix_rows), out=power_rows)
-            power **= q
-            for s, (_, wx), r in zip(strides, weights, combo_rows):
-                sub = power if s == 1 else np.ascontiguousarray(power[(slice(None, None, s),) * (d + 1)])
-                for _ in range(d):
-                    sub = np.vecdot(sub, wx)
-                r[i // s : i // s + sub.size] = sub
+        red.reduce(i, [a[i:j] for a in fields], scratch)
 
-    _run_blocks(work, blocks, scratch, threads)
-    return [
-        float((r @ wt) ** (1.0 / q))
-        for combo_rows in rows
-        for r, (wt, _) in zip(combo_rows, weights)
-    ]
+    _run_blocks(work, _split(0, stg.t_points, rows), lambda: red.scratch(rows), threads)
+    return red.norms()
+
+
+def _streamed_lq(stg: SpacetimeGrid, held: tuple, last: tuple, q: float, terms: tuple, threads: int) -> list:
+    """The norms of ``terms`` (see ``_LqRows``) over the ``held`` sample
+    arrays and the extension of the (profile, shift) pair ``last``, which is
+    streamed through ``extend``'s t-blocks and never held."""
+    red = _LqRows(stg, held, q, terms)
+    prof, shift = last
+    extend(prof, shift, stg, threads=threads, consumer=red)
+    return red.norms()
 
 
 @dataclass
@@ -223,34 +274,39 @@ def _space_tail_mass(ing: _TailIngredients, d: int, q: float, T: float, X: float
 
 def lq_norm_spacetime(
     stg: SpacetimeGrid,
-    fields: list,
     tail_pairs: list,
     q: float,
     threads: int = 1,
+    parts: tuple = (),
 ) -> NormResult:
-    """Truncated-grid L^q norm of the sum of the sample arrays ``fields`` on
-    ``stg`` plus tail certification.
+    """Truncated-grid L^q norm on ``stg`` of the sum of the extensions of the
+    (profile, shift) pairs ``tail_pairs``, plus tail certification.
 
-    ``tail_pairs`` lists the (profile, shift) pair whose extension is each
-    field; their tail norms add by Minkowski.  The sum is reduced block by
-    block on ``threads`` threads and never formed whole.  Non-integrable
-    tails refuse.
+    Every extension but the last is held as a sample array; the last is
+    streamed through ``extend``'s t-blocks into the one reduction, so the sum
+    is never formed, and the extension of a single pair is never held.  The tail
+    norms of the pairs add by Minkowski.  ``parts`` lists further signed
+    combinations of the same extensions, one sign per pair, whose truncated
+    norms (without tails) the same pass reduces into ``NormResult.parts``.
+    Non-integrable tails refuse before anything is extended.
     """
     if q <= 2:
         raise ValueError("q must exceed 2")
-    if len(fields) != len(tail_pairs):
-        raise ValueError(f"{len(fields)} fields for {len(tail_pairs)} tail pairs")
-    for a in fields:
-        if a.shape != stg.field_shape:
-            raise ValueError(f"field shape {a.shape} does not match grid {stg.field_shape}")
+    if not tail_pairs:
+        raise ValueError("no (profile, shift) pair to extend")
     d = stg.d
+    for prof, shift in tail_pairs:
+        if prof.grid.d != d or shift.d != d:
+            raise ValueError(f"a pair of dimension {prof.grid.d} (shift {shift.d}) on a {d}-d spacetime grid")
     beta = d * (q - 2.0) / 2.0
     if beta <= 1.0:
         raise TailCertificationError(
             f"d (q - 2) / 2 = {beta:.3g} <= 1: the dispersive tail is not integrable"
         )
 
-    value, coarse = _truncated_lq(stg, fields, q, strides=(1, 2), threads=threads)
+    held = tuple(extend(prof, shift, stg, threads=threads) for prof, shift in tail_pairs[:-1])
+    terms = (((1,) * len(tail_pairs), (1, 2)),) + tuple((signs, (1,)) for signs in parts)
+    value, coarse, *extra = _streamed_lq(stg, held, tail_pairs[-1], q, terms, threads)
     quad_est = abs(value - coarse) / 3.0
     T = stg.t_half_width
     X = stg.x_half_width
@@ -259,7 +315,7 @@ def lq_norm_spacetime(
         ing = _tail_ingredients(prof, shift)
         mass = _time_tail_mass(ing, d, q, T) + _space_tail_mass(ing, d, q, T, X)
         tail += mass ** (1.0 / q)
-    return NormResult(value, tail, quad_est, q)
+    return NormResult(value, tail, quad_est, q, tuple(extra))
 
 
 def quotient_single(
@@ -268,13 +324,12 @@ def quotient_single(
     stg: SpacetimeGrid,
     threads: int = 1,
 ) -> QuotientResult:
-    """||Ef||_q / ||f||_p with a certified numerator."""
+    """||Ef||_q / ||f||_p with a certified numerator; the field is streamed
+    into the reduction and never held."""
     den = lp_norm_frequency(f, e.p)
     if den == 0.0:
         raise ValueError("zero profile")
-    zero = ParaboloidShift.zero(f.grid.d)
-    field = extend(f, zero, stg, threads=threads)
-    num = lq_norm_spacetime(stg, [field], [(f, zero)], e.q, threads=threads)
+    num = lq_norm_spacetime(stg, [(f, ParaboloidShift.zero(f.grid.d))], e.q, threads=threads)
     return QuotientResult(num.value / den, num, den)
 
 
@@ -287,7 +342,7 @@ def quotient_pair(
     threads: int = 1,
 ) -> QuotientResult:
     """||Ef + E_shift g||_q / (||f||_p^p + ||g||_p^p)^{1/p}."""
-    _, _, den, _, _, num = _pair_terms(f, g, shift, e, stg, threads)
+    _, _, den, num = _pair_terms(f, g, shift, e, stg, threads)
     return QuotientResult(num.value / den, num, den)
 
 
@@ -298,23 +353,23 @@ def _pair_terms(
     e: Exponents,
     stg: SpacetimeGrid,
     threads: int,
+    parts: tuple = (),
 ) -> tuple:
     """The parts of the pair quotient: ||f||_p, ||g||_p, the denominator
-    (||f||_p^p + ||g||_p^p)^{1/p}, the fields E f and E_shift g, and the
-    certified norm of their sum.  Refuses before extending when the grid
-    dimensions differ or both profiles vanish."""
-    if f.grid.d != g.grid.d or f.grid.d != stg.d:
-        raise ValueError("mismatched grid dimensions")
+    (||f||_p^p + ||g||_p^p)^{1/p}, and the certified norm of E f + E_shift g,
+    whose ``parts`` are the truncated norms of the further combinations
+    ``parts`` (signs on (E f, E_shift g)) from the same pass.  E f is held
+    and E_shift g streamed against it, so at most one field is held.
+    Refuses before extending when the grid dimensions differ or both
+    profiles vanish."""
     nf = lp_norm_frequency(f, e.p)
     ng = lp_norm_frequency(g, e.p)
     den = (nf**e.p + ng**e.p) ** (1.0 / e.p)
     if den == 0.0:
         raise ValueError("both profiles are zero")
     zero = ParaboloidShift.zero(f.grid.d)
-    field_f = extend(f, zero, stg, threads=threads)
-    field_g = extend(g, shift, stg, threads=threads)
-    num = lq_norm_spacetime(stg, [field_f, field_g], [(f, zero), (g, shift)], e.q, threads=threads)
-    return nf, ng, den, field_f, field_g, num
+    num = lq_norm_spacetime(stg, [(f, zero), (g, shift)], e.q, threads=threads, parts=parts)
+    return nf, ng, den, num
 
 
 def sharp_holder_gap(a: float, b: float, p: float) -> float:

@@ -69,7 +69,8 @@ def _boundary_mass_fraction(samples: np.ndarray, shell: float) -> float:
 
 def _pair_field(op_f, op_g, fs, gs, q: float, threads: int = 1) -> tuple:
     """The field F = A_f f + A_g g and its truncated norm N = ||F||_q."""
-    F = op_f.apply(fs, threads=threads) + op_g.apply(gs, threads=threads)
+    F = op_f.apply(fs, threads=threads)
+    F += op_g.apply(gs, threads=threads)
     return F, _truncated_lq(op_f.stg, (F,), q, threads=threads)[0]
 
 
@@ -159,6 +160,7 @@ def maximize_quotient_pair(
         accepted = False
         while alpha >= MIN_BACKTRACK:
             fn, gn = normalize(fs + alpha * grad_f, gs + alpha * grad_g)
+            Fn = None  # a rejected candidate's field goes before the next is made
             Fn, Qn = _pair_field(op_f, op_g, fn, gn, q, threads)
             if Qn >= Q + ARMIJO_C * alpha * gnorm2:
                 accepted = True

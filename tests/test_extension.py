@@ -10,6 +10,7 @@ import pytest
 
 import parext
 from conftest import PAIR_FGRID, PAIR_STG, gaussian_extension_oracle
+from parext import extension
 from parext.errors import NumericalRefusalError, NyquistError, ParextWarning
 from parext.extension import (
     ExtensionOperator,
@@ -19,6 +20,7 @@ from parext.extension import (
     plancherel_slice_defect,
 )
 from parext.grids import FrequencyGrid, SpacetimeGrid, gaussian_profile
+from parext.norms import quotient_single
 
 
 def brute_force_extension(f, shift, stg):
@@ -310,12 +312,34 @@ def test_nyquist_refusal_and_warning():
 
 
 def test_oversized_field_refusal():
-    # 2^20 t-rows of 2^20 points: the field would take 16 TiB, and the
-    # operator refuses before it tabulates anything or allocates the field
+    # 2^20 t-rows of 2^20 points: the field would take 16 TiB, and extend
+    # refuses before it builds the operator or allocates the field
     huge = SpacetimeGrid(1, 1.0, 10.0, 2**20, 2**20)
     f = gaussian_profile(FrequencyGrid(1, 10.0, 256))
     with pytest.raises(NumericalRefusalError, match=r"takes 1\.638e\+04 GiB"):
         extend(f, ParaboloidShift(0.0, (0.0,)), huge)
+
+
+def test_memory_guard_sizes_what_a_call_allocates(monkeypatch, exponents_d1):
+    # with a budget just below one field, a streamed quotient, which holds
+    # only block buffers, gives the same bits as without the guard, while
+    # extend and a materializing apply refuse before they allocate the field;
+    # a budget below the block buffers refuses the streamed call too
+    f = gaussian_profile(FrequencyGrid(1, 10.0, 256))
+    stg = SpacetimeGrid(1, 20.0, 30.0, 1025, 257)
+    zero = ParaboloidShift(0.0, (0.0,))
+    expected = quotient_single(f, exponents_d1, stg)
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    field_bytes = 16 * math.prod(stg.field_shape)
+    monkeypatch.setattr(extension, "FIELD_MEMORY_FRACTION", 0.9 * field_bytes / memory)
+    assert quotient_single(f, exponents_d1, stg) == expected
+    with pytest.raises(NumericalRefusalError, match="a field of shape"):
+        extend(f, zero, stg)
+    with pytest.raises(NumericalRefusalError, match="a field of shape"):
+        ExtensionOperator(f.grid, zero, stg).apply(f.samples)
+    monkeypatch.setattr(extension, "FIELD_MEMORY_FRACTION", 0.1 * field_bytes / memory)
+    with pytest.raises(NumericalRefusalError, match="the block buffers of 1 thread"):
+        quotient_single(f, exponents_d1, stg)
 
 
 def test_paraboloid_shift_helpers():

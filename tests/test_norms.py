@@ -8,7 +8,9 @@ from scipy import integrate
 
 from conftest import (
     A2_D1,
+    FROZEN_FGRID_D1,
     FROZEN_FGRID_D2,
+    FROZEN_STG_D1,
     FROZEN_STG_D2,
     GAUSS_L4_D2,
     GAUSS_L2_D2,
@@ -18,7 +20,7 @@ from conftest import (
 )
 from parext import norms
 from parext.errors import TailCertificationError
-from parext.extension import ParaboloidShift, extend
+from parext.extension import ExtensionOperator, ParaboloidShift, extend
 from parext.grids import (
     FrequencyGrid,
     SpacetimeGrid,
@@ -27,6 +29,7 @@ from parext.grids import (
 from parext.norms import (
     _LQ_BLOCK_POINTS,
     _space_tail_mass,
+    _streamed_lq,
     _sup_bound,
     _tail_ingredients,
     _time_tail_mass,
@@ -68,8 +71,7 @@ def test_certified_containment_variants(exponents_d1):
     stg = SpacetimeGrid(1, 30.0, 100.0, 1025, 1025)
     for kw in cases:
         f = gaussian_profile(fgrid, **kw)
-        fld = extend(f, ZERO1, stg)
-        res = lq_norm_spacetime(stg, [fld], [(f, ZERO1)], 6.0)
+        res = lq_norm_spacetime(stg, [(f, ZERO1)], 6.0)
         exact = gauss_l6_exact(kw["width"])
         assert res.value <= exact <= res.certified_upper(), kw
 
@@ -83,7 +85,7 @@ def test_certified_containment_short_window():
     ing = _tail_ingredients(f, ZERO1)
     t_c = (math.sqrt(math.pi) * ing.m1 / ing.l1) ** 2
     assert stg.t_half_width < t_c
-    res = lq_norm_spacetime(stg, [extend(f, ZERO1, stg)], [(f, ZERO1)], 6.0)
+    res = lq_norm_spacetime(stg, [(f, ZERO1)], 6.0)
     assert res.value <= gauss_l6_exact(1.0) <= res.certified_upper()
     # below t_c the tail grows as T shrinks, but by the L1 bound, not the
     # dispersive one: against the dispersive bound alone, 2 energy c^4 / T
@@ -171,13 +173,13 @@ def test_space_tail_mass_bounds_its_integral(shift):
 def test_tail_refusal_at_nonintegrable_exponent():
     f = gaussian_profile(MED_FGRID)
     stg = SpacetimeGrid(1, 10.0, 20.0, 65, 65)
-    fld = extend(f, ZERO1, stg)
     with pytest.raises(TailCertificationError):
-        lq_norm_spacetime(stg, [fld], [(f, ZERO1)], 3.9)  # beta = 0.95 <= 1
+        lq_norm_spacetime(stg, [(f, ZERO1)], 3.9)  # beta = 0.95 <= 1
     with pytest.raises(ValueError):
-        lq_norm_spacetime(stg, [fld], [(f, ZERO1)], 2.0)
-    with pytest.raises(ValueError, match="does not match grid"):
-        lq_norm_spacetime(stg, [fld[1:]], [(f, ZERO1)], 6.0)
+        lq_norm_spacetime(stg, [(f, ZERO1)], 2.0)
+    # a pair of another dimension than the grid refuses before any extension
+    with pytest.raises(ValueError, match="a pair of dimension 1 .shift 2. on a 1-d spacetime grid"):
+        lq_norm_spacetime(stg, [(f, ZERO1), (f, ParaboloidShift(0.0, (0.0, 0.0)))], 6.0)
 
 
 def test_d2_frozen_config(exponents_d2):
@@ -280,3 +282,56 @@ def test_truncated_lq_memory_stays_below_the_field():
     finally:
         tracemalloc.stop()
     assert peak < fld.nbytes / 4
+
+
+@pytest.mark.parametrize(
+    "fg, stg, odd_chunk",
+    [
+        # odd n_t: the blocks of t >= 0, and so the mirror blocks of a real
+        # profile, start on odd rows
+        (FrequencyGrid(1, 10.0, 512), SpacetimeGrid(1, 20.0, 30.0, 259, 257), False),
+        # an odd block of 85 rows
+        (FrequencyGrid(1, 10.0, 512), SpacetimeGrid(1, 20.0, 30.0, 301, 1025), True),
+        # d = 2, with an odd block of 11 rows
+        (FrequencyGrid(2, 7.0, 64), SpacetimeGrid(2, 5.0, 8.0, 33, 41), True),
+    ],
+)
+def test_streamed_norms_equal_the_materialized_path(fg, stg, odd_chunk):
+    # every norm a caller reads from a streamed field, the second field of a
+    # pair streamed against the held first, has the bits of the reduction of
+    # both fields held whole, for real and complex profiles, on one thread
+    # or two
+    d = stg.d
+    zero, shift = ParaboloidShift.zero(d), ParaboloidShift(0.5, (-1.0,) + (0.0,) * (d - 1))
+    assert (ExtensionOperator(fg, zero, stg)._default_chunk() % 2 == 1) == odd_chunk
+    assert stg.t_points % 2 == 1
+    q = 2.0 + 4.0 / d
+    parts = ((1, 0), (0, 1), (1, -1))  # those weak_limit_diagnostics reads
+    for chirp in (0.0, 0.3):
+        f = gaussian_profile(fg, chirp=chirp)
+        g = gaussian_profile(fg, width=0.8, center=0.1)
+        assert f.samples.imag.any() == (chirp != 0.0)  # a real profile streams mirror blocks
+        for threads in (1, 2):
+            held = extend(f, zero, stg, threads=threads)
+            other = extend(g, shift, stg, threads=threads)
+            value, coarse = _truncated_lq(stg, (held, other), q, strides=(1, 2))
+            res = lq_norm_spacetime(stg, [(g, shift), (f, zero)], q, threads=threads, parts=parts)
+            assert res.value == value and res.quadrature_estimate == abs(value - coarse) / 3.0
+            assert list(res.parts) == _truncated_lq(stg, (other, held), q, parts)
+            # one streamed field alone, at both strides
+            alone = _streamed_lq(stg, (), (f, zero), q, (((1,), (1, 2)),), threads)
+            assert alone == _truncated_lq(stg, (held,), q, strides=(1, 2))
+
+
+def test_streamed_quotient_holds_no_field(exponents_d1):
+    # the FROZEN d = 1 field takes 320 MiB; its certified quotient streams it
+    # and holds well under an eighth of that at its peak
+    f = gaussian_profile(FROZEN_FGRID_D1)
+    field_bytes = 16 * math.prod(FROZEN_STG_D1.field_shape)
+    tracemalloc.start()
+    try:
+        quotient_single(f, exponents_d1, FROZEN_STG_D1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < field_bytes / 8
