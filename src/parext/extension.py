@@ -14,19 +14,26 @@ convolution with the chirp exp(-i dx dxi m^2 / 2) and a post-chirp in k
 least N + M - 1.  Each t-slice is the chirp-modulated profile pushed through
 one such transform per axis; on the uniform t-grid the time chirp
 exp(i t |xi - xi0|^2) is the product of a base, evaluated directly once
-every CHIRP_PERIOD slices, and a per-step factor, both tabulated once per
-operator.  The result is the Riemann sum itself, exact to rounding at every
+every CHIRP_PERIOD^2 slices, and two tabulated factors: one per multiple of
+CHIRP_PERIOD time steps and one per time step within such a period.  The
+result is the Riemann sum itself, exact to rounding at every
 requested x, including points past the period 2 pi / dxi of the sum.
+
+The transform along axis a acts on that axis alone, so every axis's
+pre-chirp can ride on the input.  Once per call, ``apply`` multiplies the
+samples by all the pre-chirps and by each time step's factor into one input
+table of CHIRP_PERIOD x N^d points, and a slice's input is then one product,
+the rest of its time chirp times its row of the table.
 
 The slices run in blocks whose transform buffer holds about 2^17 complex
 points (2 MB), so a block stays in one core's L2 cache.  Each axis has one
 buffer of length n_fft along that axis, allocated once per thread:
-the time chirp times the profile is written straight into the head of the
-first, each transform multiplies its pre-chirp into the head, zeroes the
-tail, runs the FFT pair in place and writes its post-chirp into the head of
-the next buffer or into the output.  No step makes a temporary of the
-block's size, and each slice's bits depend on its index alone, never on the
-block split or the thread count.
+a block's input is written straight into the head of the first, each
+transform zeroes the tail, runs the FFT pair in place and writes its
+post-chirp into the head of the next buffer, into the output, or, when the
+block is streamed, in place into its own head.  No step makes a temporary of
+the block's size, and each slice's bits depend on its index alone, never on
+the block split or the thread count.
 
 The t- and x-grids are symmetric, so for real samples (the exact test: no
 nonzero imaginary part) the Riemann sum satisfies F(-t, x) = conj F(t, -x)
@@ -38,11 +45,15 @@ count; complex samples take the same loop over every slice.
 
 The output is either the whole field, one sample array, or a stream: given
 a consumer, ``apply`` allocates no field and hands each finished block of
-slices, and then its block of mirror slices, to the consumer on the thread
-that made it, out of a per-thread block buffer.  A caller that only reduces
-a field (the L^q norms of ``parext.norms``) therefore holds one block of it
-per thread.  The memory guard sizes what a call allocates: the field when
-it is materialized, the per-thread block buffers when it is streamed.
+slices to the consumer on the thread that made it, out of a per-thread
+block buffer.  A caller that only reduces a field (the L^q norms of
+``parext.norms``) therefore holds one block of it per thread.  A consumer
+flagged ``mirrored`` derives the t < 0 slices of a real profile itself: it
+receives only the blocks of t >= 0, and ``apply`` forms no mirror slice for
+it.  Any other consumer receives each block and then its block of mirror
+slices.  The memory guard sizes what a call allocates: the field when it is
+materialized, the per-thread block buffers when it is streamed, and the
+input table in both cases.
 
 The pipeline is linear in f, and its exact discrete adjoint (the same
 transforms with conjugated chirps and the lengths swapped) is available for
@@ -65,7 +76,7 @@ from .errors import NumericalRefusalError, NyquistError, ParextWarning
 from .grids import FrequencyGrid, FrequencyProfile, SpacetimeGrid, _squared_distance
 
 NYQUIST_HARD_FACTOR = 4.0
-CHIRP_PERIOD = 32  # time slices sharing one directly evaluated time chirp
+CHIRP_PERIOD = 16  # time steps per row of the tabulated time chirp factors
 # largest share of physical memory one call may allocate (a field, or the
 # block buffers of a streamed call): a caller holds up to three fields at once
 # (the search keeps its accepted field while it sums a candidate's two applies
@@ -127,26 +138,33 @@ class _ChirpZ:
         kernel[m : self.n_fft - n + 1] = 0.0
         self.kernel_hat = sp_fft.fft(kernel)
 
-    def _convolve(self, buf, pre, kernel_hat, post, axis, out):
-        # buf holds the input in its first pre.size entries along ``axis``;
-        # the pre-chirp is multiplied into that head, the tail is zeroed, and
-        # the convolution runs in place before the post-chirp lands in out
+    def _convolve(self, buf, n_in, kernel_hat, post, axis, out):
+        # buf holds the input in its first n_in entries along ``axis``; the
+        # tail is zeroed and the convolution runs in place before the
+        # post-chirp lands in out, or, with out None, in the head of the
+        # transformed buffer itself
         shape = [1] * buf.ndim
         shape[axis] = -1
-        head = _head(buf, axis, pre.size)
-        np.multiply(head, pre.reshape(shape), out=head)
-        buf[(slice(None),) * axis + (slice(pre.size, self.n_fft),)] = 0.0
+        buf[(slice(None),) * axis + (slice(n_in, self.n_fft),)] = 0.0
         v = sp_fft.fft(buf, axis=axis, overwrite_x=True)
         v *= kernel_hat.reshape(shape)
         v = sp_fft.ifft(v, axis=axis, overwrite_x=True)
-        return np.multiply(_head(v, axis, post.size), post.reshape(shape), out=out)
+        head = _head(v, axis, post.size)
+        return np.multiply(head, post.reshape(shape), out=head if out is None else out)
 
-    def forward(self, buf: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
-        return self._convolve(buf, self.pre, self.kernel_hat, self.post, axis, out)
+    def forward(self, buf: np.ndarray, axis: int, out: np.ndarray | None) -> np.ndarray:
+        """The transform of the input in the head of ``buf``, which already
+        carries the pre-chirp ``self.pre`` (``apply`` folds it into its input
+        table)."""
+        return self._convolve(buf, self.n, self.kernel_hat, self.post, axis, out)
 
     def adjoint(self, buf: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
         # the wrapped kernel is even, so its adjoint's transform is conj(kernel_hat)
-        return self._convolve(buf, self.post.conj(), self.kernel_hat.conj(), self.pre.conj(), axis, out)
+        shape = [1] * buf.ndim
+        shape[axis] = -1
+        head = _head(buf, axis, self.m)
+        np.multiply(head, self.post.conj().reshape(shape), out=head)
+        return self._convolve(buf, self.m, self.kernel_hat.conj(), self.pre.conj(), axis, out)
 
 
 def _head(a: np.ndarray, axis: int, length: int) -> np.ndarray:
@@ -238,13 +256,16 @@ class ExtensionOperator:
             )
             for a in range(d)
         ]
-        # the t-grid is uniform: slice i's chirp factor on each axis is the
-        # factor at slice CHIRP_PERIOD * b, b = i // CHIRP_PERIOD, times the
-        # factor of the time step i % CHIRP_PERIOD; both are tabulated here
-        t_bases = stg.t_axis[::CHIRP_PERIOD].reshape((-1,) + (1,) * d)
+        # the t-grid is uniform: with P = CHIRP_PERIOD, slice
+        # i = (k P + m) P + s has the time chirp of slice k P^2, evaluated
+        # per axis when a block reaches it, times the chirp of m P time
+        # steps, tabulated per axis, times the chirp of s time steps,
+        # tabulated over the whole frequency grid as the product of its
+        # per-axis factors
+        self._t_coarse = stg.t_axis[:: CHIRP_PERIOD**2]
         steps = (np.arange(CHIRP_PERIOD) * stg.t_spacing).reshape((-1,) + (1,) * d)
-        self._chirp_bases = [np.exp(1j * t_bases * h) for h in self._heights]
-        self._chirp_steps = [np.exp(1j * steps * h) for h in self._heights]
+        self._chirp_periods = [np.exp(1j * CHIRP_PERIOD * steps * h) for h in self._heights]
+        self._chirp_steps = math.prod(np.exp(1j * steps * h) for h in self._heights)
         self._czt = [
             _ChirpZ(
                 fgrid.center[a] - fgrid.half_width,
@@ -255,21 +276,30 @@ class ExtensionOperator:
             )
             for a in range(d)
         ]
+        # every axis's pre-chirp, over the whole frequency grid: the
+        # transform of axis a acts along axis a alone, so the pre-chirps of
+        # the later axes can ride on its input
+        self._pre = math.prod(czt.pre.reshape((-1,) + (1,) * (d - 1 - a)) for a, czt in enumerate(self._czt))
 
-    def _time_chirp(self, i: int, j: int, out: np.ndarray) -> np.ndarray:
-        """Write exp(i t (|xi - xi0|^2 + tau0)) on slices i..j-1 of the t-grid
-        into ``out``, shaped (j - i,) + fgrid.shape.  A slice's value depends
-        on its index alone, so every split into blocks gives the same bits."""
-        for b in range(i // CHIRP_PERIOD, (j - 1) // CHIRP_PERIOD + 1):
+    def _time_chirp(self, i: int, j: int, steps: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write, for each slice i..j-1 of the t-grid, the time chirp of the
+        first slice of its period of CHIRP_PERIOD slices times its row
+        ``steps[i % CHIRP_PERIOD]`` into ``out``, shaped (j - i,) +
+        fgrid.shape: with the step chirps as ``steps``,
+        exp(i t (|xi - xi0|^2 + tau0)); with ``apply``'s input table, the
+        slice's input.  A slice's value depends on its index alone, so every
+        split into blocks gives the same bits."""
+        first, stop = i // CHIRP_PERIOD, (j - 1) // CHIRP_PERIOD + 1
+        k0 = first // CHIRP_PERIOD
+        t = self._t_coarse[k0 : (stop - 1) // CHIRP_PERIOD + 1].reshape((-1,) + (1,) * self.fgrid.d)
+        coarse = [np.exp(1j * t * h) for h in self._heights]
+        for b in range(first, stop):
             lo, hi = max(i, b * CHIRP_PERIOD), min(j, (b + 1) * CHIRP_PERIOD)
-            s = slice(lo - b * CHIRP_PERIOD, hi - b * CHIRP_PERIOD)
-            # the product of the per-axis factors base * step, left to right;
-            # only the last product has the size of the block, and it lands
-            # in out
-            lhs, rhs = self._chirp_bases[0][b], self._chirp_steps[0][s]
-            for bases, steps in zip(self._chirp_bases[1:], self._chirp_steps[1:]):
-                lhs, rhs = lhs * rhs, bases[b] * steps[s]
-            np.multiply(lhs, rhs, out=out[lo - i : hi - i])
+            k, m = divmod(b, CHIRP_PERIOD)
+            base = coarse[0][k - k0] * self._chirp_periods[0][m]
+            for c, periods in zip(coarse[1:], self._chirp_periods[1:]):
+                base = base * (c[k - k0] * periods[m])
+            np.multiply(base, steps[lo - b * CHIRP_PERIOD : hi - b * CHIRP_PERIOD], out=out[lo - i : hi - i])
         return out
 
     # -- blocks ---------------------------------------------------------------
@@ -298,61 +328,79 @@ class ExtensionOperator:
         """The field of ``samples``, shaped ``stg.field_shape``.
 
         With a ``consumer``, no field is allocated: each finished block of
-        slices i..i+k-1 is passed as ``consumer(i, rows, scratch)``, rows
-        shaped (k,) + the x-shape, on the thread that made it, with that
+        slices i..i+k-1 is passed as ``consumer(i, rows)``, rows shaped
+        (k,) + the x-shape, on the thread that made it, or, for a consumer
+        with per-thread buffers, as ``consumer(i, rows, scratch)`` with that
         thread's ``consumer.scratch(chunk)``, made once per thread for blocks
         of up to ``chunk`` rows; the rows are reused once the call returns.
-        ``apply`` then returns ``consumer.sums``, the array the consumer
-        reduces into.  Each slice reaches the consumer exactly once, blocks
-        of mirror slices starting on any row, odd ones included."""
+        ``apply`` then returns ``consumer.out``, the array the consumer
+        fills.  Each slice reaches the consumer exactly once, blocks of
+        mirror slices starting on any row, odd ones included, unless
+        ``consumer.mirrored`` is true: such a consumer derives the t < 0
+        slices of real samples from the t >= 0 ones itself, takes only the
+        blocks of slices n_t // 2 .. n_t - 1, and refuses complex samples."""
         n, m, d = self._czt[0].n, self._czt[0].m, self.fgrid.d
         n_t = self.stg.t_points
         # on the symmetric t- and x-grids a real profile gives
         # F(-t, x) = conj F(t, -x): only slices n_t // 2 .. n_t - 1 (t > 0,
-        # and t = 0 when n_t is odd) are transformed, and each block forms
-        # the conjugate flip of its rows r as their mirror rows n_t - 1 - r
-        # below n_t // 2; a mirrored row depends on its source row alone, so
-        # the bits still depend on neither the block split nor the thread
-        # count
+        # and t = 0 when n_t is odd) are transformed, and, unless the
+        # consumer mirrors them itself, each block forms the conjugate flip
+        # of its rows r as their mirror rows n_t - 1 - r below n_t // 2; a
+        # mirrored row depends on its source row alone, so the bits still
+        # depend on neither the block split nor the thread count
         mirror = not samples.imag.any()
+        if consumer is not None and consumer.mirrored and not mirror:
+            raise ValueError("a mirrored consumer takes the field of real samples only")
+        flip_rows = mirror and (consumer is None or not consumer.mirrored)
         blocks = _split(n_t // 2 if mirror else 0, n_t, self._default_chunk())
         chunk = blocks[0][1] - blocks[0][0]
         flip = (slice(None, None, -1),) * (d + 1)
         shapes = self._buffer_shapes(chunk, n, m)
+        # the samples times every pre-chirp and each time step's chirp: a
+        # block's input is its time chirp bases times this table
+        table_bytes = 16 * self._chirp_steps.size
         if consumer is None:
-            _refuse_oversized_field(self.stg)
-            out = np.empty(self.stg.field_shape, dtype=complex)
+            shape = self.stg.field_shape
+            _refuse_above_budget(16 * math.prod(shape) + table_bytes, f"a field of shape {shape} and its input table")
+            out = np.empty(shape, dtype=complex)
         else:
-            # each thread's transform buffers, plus one block and its mirror
-            shapes.append((2 * chunk,) + (m,) * d)
+            # each thread's transform buffers, the last of which holds a
+            # finished block in its head, plus, when apply forms them, one
+            # block of mirror rows
+            if flip_rows:
+                shapes.append((chunk,) + (m,) * d)
             per_thread = 16 * sum(math.prod(shape) for shape in shapes)
             used = min(threads, len(blocks))
-            _refuse_above_budget(used * per_thread, f"the block buffers of {used} thread(s)")
+            _refuse_above_budget(
+                used * per_thread + table_bytes, f"the block buffers of {used} thread(s) and the input table"
+            )
+        table = self._chirp_steps * (samples * self._pre)
 
         def work(block, buffers):
             i, j = block
             bufs = [buf[: j - i] for buf in buffers[:d]]
-            rows = out[i:j] if consumer is None else buffers[d][: j - i]
-            head = _head(bufs[0], 1, n)
-            np.multiply(self._time_chirp(i, j, head), samples, out=head)
+            # a streamed block is finished in the head of the last transform buffer
+            last = out[i:j] if consumer is None else None
+            self._time_chirp(i, j, table, _head(bufs[0], 1, n))
             for axis, (czt, buf) in enumerate(zip(self._czt, bufs), start=1):
-                czt.forward(buf, axis, rows if axis == d else _head(bufs[axis], axis + 1, n))
+                rows = czt.forward(buf, axis, last if axis == d else _head(bufs[axis], axis + 1, n))
             if consumer is not None:
-                consumer(i, rows, buffers[-1])
+                consumer(i, rows, *buffers[len(shapes) :])
             lo, hi = n_t - j, min(n_t - i, n_t // 2)
-            if mirror and lo < hi:
+            if flip_rows and lo < hi:
                 # mirror rows lo..hi-1 are the source rows j-1 down to n_t-hi
-                mirrored = out[lo:hi] if consumer is None else buffers[d][chunk : chunk + hi - lo]
+                mirrored = out[lo:hi] if consumer is None else buffers[d][: hi - lo]
                 np.conjugate(rows[n_t - hi - i :][flip], out=mirrored)
                 if consumer is not None:
-                    consumer(lo, mirrored, buffers[-1])
+                    consumer(lo, mirrored, *buffers[len(shapes) :])
 
         def scratch():
+            # the consumer's own buffers, if it has any, follow apply's
             buffers = [np.empty(shape, dtype=complex) for shape in shapes]
-            return buffers if consumer is None else buffers + [consumer.scratch(chunk)]
+            return buffers + [consumer.scratch(chunk)] if hasattr(consumer, "scratch") else buffers
 
         _run_blocks(work, blocks, scratch, threads)
-        return out if consumer is None else consumer.sums
+        return out if consumer is None else consumer.out
 
     # -- adjoint ------------------------------------------------------------
 
@@ -371,7 +419,7 @@ class ExtensionOperator:
                 czt.adjoint(buf, axis, y if axis == d else _head(bufs[axis], axis + 1, m))
             # the last transform buffer is free again: its head takes the
             # conjugated time chirp
-            chirp = self._time_chirp(i, j, _head(bufs[-1], d, n))
+            chirp = self._time_chirp(i, j, self._chirp_steps, _head(bufs[-1], d, n))
             np.conjugate(chirp, out=chirp)
             acc += np.multiply(chirp, y, out=chirp).sum(axis=0)
         return acc

@@ -31,7 +31,7 @@ from .grids import (
     lp_norm_frequency,
     profile_gradient_l2sq,
 )
-from .extension import ParaboloidShift, _run_blocks, _split, extend
+from .extension import ParaboloidShift, _refuse_above_budget, _run_blocks, _split, extend
 
 
 @dataclass
@@ -107,51 +107,88 @@ class _LqRows:
     ``scratch``, on any thread and starting on any row:
     each block forms each combination once, raises it to |.|^q once and
     reduces every t-row by dot products of its own with the weights, so the
-    sums depend on neither the block split nor the thread count.  ``norms``
-    finishes them with the t-weights."""
+    row sums, ``out``, depend on neither the block split nor the thread
+    count.  ``norms`` finishes them with the t-weights.
 
-    def __init__(self, stg: SpacetimeGrid, held: tuple, q: float, terms: tuple):
-        self.held, self.q, self.terms = held, q, terms
+    With ``mirrored``, every part is the field of a real profile, so that
+    c(-t, x) = conj c(t, -x) and |c|^q has the same values at (-t, x) and
+    (t, -x): the parts hold, and the blocks bring, only the rows
+    n_t // 2 .. n_t - 1 (t >= 0), and each block's |c|^q is reduced twice,
+    as its own rows and, read flipped along t and every x axis, as their
+    mirror rows n_t - 1 - r below n_t // 2.  A mirror row is reduced from
+    the values, in the order, of the row it mirrors, so its sum has the bits
+    the conjugate flip of the block would give."""
+
+    def __init__(self, stg: SpacetimeGrid, held: tuple, q: float, terms: tuple, mirrored: bool = False):
+        self.held, self.q, self.terms, self.mirrored = held, q, terms, mirrored
         self._d = stg.d
         strides = {s for _, ss in terms for s in ss}
         n_t, n_x = stg.t_points, stg.x_points_per_axis
+        self._n_t = n_t
+        self._first = n_t // 2 if mirrored else 0  # the global row of the held arrays' first row
         self._wt = {s: _trapezoid_weights(len(range(0, n_t, s)), stg.t_spacing * s) for s in strides}
         self._wx = {s: _trapezoid_weights(len(range(0, n_x, s)), stg.x_spacing * s) for s in strides}
         sizes = [self._wt[s].size for _, ss in terms for s in ss]
-        self.sums = np.empty(sum(sizes))
-        views = iter(np.split(self.sums, np.cumsum(sizes)[:-1]))
+        self.out = np.empty(sum(sizes))
+        views = iter(np.split(self.out, np.cumsum(sizes)[:-1]))
         self._rows = [[next(views) for _ in ss] for _, ss in terms]
         # the combination buffer is needed only when a term mixes two parts
         self._mixes = any(sum(map(bool, signs)) > 1 for signs, _ in terms)
         self._row_shape = (stg.x_points_per_axis,) * stg.d
 
     def scratch(self, rows: int) -> tuple:
-        """One thread's |.|^q and combination buffers for blocks of up to
-        ``rows`` rows."""
+        """One thread's two |.|^q buffers and combination buffer for blocks
+        of up to ``rows`` rows."""
         shape = (rows,) + self._row_shape
-        return np.empty(shape), np.empty(shape, dtype=complex) if self._mixes else None
+        powers = np.empty((2,) + shape)
+        return powers[0], powers[1], np.empty(shape, dtype=complex) if self._mixes else None
 
     def __call__(self, i: int, rows: np.ndarray, scratch: tuple) -> None:
-        self.reduce(i, [a[i : i + rows.shape[0]] for a in self.held] + [rows], scratch)
+        lo = i - self._first
+        self.reduce(i, [a[lo : lo + rows.shape[0]] for a in self.held] + [rows], scratch)
+
+    def _power(self, c: np.ndarray, out: np.ndarray, spare: np.ndarray) -> tuple:
+        """|c|^q from |c|^2 = re^2 + im^2, by repeated multiplication, left
+        to right, when q / 2 is whole, and otherwise as (|c|^2)^(q / 2):
+        (the buffer that holds it, the one of ``out`` and ``spare`` left
+        free)."""
+        np.multiply(c.real, c.real, out=out)
+        out += np.multiply(c.imag, c.imag, out=spare)
+        half = self.q / 2.0
+        if not half.is_integer():
+            out **= half
+            return out, spare
+        if half == 1.0:
+            return out, spare
+        np.multiply(out, out, out=spare)
+        for _ in range(int(half) - 2):
+            spare *= out
+        return spare, out
 
     def reduce(self, i: int, parts: list, scratch: tuple) -> None:
         """Reduce rows i.. of every term from ``parts``, the same rows of
-        each part, in a thread's ``scratch``."""
-        d = self._d
+        each part, in a thread's ``scratch``; with ``mirrored``, also their
+        mirror rows."""
+        d, n_t = self._d, self._n_t
         k = parts[0].shape[0]
-        power_rows, mix_rows = (b if b is None else b[:k] for b in scratch)
+        out_rows, spare_rows, mix_rows = (b if b is None else b[:k] for b in scratch)
+        # the mirror rows lo..hi-1, below n_t // 2, are the rows n_t-1-r of
+        # the block's rows r from n_t-hi on
+        lo, hi = n_t - i - k, min(n_t - i, n_t // 2)
+        flip = (slice(None, None, -1),) * (d + 1)
         for (signs, strides), term_rows in zip(self.terms, self._rows):
-            power = np.abs(_combine(signs, parts, mix_rows), out=power_rows)
-            power **= self.q
+            power, free = self._power(_combine(signs, parts, mix_rows), out_rows, spare_rows)
+            blocks = [(i, power)]
+            if self.mirrored and lo < hi:
+                blocks.append((lo, power[n_t - hi - i :][flip]))
             for s, r in zip(strides, term_rows):
-                # the first row of the block on the stride-s grid
-                o = -i % s
-                sub = power
-                if s > 1:
-                    sub = np.ascontiguousarray(power[(slice(o, None, s),) + (slice(None, None, s),) * d])
-                for _ in range(d):
-                    sub = np.vecdot(sub, self._wx[s])
-                r[(i + o) // s : (i + o) // s + sub.size] = sub
+                for first, rows in blocks:
+                    # the first row of the block on the stride-s grid
+                    o = -first % s
+                    sub = _contiguous(rows[(slice(o, None, s),) + (slice(None, None, s),) * d], free)
+                    for _ in range(d):
+                        sub = np.vecdot(sub, self._wx[s])
+                    r[(first + o) // s : (first + o) // s + sub.size] = sub
 
     def norms(self) -> list:
         """The norm of each term at each of its strides, in order."""
@@ -160,6 +197,52 @@ class _LqRows:
             for (_, strides), term_rows in zip(self.terms, self._rows)
             for s, r in zip(strides, term_rows)
         ]
+
+
+class _HalfField:
+    """A consumer of ``ExtensionOperator.apply`` that keeps the rows
+    n_t // 2 .. n_t - 1 (t >= 0) of the field of a real profile in ``out``:
+    the held form of such a field in a mirrored ``_LqRows``.  The memory
+    guard sizes that half field before it is allocated."""
+
+    mirrored = True
+
+    def __init__(self, stg: SpacetimeGrid):
+        self._first = stg.t_points // 2
+        shape = (stg.t_points - self._first,) + (stg.x_points_per_axis,) * stg.d
+        _refuse_above_budget(16 * math.prod(shape), f"a half field of shape {shape}")
+        self.out = np.empty(shape, dtype=complex)
+
+    def __call__(self, i: int, rows: np.ndarray) -> None:
+        self.out[i - self._first : i - self._first + rows.shape[0]] = rows
+
+
+def _real(pairs) -> bool:
+    """Whether every profile of the (profile, shift) ``pairs`` is real (the
+    exact test ``apply`` mirrors by), so every signed sum of their
+    extensions satisfies |c(-t, x)| = |c(t, -x)|."""
+    return not any(prof.samples.imag.any() for prof, _ in pairs)
+
+
+def _held_extension(pair: tuple, stg: SpacetimeGrid, threads: int, mirrored: bool) -> np.ndarray:
+    """The extension of the (profile, shift) ``pair`` on ``stg`` as a held
+    part of an ``_LqRows``: the whole field, or, for a ``mirrored`` one,
+    only its t >= 0 rows."""
+    prof, shift = pair
+    if not mirrored:
+        return extend(prof, shift, stg, threads=threads)
+    return extend(prof, shift, stg, threads=threads, consumer=_HalfField(stg))
+
+
+def _contiguous(a: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """``a`` itself when it is C-contiguous, and otherwise (a stride-2 grid,
+    a flipped block) its copy in the head of the contiguous buffer ``buf``,
+    so that the dot products of its rows keep their summation order."""
+    if a.flags.c_contiguous:
+        return a
+    head = buf.reshape(-1)[: a.size].reshape(a.shape)
+    np.copyto(head, a)
+    return head
 
 
 def _truncated_lq(
@@ -192,11 +275,15 @@ def _truncated_lq(
     return red.norms()
 
 
-def _streamed_lq(stg: SpacetimeGrid, held: tuple, last: tuple, q: float, terms: tuple, threads: int) -> list:
+def _streamed_lq(
+    stg: SpacetimeGrid, held: tuple, last: tuple, q: float, terms: tuple, threads: int, mirrored: bool = False
+) -> list:
     """The norms of ``terms`` (see ``_LqRows``) over the ``held`` sample
     arrays and the extension of the (profile, shift) pair ``last``, which is
-    streamed through ``extend``'s t-blocks and never held."""
-    red = _LqRows(stg, held, q, terms)
+    streamed through ``extend``'s t-blocks and never held.  With
+    ``mirrored`` (every profile real), the held arrays and the stream are
+    the t >= 0 rows alone (see ``_held_extension``)."""
+    red = _LqRows(stg, held, q, terms, mirrored)
     prof, shift = last
     extend(prof, shift, stg, threads=threads, consumer=red)
     return red.norms()
@@ -284,7 +371,11 @@ def lq_norm_spacetime(
 
     Every extension but the last is held as a sample array; the last is
     streamed through ``extend``'s t-blocks into the one reduction, so the sum
-    is never formed, and the extension of a single pair is never held.  The tail
+    is never formed, and the extension of a single pair is never held.  When
+    every profile is real, the time reversal |c(-t, x)| = |c(t, -x)| of every
+    signed sum c lets the held fields keep, and the stream bring, only their
+    t >= 0 rows (see ``_LqRows``); the memory guard sizes those half fields.
+    Complex or mixed profiles hold and stream every row.  The tail
     norms of the pairs add by Minkowski.  ``parts`` lists further signed
     combinations of the same extensions, one sign per pair, whose truncated
     norms (without tails) the same pass reduces into ``NormResult.parts``.
@@ -304,9 +395,10 @@ def lq_norm_spacetime(
             f"d (q - 2) / 2 = {beta:.3g} <= 1: the dispersive tail is not integrable"
         )
 
-    held = tuple(extend(prof, shift, stg, threads=threads) for prof, shift in tail_pairs[:-1])
+    mirrored = _real(tail_pairs)
+    held = tuple(_held_extension(pair, stg, threads, mirrored) for pair in tail_pairs[:-1])
     terms = (((1,) * len(tail_pairs), (1, 2)),) + tuple((signs, (1,)) for signs in parts)
-    value, coarse, *extra = _streamed_lq(stg, held, tail_pairs[-1], q, terms, threads)
+    value, coarse, *extra = _streamed_lq(stg, held, tail_pairs[-1], q, terms, threads, mirrored)
     quad_est = abs(value - coarse) / 3.0
     T = stg.t_half_width
     X = stg.x_half_width

@@ -18,7 +18,7 @@ from scipy import ndimage
 
 from .errors import NumericalRefusalError
 from .exponents import Exponents
-from .extension import ParaboloidShift, extend
+from .extension import ParaboloidShift
 from .grids import (
     FrequencyGrid,
     FrequencyProfile,
@@ -28,7 +28,7 @@ from .grids import (
     plateau_bump,
     smooth_bump,
 )
-from .norms import _pair_terms, _streamed_lq, quotient_pair, quotient_single
+from .norms import _held_extension, _pair_terms, _real, _streamed_lq, quotient_pair, quotient_single
 from .symmetry import Symmetry, apply_symmetry_frequency
 
 SEPARATION_MAX_HALVINGS = 12  # halvings of s0 tried by build_separating_testfn
@@ -376,14 +376,16 @@ def shifted_limit_test(
     threads: int = 1,
 ) -> list:
     """Residuals ||E_shift0 f - E_shift_n f||_q per n (f normalized in L^p).
-    The reference field is held and each shifted field streamed against it."""
+    The reference field is held, only on its t >= 0 rows when f is real, and
+    each shifted field streamed against it."""
     nf = lp_norm_frequency(f, e.p)
     if nf == 0.0:
         raise ValueError("zero profile")
     f = f.scaled(1.0 / nf)
-    ref = extend(f, shift0, stg, threads=threads)
+    mirrored = _real([(f, shift0)])
+    ref = _held_extension((f, shift0), stg, threads, mirrored)
     terms = (((1, -1), (1,)),)
-    return [_streamed_lq(stg, (ref,), (f, sh), e.q, terms, threads)[0] for sh in shifts]
+    return [_streamed_lq(stg, (ref,), (f, sh), e.q, terms, threads, mirrored)[0] for sh in shifts]
 
 
 @dataclass

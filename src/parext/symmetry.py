@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import Exponents
-from .extension import ParaboloidShift
+from .extension import ParaboloidShift, _refuse_above_budget
 from .grids import (
     FrequencyGrid,
     FrequencyProfile,
@@ -150,8 +150,13 @@ def verify_intertwining(
     """Relative L^q discrepancy between T(E_shift f) and E_new_shift(S f),
     with S acting on the paraboloid of ``shift``, both evaluated by direct
     quadrature at the same spacetime points (the sheared pullback points of
-    ``stg``)."""
+    ``stg``).  The quadrature of one slice forms an n_x^d x N^d phase matrix
+    and its exponential; a grid whose matrices exceed the memory budget of
+    one call is refused before anything is evaluated."""
     d = f.grid.d
+    points = stg.x_points_per_axis**d * f.grid.points_per_axis**d
+    # 16 bytes per complex entry, held twice while the exponential is formed
+    _refuse_above_budget(32 * points, f"the direct quadrature of a slice ({points:.4g} points)")
 
     new_shift = pushthrough_shift(S, shift)
     g_new = apply_symmetry_frequency(S, f, e.p, shift)

@@ -1,10 +1,12 @@
 import json
+import os
+import time
 import warnings
 
 import pytest
 import yaml
 
-from parext import cli
+from parext import cli, extension
 from parext.cli import main, run_experiment
 from parext.errors import ConfigError
 
@@ -229,6 +231,25 @@ def test_nyquist_refusal_exits_3(tmp_path):
         "profile: {kind: gaussian}\n",
     )
     assert main(["quotient", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+def test_dense_symmetry_check_refuses_a_large_grid(tmp_path, capsys, monkeypatch):
+    # on the FROZEN d = 2 grid, the direct quadrature of one slice would form
+    # a 97^2 x 128^2 complex matrix and its exponential, 4.9 GB; with the
+    # budget of a machine of at most 8 GiB, verify-symmetry refuses before it
+    # evaluates anything
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    monkeypatch.setattr(extension, "FIELD_MEMORY_FRACTION", min(extension.FIELD_MEMORY_FRACTION, 2**30 / memory))
+    cfg = write_cfg(
+        tmp_path,
+        "dense.yaml",
+        "d: 2\np: 2.0\ngrid: {l_xi: 7.0, n: 128, t: 10.0, x: 16.0, m: 129, n_x: 97}\n"
+        "profile: {kind: gaussian}\nshift: {tau0: 1.0, xi0: [1.0, 0.0]}\ndraws: 1\n",
+    )
+    start = time.monotonic()
+    assert main(["verify-symmetry", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert time.monotonic() - start < 10.0
+    assert "the direct quadrature of a slice" in capsys.readouterr().err
 
 
 def test_separation_refusal_exits_3(tmp_path, capsys):

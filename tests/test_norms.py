@@ -13,6 +13,8 @@ from conftest import (
     FROZEN_STG_D1,
     FROZEN_STG_D2,
     GAUSS_L4_D2,
+    PAIR_FGRID,
+    PAIR_STG,
     GAUSS_L2_D2,
     gauss_l6_exact,
     truncated_gauss_l4_d2,
@@ -20,11 +22,13 @@ from conftest import (
 )
 from parext import norms
 from parext.errors import TailCertificationError
-from parext.extension import ExtensionOperator, ParaboloidShift, extend
+from parext.exponents import validate_exponents
+from parext.extension import ExtensionOperator, ParaboloidShift, _run_blocks, _split, extend
 from parext.grids import (
     FrequencyGrid,
     SpacetimeGrid,
     gaussian_profile,
+    lp_norm_frequency,
 )
 from parext.norms import (
     _LQ_BLOCK_POINTS,
@@ -39,7 +43,7 @@ from parext.norms import (
     quotient_single,
     sharp_holder_gap,
 )
-from parext.sequences import scaled_spacetime_grid
+from parext.sequences import scaled_spacetime_grid, shifted_limit_test
 from parext.symmetry import Symmetry, apply_symmetry_frequency
 
 ZERO1 = ParaboloidShift(0.0, (0.0,))
@@ -244,7 +248,16 @@ def test_truncated_lq_matches_the_whole_array_form(d, n_t, n_x, coarsest):
         expected = []
         for whole_field in combos.values():
             for stride in strides:
-                whole = np.abs(whole_field[(slice(None, None, stride),) * (d + 1)]) ** q
+                c = whole_field[(slice(None, None, stride),) * (d + 1)]
+                # |c|^q from |c|^2 = re^2 + im^2: by repeated multiplication
+                # when q / 2 is whole, and as a power otherwise
+                r2 = c.real * c.real + c.imag * c.imag
+                if (q / 2).is_integer():
+                    whole = r2
+                    for _ in range(int(q / 2) - 1):
+                        whole = whole * r2
+                else:
+                    whole = r2 ** (q / 2)
                 for _ in range(d):
                     whole = np.vecdot(whole, weights(stg.x_points_per_axis, stg.x_spacing, stride))
                 wt = weights(stg.t_points, stg.t_spacing, stride)
@@ -287,30 +300,36 @@ def test_truncated_lq_memory_stays_below_the_field():
 @pytest.mark.parametrize(
     "fg, stg, odd_chunk",
     [
-        # odd n_t: the blocks of t >= 0, and so the mirror blocks of a real
-        # profile, start on odd rows
+        # odd n_t: the blocks of t >= 0 start on odd rows, and the t = 0 row
+        # mirrors itself
         (FrequencyGrid(1, 10.0, 512), SpacetimeGrid(1, 20.0, 30.0, 259, 257), False),
         # an odd block of 85 rows
         (FrequencyGrid(1, 10.0, 512), SpacetimeGrid(1, 20.0, 30.0, 301, 1025), True),
         # d = 2, with an odd block of 11 rows
         (FrequencyGrid(2, 7.0, 64), SpacetimeGrid(2, 5.0, 8.0, 33, 41), True),
+        # the same three with even n_t and n_x, where the stride-2 grid of a
+        # mirror row is not the mirror of its source row's
+        (FrequencyGrid(1, 10.0, 512), SpacetimeGrid(1, 20.0, 30.0, 258, 256), False),
+        (FrequencyGrid(1, 10.0, 512), SpacetimeGrid(1, 20.0, 30.0, 300, 1024), True),
+        (FrequencyGrid(2, 7.0, 64), SpacetimeGrid(2, 5.0, 8.0, 32, 40), True),
     ],
 )
 def test_streamed_norms_equal_the_materialized_path(fg, stg, odd_chunk):
     # every norm a caller reads from a streamed field, the second field of a
     # pair streamed against the held first, has the bits of the reduction of
-    # both fields held whole, for real and complex profiles, on one thread
-    # or two
+    # both fields held whole, on one thread or two: for two real profiles,
+    # which hold and stream only the t >= 0 rows and reduce each block's
+    # |c|^q also as its mirror rows, and for a complex and a real one, which
+    # take the whole field
     d = stg.d
     zero, shift = ParaboloidShift.zero(d), ParaboloidShift(0.5, (-1.0,) + (0.0,) * (d - 1))
     assert (ExtensionOperator(fg, zero, stg)._default_chunk() % 2 == 1) == odd_chunk
-    assert stg.t_points % 2 == 1
     q = 2.0 + 4.0 / d
     parts = ((1, 0), (0, 1), (1, -1))  # those weak_limit_diagnostics reads
     for chirp in (0.0, 0.3):
         f = gaussian_profile(fg, chirp=chirp)
         g = gaussian_profile(fg, width=0.8, center=0.1)
-        assert f.samples.imag.any() == (chirp != 0.0)  # a real profile streams mirror blocks
+        assert f.samples.imag.any() == (chirp != 0.0) and not g.samples.imag.any()
         for threads in (1, 2):
             held = extend(f, zero, stg, threads=threads)
             other = extend(g, shift, stg, threads=threads)
@@ -319,8 +338,84 @@ def test_streamed_norms_equal_the_materialized_path(fg, stg, odd_chunk):
             assert res.value == value and res.quadrature_estimate == abs(value - coarse) / 3.0
             assert list(res.parts) == _truncated_lq(stg, (other, held), q, parts)
             # one streamed field alone, at both strides
-            alone = _streamed_lq(stg, (), (f, zero), q, (((1,), (1, 2)),), threads)
+            alone = _streamed_lq(stg, (), (f, zero), q, (((1,), (1, 2)),), threads, chirp == 0.0)
             assert alone == _truncated_lq(stg, (held,), q, strides=(1, 2))
+            # a held reference against a streamed shifted field of the same
+            # profile
+            residual = shifted_limit_test(f, zero, [shift], validate_exponents(d, 2.0), stg, threads)
+            unit = f.scaled(1.0 / lp_norm_frequency(f, 2.0))
+            fields = tuple(extend(unit, s, stg, threads=threads) for s in (zero, shift))
+            assert residual == _truncated_lq(stg, fields, q, ((1, -1),))
+
+
+@pytest.mark.parametrize("d, n_t, n_x", [(1, 61, 129), (1, 60, 128), (2, 31, 17), (2, 30, 16)])
+def test_mirrored_reduction_equals_the_whole_field(d, n_t, n_x):
+    # random rows t >= 0 of two fields, held and streamed in odd blocks of 7
+    # rows on one thread or two, reduce to the bits of both whole fields
+    # whose rows t < 0 are the conjugate flips of those, for every
+    # combination at strides 1 and 2: random values make the sums depend on
+    # their order, which a mirror row must keep
+    stg = SpacetimeGrid(d, 3.0, 5.0, n_t, n_x)
+    first = n_t // 2
+    fields = []
+    for seed in (0, 1):
+        full = _random_field(stg, seed)
+        full[:first] = np.conj(full[::-1][:first][(slice(None),) + (slice(None, None, -1),) * d])
+        fields.append(full)
+    combos = ((1, 0), (0, 1), (1, 1), (1, -1))
+    expected = _truncated_lq(stg, tuple(fields), 6.0, combos, (1, 2))
+    for threads in (1, 2):
+        red = norms._LqRows(stg, (fields[0][first:],), 6.0, tuple((c, (1, 2)) for c in combos), mirrored=True)
+        _run_blocks(
+            lambda block, scratch: red(block[0], fields[1][block[0] : block[1]], scratch),
+            _split(first, n_t, 7), lambda: red.scratch(7), threads,
+        )
+        assert red.norms() == expected
+
+
+def test_mirror_rows_reach_the_reduction_only_for_real_profiles(monkeypatch):
+    # two real profiles: the reduction takes only the blocks of t >= 0 and
+    # mirrors them itself; a complex profile in the pair turns that off, and
+    # apply streams the conjugate-flipped rows of the real one as before
+    stg = SpacetimeGrid(1, 20.0, 30.0, 259, 257)
+    fg = FrequencyGrid(1, 10.0, 512)
+    zero, shift = ParaboloidShift.zero(1), ParaboloidShift(0.5, (-1.0,))
+    real, real_g = gaussian_profile(fg), gaussian_profile(fg, width=0.8, center=0.1)
+    chirped = gaussian_profile(fg, chirp=0.3)
+    calls = []
+    call = norms._LqRows.__call__
+
+    def spy(self, i, rows, scratch):
+        calls.append((self.mirrored, i))
+        call(self, i, rows, scratch)
+
+    monkeypatch.setattr(norms._LqRows, "__call__", spy)
+    for f, g, mirrored in ((real, real_g, True), (chirped, real_g, False), (real_g, chirped, False)):
+        calls.clear()
+        res = lq_norm_spacetime(stg, [(f, zero), (g, shift)], 6.0, parts=((1, -1),))
+        assert {m for m, _ in calls} == {mirrored}
+        assert min(i for _, i in calls) == (stg.t_points // 2 if mirrored else 0)
+        fields = (extend(f, zero, stg), extend(g, shift, stg))
+        assert [res.value, *res.parts] == _truncated_lq(stg, fields, 6.0, ((1, 1), (1, -1)))
+    # a mirrored consumer refuses the field of a complex profile
+    with pytest.raises(ValueError, match="real samples only"):
+        extend(chirped, zero, stg, consumer=norms._HalfField(stg))
+
+
+def test_real_pair_quotient_holds_half_a_field(exponents_d1):
+    # E f of a real profile is held on its t >= 0 rows alone, and E_s g is
+    # streamed against it: on one thread, the PAIR quotient of two real
+    # profiles peaks well below one field
+    f = gaussian_profile(PAIR_FGRID)
+    g = gaussian_profile(PAIR_FGRID, width=0.8, center=0.1)
+    field_bytes = 16 * math.prod(PAIR_STG.field_shape)
+    tracemalloc.start()
+    try:
+        quotient_pair(f, g, ParaboloidShift(0.0, (1.0,)), exponents_d1, PAIR_STG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * field_bytes
 
 
 def test_streamed_quotient_holds_no_field(exponents_d1):
