@@ -172,7 +172,8 @@ GRID = {"l_xi": _finite, "n": _whole, "t": _finite, "x": _finite, "m": _whole, "
 
 def _common(cfg: dict, keys: set):
     """Refuse every key of ``cfg`` but d, p, grid, profile, out and the kind's
-    own ``keys``, then read the exponents, both grids and the profile f."""
+    own ``keys``, then read the exponents, both grids and the profile f,
+    which must have a nonzero sample on the frequency grid."""
     _check_keys(cfg, {"d", "p", "grid", "profile", "out"} | keys, "config")
     d = _read(cfg, "d", "config", _whole, 1)
     try:
@@ -188,6 +189,8 @@ def _common(cfg: dict, keys: set):
     except ValueError as ex:
         raise ConfigError(f"grid: {ex}") from ex
     f = _parse_profile(_read(cfg, "profile", "config", _mapping), fgrid, "profile")
+    if not f.samples.any():
+        raise ConfigError("profile: every sample is zero on the frequency grid")
     return e, stg, f
 
 

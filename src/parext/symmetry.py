@@ -22,12 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import Exponents
-from .extension import ParaboloidShift, _refuse_above_budget
-from .grids import (
-    FrequencyGrid,
-    FrequencyProfile,
-    SpacetimeGrid,
-)
+from .extension import ParaboloidShift, extend
+from .grids import FrequencyGrid, FrequencyProfile, SpacetimeGrid
 from .norms import _truncated_lq
 
 
@@ -118,28 +114,6 @@ def compose_symmetry(S1: Symmetry, S2: Symmetry) -> tuple:
 # intertwining verification
 # ---------------------------------------------------------------------------
 
-def _eval_extension_points(
-    f: FrequencyProfile, shift: ParaboloidShift, t_pts: np.ndarray, x_pts: np.ndarray
-) -> np.ndarray:
-    """Direct quadrature of the extension at arbitrary matched points.
-
-    ``t_pts`` has shape (M,), ``x_pts`` shape (M, ..., d); slow but free of
-    interpolation error, used to validate the fast pipeline and the symmetry
-    algebra.
-    """
-    g = f.grid
-    mesh = g.meshgrid()
-    xi_flat = np.stack([m.ravel() for m in mesh], axis=-1)  # (N^d, d)
-    fw = (f.samples * 1.0).ravel() * g.cell_volume
-    h_flat = shift.height(mesh).ravel()
-    out = np.empty(x_pts.shape[:-1], dtype=complex)
-    for i, tv in enumerate(t_pts):
-        amp = np.exp(1j * tv * h_flat) * fw
-        xp = x_pts[i].reshape(-1, g.d)
-        out[i] = (np.exp(1j * (xp @ xi_flat.T)) @ amp).reshape(x_pts.shape[1:-1])
-    return out
-
-
 def verify_intertwining(
     S: Symmetry,
     f: FrequencyProfile,
@@ -147,41 +121,40 @@ def verify_intertwining(
     e: Exponents,
     stg: SpacetimeGrid,
 ) -> float:
-    """Relative L^q discrepancy between T(E_shift f) and E_new_shift(S f),
-    with S acting on the paraboloid of ``shift``, both evaluated by direct
-    quadrature at the same spacetime points (the sheared pullback points of
-    ``stg``).  The quadrature of one slice forms an n_x^d x N^d phase matrix
-    and its exponential; a grid whose matrices exceed the memory budget of
-    one call is refused before anything is evaluated."""
+    """Relative L^q discrepancy on ``stg`` between T(E_shift f) and
+    E_new_shift(S f), with S acting on the paraboloid of ``shift``.
+
+    Both sides are one ``extend`` each, so both fall under the operator's
+    Nyquist rule and memory guard; their operators share the Nyquist ratio
+    dxi X / (lambda pi).  The right side is the pushed-through extension on
+    ``stg``.  The left side evaluates E_shift f at the sheared points
+    (t / lambda^2 + t0, x / lambda + x0 + 2 t xi_tilde / lambda^2):
+    completing the square in the phase, with h the height of ``shift``,
+
+        t0 h + x0 . xi + (t / lambda^2) (|xi - (xi0 - xi_tilde)|^2
+            + tau0 + 2 xi_tilde . xi0 - |xi_tilde|^2) + (x / lambda) . xi,
+
+    that is the extension of e^{i (t0 h + x0 . xi)} f from the paraboloid of
+    the shift (tau0 + 2 xi_tilde . xi0 - |xi_tilde|^2, xi0 - xi_tilde) on the
+    grid of ``stg`` scaled by 1 / lambda^2 in t and 1 / lambda in x.  It uses
+    neither ``pushthrough_shift`` nor ``apply_symmetry_frequency``, so the
+    check tests both."""
     d = f.grid.d
-    points = stg.x_points_per_axis**d * f.grid.points_per_axis**d
-    # 16 bytes per complex entry, held twice while the exponential is formed
-    _refuse_above_budget(32 * points, f"the direct quadrature of a slice ({points:.4g} points)")
-
-    new_shift = pushthrough_shift(S, shift)
-    g_new = apply_symmetry_frequency(S, f, e.p, shift)
-
-    t = stg.t_axis
-    x_axes = [stg.x_axis] * d
-    mesh = np.meshgrid(t, *x_axes, indexing="ij")
-    x_pts = np.stack(mesh[1:], axis=-1)
-
-    # right side: the pushed-through extension at the grid points
-    rhs = _eval_extension_points(g_new, new_shift, t, x_pts)
-
-    # left side: T applied to the original shifted extension at the sheared
-    # points (t / lambda^2 + t0, x / lambda + x0 + 2 t xi_tilde / lambda^2);
-    # the sheared time depends on t alone
     lam = S.lam
     xt = S.xi_tilde_vec()
-    x0 = S.x0_vec()
-    ts = t / lam**2 + S.t0
-    xs = [mesh[1 + a] / lam + x0[a] + 2.0 * mesh[0] * xt[a] / lam**2 for a in range(d)]
-    base = _eval_extension_points(f, shift, ts, np.stack(xs, axis=-1))
-    phase = mesh[0] * float(xt @ xt) / lam**2
-    for a in range(d):
-        phase = phase + mesh[1 + a] * xt[a] / lam
-    lhs = lam ** (-(d + 2) / e.q) * np.exp(1j * phase) * base
+
+    # right side: the pushed-through extension on stg
+    rhs = extend(apply_symmetry_frequency(S, f, e.p, shift), pushthrough_shift(S, shift), stg)
+
+    # left side: E_shift f at the sheared points, then T's prefactor
+    mesh = f.grid.meshgrid()
+    phase = S.t0 * shift.height(mesh) + sum(x0i * m for x0i, m in zip(S.x0, mesh))
+    xi0 = shift.xi0_vec()
+    sheared = ParaboloidShift(shift.tau0 + 2.0 * float(xt @ xi0) - float(xt @ xt), tuple(xi0 - xt))
+    grid = SpacetimeGrid(d, stg.t_half_width / lam**2, stg.x_half_width / lam, stg.t_points, stg.x_points_per_axis)
+    lhs = extend(FrequencyProfile(f.grid, np.exp(1j * phase) * f.samples), sheared, grid)
+    t, *x = np.meshgrid(stg.t_axis, *[stg.x_axis] * d, indexing="ij", sparse=True)
+    lhs *= lam ** (-(d + 2) / e.q) * np.exp(1j * (t * float(xt @ xt) / lam**2 + sum(v * xa for v, xa in zip(xt, x)) / lam))
 
     denom, discrepancy = _truncated_lq(stg, (lhs, rhs), e.q, ((0, 1), (1, -1)))
     if denom == 0.0:

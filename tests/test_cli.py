@@ -1,14 +1,18 @@
 import json
-import os
 import time
+import tracemalloc
 import warnings
 
 import pytest
 import yaml
 
-from parext import cli, extension
+from conftest import FROZEN_FGRID_D2, FROZEN_STG_D2
+from parext import cli
 from parext.cli import main, run_experiment
 from parext.errors import ConfigError
+from parext.extension import ParaboloidShift
+from parext.grids import gaussian_profile
+from parext.symmetry import Symmetry, verify_intertwining
 
 BASE_GRID = "grid: {l_xi: 8.0, n: 256, t: 3.0, x: 10.0, m: 33, n_x: 65}"
 
@@ -170,6 +174,10 @@ SEQUENCE = SHIFT + "lambdas: [1.0, 0.5]\n"
         pytest.param("quotient", "p: .nan\n", "config.p", id="p-nan"),
         pytest.param("quotient", "p: .inf\n", "config.p", id="p-inf"),
         pytest.param("sequence", "shift: {tau0: .nan, xi0: [1.0]}\nlambdas: [1.0]\n", "shift.tau0", id="tau0-nan"),
+        # a profile with no nonzero sample used to end every kind in an internal error (exit 4)
+        pytest.param(
+            "verify-symmetry", SHIFT + "profile: {kind: gaussian, center: 100.0}\n", "profile", id="profile-zero"
+        ),
     ],
 )
 def test_stray_key_or_malformed_value_exits_2(tmp_path, capsys, kind, extra, key):
@@ -233,23 +241,51 @@ def test_nyquist_refusal_exits_3(tmp_path):
     assert main(["quotient", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
-def test_dense_symmetry_check_refuses_a_large_grid(tmp_path, capsys, monkeypatch):
-    # on the FROZEN d = 2 grid, the direct quadrature of one slice would form
-    # a 97^2 x 128^2 complex matrix and its exponential, 4.9 GB; with the
-    # budget of a machine of at most 8 GiB, verify-symmetry refuses before it
-    # evaluates anything
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    monkeypatch.setattr(extension, "FIELD_MEMORY_FRACTION", min(extension.FIELD_MEMORY_FRACTION, 2**30 / memory))
+def test_symmetry_check_runs_the_frozen_d2_grid(tmp_path, exponents_d2):
+    # both sides of the intertwining check are extensions on 129 x 97^2
+    # grids, so the FROZEN d = 2 check runs in seconds and holds a few fields
     cfg = write_cfg(
         tmp_path,
-        "dense.yaml",
+        "frozen.yaml",
         "d: 2\np: 2.0\ngrid: {l_xi: 7.0, n: 128, t: 10.0, x: 16.0, m: 129, n_x: 97}\n"
-        "profile: {kind: gaussian}\nshift: {tau0: 1.0, xi0: [1.0, 0.0]}\ndraws: 1\n",
+        "profile: {kind: gaussian}\nshift: {tau0: 1.0, xi0: [1.0, 0.0]}\ndraws: 3\n",
     )
+    out = tmp_path / "o"
     start = time.monotonic()
-    assert main(["verify-symmetry", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert main(["verify-symmetry", "--config", cfg, "--out", str(out)]) == 0
     assert time.monotonic() - start < 10.0
-    assert "the direct quadrature of a slice" in capsys.readouterr().err
+    assert float(read_report(out)["worst_discrepancy"]) < 1e-4
+
+    f = gaussian_profile(FROZEN_FGRID_D2)
+    S = Symmetry(1.3, (0.5, -0.7), 0.4, (1.0, -2.0))
+    tracemalloc.start()
+    try:
+        verify_intertwining(S, f, ParaboloidShift(1.0, (1.0, 0.0)), exponents_d2, FROZEN_STG_D2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
+
+
+def test_symmetry_check_follows_the_nyquist_rule(tmp_path, capsys):
+    # on BASE_GRID both sides have the Nyquist ratio 0.199 / lambda: above 1
+    # the report carries the warning, above NYQUIST_HARD_FACTOR = 4 the run
+    # is refused
+    def run(lam):
+        cfg = write_cfg(
+            tmp_path,
+            f"nyq{lam}.yaml",
+            f"d: 1\n{BASE_GRID}\nprofile: {{kind: gaussian}}\n{SHIFT}draws: 1\n"
+            f"box: {{lam_min: {lam}, lam_max: {lam}}}\n",
+        )
+        return main(["verify-symmetry", "--config", cfg, "--out", str(tmp_path / f"o{lam}")])
+
+    assert run(0.1) == 0
+    message = "Nyquist condition violated (ratio 1.99); aliased copies of the field may leak into the grid"
+    assert read_report(tmp_path / "o0.1")["warnings"] == [message]
+    assert run(0.04) == 3
+    assert "ratio 4.97 exceeds the hard factor 4.0" in capsys.readouterr().err
+    assert not (tmp_path / "o0.04").exists()
 
 
 def test_separation_refusal_exits_3(tmp_path, capsys):

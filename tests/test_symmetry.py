@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parext import symmetry
 from parext.extension import ParaboloidShift
 from parext.grids import (
     FrequencyGrid,
@@ -136,3 +137,21 @@ def test_intertwining_random_box(exponents_d1, rng):
             worst = max(worst, verify_intertwining(S, f, shift, exponents_d1, STG_SMALL))
     assert worst < 1e-4
 
+
+
+@pytest.mark.parametrize("field", ["tau0", "xi0"])
+def test_intertwining_catches_a_wrong_pushthrough(exponents_d1, monkeypatch, field):
+    # the left side uses neither pushthrough_shift nor apply_symmetry_frequency,
+    # so an error in the new shift shows as a discrepancy (unperturbed: ~3e-16)
+    exact = pushthrough_shift
+
+    def perturbed(S, shift):
+        new = exact(S, shift)
+        if field == "tau0":
+            return ParaboloidShift(new.tau0 + 0.05, new.xi0)
+        return ParaboloidShift(new.tau0, tuple(new.xi0_vec() + 0.05))
+
+    monkeypatch.setattr(symmetry, "pushthrough_shift", perturbed)
+    f = gaussian_profile(FG)
+    S = Symmetry(2.0, (1.0,), 0.5, (0.3,))
+    assert verify_intertwining(S, f, ParaboloidShift(1.0, (1.0,)), exponents_d1, STG_SMALL) > 1e-2
