@@ -11,8 +11,8 @@ key.  Every run writes report.json plus one CSV per result table,
 atomically; wall-clock time goes to a run_meta.json sidecar so that report
 and tables are byte-identical across reruns and thread counts.  The report's ``warnings`` key lists the
 ParextWarning messages the run raised, sorted and once each.  --threads
-must be at least 1, and exactly 1 for verify-symmetry and separation, which
-run on one thread; any other value is a configuration error too.
+must be at least 1, and exactly 1 for separation, which runs on one thread;
+any other value is a configuration error too.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .sequences import (
 from .symmetry import Symmetry, verify_intertwining
 
 KINDS = ("quotient", "sequence", "search", "verify-symmetry", "separation", "shifted-limit")
-SINGLE_THREADED = ("verify-symmetry", "separation")  # kinds that never read --threads
+SINGLE_THREADED = ("separation",)  # kinds that never read --threads
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +276,7 @@ BOX = {"lam_min": (_positive, 0.125), "lam_max": (_positive, 8.0),
        "xi_max": (_finite, 4.0), "t_max": (_finite, 4.0), "x_max": (_finite, 4.0)}
 
 
-def _run_verify_symmetry(cfg: dict):
+def _run_verify_symmetry(cfg: dict, threads: int):
     e, stg, f = _common(cfg, {"shift", "draws", "box", "seed"})
     shift = _shift(cfg, "shift", e.d)
     draws = _read(cfg, "draws", "config", _positive_whole, 100)
@@ -292,7 +292,7 @@ def _run_verify_symmetry(cfg: dict):
         t0 = float(rng.uniform(-t_max, t_max))
         x0 = tuple(float(v) for v in rng.uniform(-x_max, x_max, e.d))
         S = Symmetry(lam, xt, t0, x0)
-        disc = verify_intertwining(S, f, shift, e, stg)
+        disc = verify_intertwining(S, f, shift, e, stg, threads)
         rows.append((i, lam, *xt, t0, *x0, disc))
     header = ["draw", "lambda"] + [f"xi_tilde_{a}" for a in range(e.d)]
     header += ["t0"] + [f"x0_{a}" for a in range(e.d)] + ["discrepancy"]
@@ -353,7 +353,7 @@ def run_experiment(kind: str, cfg: dict, out_dir: str, threads: int = 1) -> dict
         elif kind == "search":
             tables, extra = _run_search(cfg, threads)
         elif kind == "verify-symmetry":
-            tables, extra = _run_verify_symmetry(cfg)
+            tables, extra = _run_verify_symmetry(cfg, threads)
         elif kind == "separation":
             tables, extra = _run_separation(cfg)
         else:

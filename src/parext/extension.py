@@ -13,9 +13,9 @@ convolution with the chirp exp(-i dx dxi m^2 / 2) and a post-chirp in k
 (Bluestein's algorithm), the convolution taking one FFT pair of length at
 least N + M - 1.  Each t-slice is the chirp-modulated profile pushed through
 one such transform per axis; on the uniform t-grid the time chirp
-exp(i t |xi - xi0|^2) is the product of a base, evaluated directly once
-every CHIRP_PERIOD^2 slices, and two tabulated factors: one per multiple of
-CHIRP_PERIOD time steps and one per time step within such a period.  The
+exp(i t |xi - xi0|^2) is the product of three tabulated factors: one per
+CHIRP_PERIOD^2-th slice, one per multiple of CHIRP_PERIOD time steps and one
+per time step within such a period.  The
 result is the Riemann sum itself, exact to rounding at every
 requested x, including points past the period 2 pi / dxi of the sum.
 
@@ -30,10 +30,10 @@ points (2 MB), so a block stays in one core's L2 cache.  Each axis has one
 buffer of length n_fft along that axis, allocated once per thread:
 a block's input is written straight into the head of the first, each
 transform zeroes the tail, runs the FFT pair in place and writes its
-post-chirp into the head of the next buffer, into the output, or, when the
-block is streamed, in place into its own head.  No step makes a temporary of
-the block's size, and each slice's bits depend on its index alone, never on
-the block split or the thread count.
+post-chirp into the head of the next buffer, into the rows of a held field,
+or, when the block is streamed, in place into its own head.  No step makes
+a temporary of the block's size, and each slice's bits depend on its index
+alone, never on the block split or the thread count.
 
 The t- and x-grids are symmetric, so for real samples (the exact test: no
 nonzero imaginary part) the Riemann sum satisfies F(-t, x) = conj F(t, -x)
@@ -43,17 +43,18 @@ mirror slice with t < 0.  A mirrored slice depends on its source slice
 alone, so the bits still do not depend on the block split or the thread
 count; complex samples take the same loop over every slice.
 
-The output is either the whole field, one sample array, or a stream: given
-a consumer, ``apply`` allocates no field and hands each finished block of
-slices to the consumer on the thread that made it, out of a per-thread
-block buffer.  A caller that only reduces a field (the L^q norms of
-``parext.norms``) therefore holds one block of it per thread.  A consumer
-flagged ``mirrored`` derives the t < 0 slices of a real profile itself: it
-receives only the blocks of t >= 0, and ``apply`` forms no mirror slice for
-it.  Any other consumer receives each block and then its block of mirror
-slices.  The memory guard sizes what a call allocates: the field when it is
-materialized, the per-thread block buffers when it is streamed, and the
-input table in both cases.
+``apply`` always fills a consumer and returns its ``out``.  A held field,
+``_HeldField``, the default, has each finished block written straight into
+its rows.  Any other consumer is a stream: ``apply`` hands it each finished
+block of slices on the thread that made it, out of a per-thread block
+buffer, so a caller that only reduces a field (the L^q norms of
+``parext.norms``) holds one block of it per thread.  A consumer flagged
+``mirrored`` derives the t < 0 slices of a real profile itself: it receives
+only the slices of t >= 0, and ``apply`` forms no mirror slice for it; a
+mirrored held field holds only those rows.  Any other consumer receives
+each block and then its block of mirror slices.  The memory guard sizes what
+is allocated before it is: a held field when it is made, and, in every
+call, the per-thread block buffers and the input table.
 
 The pipeline is linear in f, and its exact discrete adjoint (the same
 transforms with conjugated chirps and the lengths swapped) is available for
@@ -77,10 +78,10 @@ from .grids import FrequencyGrid, FrequencyProfile, SpacetimeGrid, _squared_dist
 
 NYQUIST_HARD_FACTOR = 4.0
 CHIRP_PERIOD = 16  # time steps per row of the tabulated time chirp factors
-# largest share of physical memory one call may allocate (a field, or the
-# block buffers of a streamed call): a caller holds up to three fields at once
-# (the search keeps its accepted field while it sums a candidate's two applies
-# in place), which this keeps under half of it
+# largest share of physical memory one allocation may take (a held field, or
+# a call's block buffers and input table): a caller holds up to three fields
+# at once (the search keeps its accepted field while it sums a candidate's
+# two applies in place), which this keeps under half of it
 FIELD_MEMORY_FRACTION = 1 / 8
 
 
@@ -189,8 +190,22 @@ def _refuse_above_budget(nbytes: int, what: str) -> None:
         )
 
 
-def _refuse_oversized_field(stg: SpacetimeGrid) -> None:
-    _refuse_above_budget(16 * math.prod(stg.field_shape), f"a field of shape {stg.field_shape}")
+class _HeldField:
+    """The package's one held field, a consumer of ``ExtensionOperator.apply``:
+    ``out`` holds every row of the field on ``stg``, or, when ``mirrored``,
+    only the rows n_t // 2 .. n_t - 1 (t >= 0) of a real profile's field.
+    ``apply`` writes each block of rows i..j-1 straight into the view
+    ``rows(i, j)``.  The memory guard sizes ``out`` before it is allocated."""
+
+    def __init__(self, stg: SpacetimeGrid, mirrored: bool = False):
+        self.mirrored = mirrored
+        self._first = stg.t_points // 2 if mirrored else 0
+        shape = (stg.t_points - self._first,) + stg.field_shape[1:]
+        _refuse_above_budget(16 * math.prod(shape), f"a {'half ' if mirrored else ''}field of shape {shape}")
+        self.out = np.empty(shape, dtype=complex)
+
+    def rows(self, i: int, j: int) -> np.ndarray:
+        return self.out[i - self._first : j - self._first]
 
 
 def _run_blocks(work, blocks: list, scratch, threads: int) -> None:
@@ -257,12 +272,12 @@ class ExtensionOperator:
             for a in range(d)
         ]
         # the t-grid is uniform: with P = CHIRP_PERIOD, slice
-        # i = (k P + m) P + s has the time chirp of slice k P^2, evaluated
-        # per axis when a block reaches it, times the chirp of m P time
-        # steps, tabulated per axis, times the chirp of s time steps,
-        # tabulated over the whole frequency grid as the product of its
-        # per-axis factors
-        self._t_coarse = stg.t_axis[:: CHIRP_PERIOD**2]
+        # i = (k P + m) P + s has the time chirp of slice k P^2 times the
+        # chirp of m P time steps, both tabulated per axis, times the chirp
+        # of s time steps, tabulated over the whole frequency grid as the
+        # product of its per-axis factors
+        bases = stg.t_axis[:: CHIRP_PERIOD**2].reshape((-1,) + (1,) * d)
+        self._chirp_bases = [np.exp(1j * bases * h) for h in self._heights]
         steps = (np.arange(CHIRP_PERIOD) * stg.t_spacing).reshape((-1,) + (1,) * d)
         self._chirp_periods = [np.exp(1j * CHIRP_PERIOD * steps * h) for h in self._heights]
         self._chirp_steps = math.prod(np.exp(1j * steps * h) for h in self._heights)
@@ -289,16 +304,12 @@ class ExtensionOperator:
         exp(i t (|xi - xi0|^2 + tau0)); with ``apply``'s input table, the
         slice's input.  A slice's value depends on its index alone, so every
         split into blocks gives the same bits."""
-        first, stop = i // CHIRP_PERIOD, (j - 1) // CHIRP_PERIOD + 1
-        k0 = first // CHIRP_PERIOD
-        t = self._t_coarse[k0 : (stop - 1) // CHIRP_PERIOD + 1].reshape((-1,) + (1,) * self.fgrid.d)
-        coarse = [np.exp(1j * t * h) for h in self._heights]
-        for b in range(first, stop):
+        for b in range(i // CHIRP_PERIOD, (j - 1) // CHIRP_PERIOD + 1):
             lo, hi = max(i, b * CHIRP_PERIOD), min(j, (b + 1) * CHIRP_PERIOD)
             k, m = divmod(b, CHIRP_PERIOD)
-            base = coarse[0][k - k0] * self._chirp_periods[0][m]
-            for c, periods in zip(coarse[1:], self._chirp_periods[1:]):
-                base = base * (c[k - k0] * periods[m])
+            base = self._chirp_bases[0][k] * self._chirp_periods[0][m]
+            for c, periods in zip(self._chirp_bases[1:], self._chirp_periods[1:]):
+                base = base * (c[k] * periods[m])
             np.multiply(base, steps[lo - b * CHIRP_PERIOD : hi - b * CHIRP_PERIOD], out=out[lo - i : hi - i])
         return out
 
@@ -325,20 +336,24 @@ class ExtensionOperator:
     # -- forward ------------------------------------------------------------
 
     def apply(self, samples: np.ndarray, threads: int = 1, consumer=None) -> np.ndarray:
-        """The field of ``samples``, shaped ``stg.field_shape``.
+        """Fill ``consumer``, by default a ``_HeldField`` of every row, with
+        the field of ``samples``, and return ``consumer.out``.
 
-        With a ``consumer``, no field is allocated: each finished block of
-        slices i..i+k-1 is passed as ``consumer(i, rows)``, rows shaped
-        (k,) + the x-shape, on the thread that made it, or, for a consumer
-        with per-thread buffers, as ``consumer(i, rows, scratch)`` with that
-        thread's ``consumer.scratch(chunk)``, made once per thread for blocks
-        of up to ``chunk`` rows; the rows are reused once the call returns.
-        ``apply`` then returns ``consumer.out``, the array the consumer
-        fills.  Each slice reaches the consumer exactly once, blocks of
-        mirror slices starting on any row, odd ones included, unless
-        ``consumer.mirrored`` is true: such a consumer derives the t < 0
-        slices of real samples from the t >= 0 ones itself, takes only the
-        blocks of slices n_t // 2 .. n_t - 1, and refuses complex samples."""
+        A consumer with a view ``rows(i, j)`` (a ``_HeldField``) has each
+        finished block of slices i..j-1 written straight into that view.  Any
+        other consumer is passed each finished block of slices i..i+k-1 as
+        ``consumer(i, rows)``, rows shaped (k,) + the x-shape, on the thread
+        that made it, or, for a consumer with per-thread buffers, as
+        ``consumer(i, rows, scratch)`` with that thread's
+        ``consumer.scratch(chunk)``, made once per thread for blocks of up to
+        ``chunk`` rows; the rows are reused once the call returns.  Each
+        slice reaches the consumer exactly once, blocks of mirror slices
+        starting on any row, odd ones included, unless ``consumer.mirrored``
+        is true: such a consumer derives the t < 0 slices of real samples
+        from the t >= 0 ones itself, takes only the slices
+        n_t // 2 .. n_t - 1, and refuses complex samples."""
+        if consumer is None:
+            consumer = _HeldField(self.stg)
         n, m, d = self._czt[0].n, self._czt[0].m, self.fgrid.d
         n_t = self.stg.t_points
         # on the symmetric t- and x-grids a real profile gives
@@ -349,49 +364,45 @@ class ExtensionOperator:
         # mirrored row depends on its source row alone, so the bits still
         # depend on neither the block split nor the thread count
         mirror = not samples.imag.any()
-        if consumer is not None and consumer.mirrored and not mirror:
+        if consumer.mirrored and not mirror:
             raise ValueError("a mirrored consumer takes the field of real samples only")
-        flip_rows = mirror and (consumer is None or not consumer.mirrored)
+        flip_rows = mirror and not consumer.mirrored
+        held = hasattr(consumer, "rows")
         blocks = _split(n_t // 2 if mirror else 0, n_t, self._default_chunk())
         chunk = blocks[0][1] - blocks[0][0]
         flip = (slice(None, None, -1),) * (d + 1)
+        # each thread's transform buffers, the last of which holds a streamed
+        # block in its head, plus, when apply streams them, one block of
+        # mirror rows; and the input table, the samples times every
+        # pre-chirp and each time step's chirp, which a block's time chirp
+        # bases multiply into its input
         shapes = self._buffer_shapes(chunk, n, m)
-        # the samples times every pre-chirp and each time step's chirp: a
-        # block's input is its time chirp bases times this table
-        table_bytes = 16 * self._chirp_steps.size
-        if consumer is None:
-            shape = self.stg.field_shape
-            _refuse_above_budget(16 * math.prod(shape) + table_bytes, f"a field of shape {shape} and its input table")
-            out = np.empty(shape, dtype=complex)
-        else:
-            # each thread's transform buffers, the last of which holds a
-            # finished block in its head, plus, when apply forms them, one
-            # block of mirror rows
-            if flip_rows:
-                shapes.append((chunk,) + (m,) * d)
-            per_thread = 16 * sum(math.prod(shape) for shape in shapes)
-            used = min(threads, len(blocks))
-            _refuse_above_budget(
-                used * per_thread + table_bytes, f"the block buffers of {used} thread(s) and the input table"
-            )
+        if flip_rows and not held:
+            shapes.append((chunk,) + (m,) * d)
+        used = min(threads, len(blocks))
+        _refuse_above_budget(
+            16 * (used * sum(math.prod(shape) for shape in shapes) + self._chirp_steps.size),
+            f"the block buffers of {used} thread(s) and the input table",
+        )
         table = self._chirp_steps * (samples * self._pre)
 
         def work(block, buffers):
             i, j = block
             bufs = [buf[: j - i] for buf in buffers[:d]]
-            # a streamed block is finished in the head of the last transform buffer
-            last = out[i:j] if consumer is None else None
+            # a held block is finished in its rows of the held field, a
+            # streamed one in the head of the last transform buffer
+            last = consumer.rows(i, j) if held else None
             self._time_chirp(i, j, table, _head(bufs[0], 1, n))
             for axis, (czt, buf) in enumerate(zip(self._czt, bufs), start=1):
                 rows = czt.forward(buf, axis, last if axis == d else _head(bufs[axis], axis + 1, n))
-            if consumer is not None:
+            if not held:
                 consumer(i, rows, *buffers[len(shapes) :])
             lo, hi = n_t - j, min(n_t - i, n_t // 2)
             if flip_rows and lo < hi:
                 # mirror rows lo..hi-1 are the source rows j-1 down to n_t-hi
-                mirrored = out[lo:hi] if consumer is None else buffers[d][: hi - lo]
+                mirrored = consumer.rows(lo, hi) if held else buffers[d][: hi - lo]
                 np.conjugate(rows[n_t - hi - i :][flip], out=mirrored)
-                if consumer is not None:
+                if not held:
                     consumer(lo, mirrored, *buffers[len(shapes) :])
 
         def scratch():
@@ -400,7 +411,7 @@ class ExtensionOperator:
             return buffers + [consumer.scratch(chunk)] if hasattr(consumer, "scratch") else buffers
 
         _run_blocks(work, blocks, scratch, threads)
-        return out if consumer is None else consumer.out
+        return consumer.out
 
     # -- adjoint ------------------------------------------------------------
 
@@ -434,11 +445,12 @@ def extend(
 ) -> np.ndarray:
     """The samples, shaped ``stg.field_shape``, of the extension of ``f``
     from the paraboloid shifted by ``shift`` on the spacetime grid, or, with
-    a ``consumer``, that field streamed block by block into it (see
-    ``ExtensionOperator.apply``).  A field too large for memory is refused
-    before the operator is built."""
+    a ``consumer``, that field passed into it (see
+    ``ExtensionOperator.apply``).  The consumer, a ``_HeldField`` by
+    default, is made before the operator, so a field too large for memory
+    is refused before the operator is built."""
     if consumer is None:
-        _refuse_oversized_field(stg)
+        consumer = _HeldField(stg)
     return ExtensionOperator(f.grid, shift, stg).apply(f.samples, threads=threads, consumer=consumer)
 
 

@@ -31,7 +31,7 @@ from .grids import (
     lp_norm_frequency,
     profile_gradient_l2sq,
 )
-from .extension import ParaboloidShift, _refuse_above_budget, _run_blocks, _split, extend
+from .extension import ParaboloidShift, _HeldField, _run_blocks, _split, extend
 
 
 @dataclass
@@ -199,41 +199,6 @@ class _LqRows:
         ]
 
 
-class _HalfField:
-    """A consumer of ``ExtensionOperator.apply`` that keeps the rows
-    n_t // 2 .. n_t - 1 (t >= 0) of the field of a real profile in ``out``:
-    the held form of such a field in a mirrored ``_LqRows``.  The memory
-    guard sizes that half field before it is allocated."""
-
-    mirrored = True
-
-    def __init__(self, stg: SpacetimeGrid):
-        self._first = stg.t_points // 2
-        shape = (stg.t_points - self._first,) + (stg.x_points_per_axis,) * stg.d
-        _refuse_above_budget(16 * math.prod(shape), f"a half field of shape {shape}")
-        self.out = np.empty(shape, dtype=complex)
-
-    def __call__(self, i: int, rows: np.ndarray) -> None:
-        self.out[i - self._first : i - self._first + rows.shape[0]] = rows
-
-
-def _real(pairs) -> bool:
-    """Whether every profile of the (profile, shift) ``pairs`` is real (the
-    exact test ``apply`` mirrors by), so every signed sum of their
-    extensions satisfies |c(-t, x)| = |c(t, -x)|."""
-    return not any(prof.samples.imag.any() for prof, _ in pairs)
-
-
-def _held_extension(pair: tuple, stg: SpacetimeGrid, threads: int, mirrored: bool) -> np.ndarray:
-    """The extension of the (profile, shift) ``pair`` on ``stg`` as a held
-    part of an ``_LqRows``: the whole field, or, for a ``mirrored`` one,
-    only its t >= 0 rows."""
-    prof, shift = pair
-    if not mirrored:
-        return extend(prof, shift, stg, threads=threads)
-    return extend(prof, shift, stg, threads=threads, consumer=_HalfField(stg))
-
-
 def _contiguous(a: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """``a`` itself when it is C-contiguous, and otherwise (a stride-2 grid,
     a flipped block) its copy in the head of the contiguous buffer ``buf``,
@@ -275,18 +240,21 @@ def _truncated_lq(
     return red.norms()
 
 
-def _streamed_lq(
-    stg: SpacetimeGrid, held: tuple, last: tuple, q: float, terms: tuple, threads: int, mirrored: bool = False
-) -> list:
-    """The norms of ``terms`` (see ``_LqRows``) over the ``held`` sample
-    arrays and the extension of the (profile, shift) pair ``last``, which is
-    streamed through ``extend``'s t-blocks and never held.  With
-    ``mirrored`` (every profile real), the held arrays and the stream are
-    the t >= 0 rows alone (see ``_held_extension``)."""
-    red = _LqRows(stg, held, q, terms, mirrored)
-    prof, shift = last
-    extend(prof, shift, stg, threads=threads, consumer=red)
-    return red.norms()
+def _lq_against(stg: SpacetimeGrid, held, streamed, q: float, terms: tuple, threads: int) -> list:
+    """The norms of ``terms`` (see ``_LqRows``) over the extensions of the
+    (profile, shift) pairs ``held``, each extended once and held, followed
+    by the extension of each pair of ``streamed`` in turn, streamed through
+    ``extend``'s t-blocks and never held: one list of norms per streamed
+    pair.  When every profile is real, the held fields keep, and the streams
+    bring, only their t >= 0 rows (see ``_LqRows``)."""
+    mirrored = not any(prof.samples.imag.any() for prof, _ in [*held, *streamed])
+    fields = tuple(extend(prof, shift, stg, threads, _HeldField(stg, mirrored)) for prof, shift in held)
+    found = []
+    for prof, shift in streamed:
+        red = _LqRows(stg, fields, q, terms, mirrored)
+        extend(prof, shift, stg, threads=threads, consumer=red)
+        found.append(red.norms())
+    return found
 
 
 @dataclass
@@ -395,10 +363,8 @@ def lq_norm_spacetime(
             f"d (q - 2) / 2 = {beta:.3g} <= 1: the dispersive tail is not integrable"
         )
 
-    mirrored = _real(tail_pairs)
-    held = tuple(_held_extension(pair, stg, threads, mirrored) for pair in tail_pairs[:-1])
     terms = (((1,) * len(tail_pairs), (1, 2)),) + tuple((signs, (1,)) for signs in parts)
-    value, coarse, *extra = _streamed_lq(stg, held, tail_pairs[-1], q, terms, threads, mirrored)
+    ((value, coarse, *extra),) = _lq_against(stg, tail_pairs[:-1], tail_pairs[-1:], q, terms, threads)
     quad_est = abs(value - coarse) / 3.0
     T = stg.t_half_width
     X = stg.x_half_width

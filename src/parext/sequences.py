@@ -28,7 +28,7 @@ from .grids import (
     plateau_bump,
     smooth_bump,
 )
-from .norms import _held_extension, _pair_terms, _real, _streamed_lq, quotient_pair, quotient_single
+from .norms import _lq_against, _pair_terms, quotient_pair, quotient_single
 from .symmetry import Symmetry, apply_symmetry_frequency
 
 SEPARATION_MAX_HALVINGS = 12  # halvings of s0 tried by build_separating_testfn
@@ -382,10 +382,8 @@ def shifted_limit_test(
     if nf == 0.0:
         raise ValueError("zero profile")
     f = f.scaled(1.0 / nf)
-    mirrored = _real([(f, shift0)])
-    ref = _held_extension((f, shift0), stg, threads, mirrored)
-    terms = (((1, -1), (1,)),)
-    return [_streamed_lq(stg, (ref,), (f, sh), e.q, terms, threads, mirrored)[0] for sh in shifts]
+    found = _lq_against(stg, [(f, shift0)], [(f, sh) for sh in shifts], e.q, (((1, -1), (1,)),), threads)
+    return [residual for residual, in found]
 
 
 @dataclass

@@ -120,9 +120,11 @@ def verify_intertwining(
     shift: ParaboloidShift,
     e: Exponents,
     stg: SpacetimeGrid,
+    threads: int = 1,
 ) -> float:
     """Relative L^q discrepancy on ``stg`` between T(E_shift f) and
-    E_new_shift(S f), with S acting on the paraboloid of ``shift``.
+    E_new_shift(S f), with S acting on the paraboloid of ``shift``, both
+    sides extended and reduced on ``threads`` threads.
 
     Both sides are one ``extend`` each, so both fall under the operator's
     Nyquist rule and memory guard; their operators share the Nyquist ratio
@@ -144,7 +146,7 @@ def verify_intertwining(
     xt = S.xi_tilde_vec()
 
     # right side: the pushed-through extension on stg
-    rhs = extend(apply_symmetry_frequency(S, f, e.p, shift), pushthrough_shift(S, shift), stg)
+    rhs = extend(apply_symmetry_frequency(S, f, e.p, shift), pushthrough_shift(S, shift), stg, threads)
 
     # left side: E_shift f at the sheared points, then T's prefactor
     mesh = f.grid.meshgrid()
@@ -152,11 +154,11 @@ def verify_intertwining(
     xi0 = shift.xi0_vec()
     sheared = ParaboloidShift(shift.tau0 + 2.0 * float(xt @ xi0) - float(xt @ xt), tuple(xi0 - xt))
     grid = SpacetimeGrid(d, stg.t_half_width / lam**2, stg.x_half_width / lam, stg.t_points, stg.x_points_per_axis)
-    lhs = extend(FrequencyProfile(f.grid, np.exp(1j * phase) * f.samples), sheared, grid)
+    lhs = extend(FrequencyProfile(f.grid, np.exp(1j * phase) * f.samples), sheared, grid, threads)
     t, *x = np.meshgrid(stg.t_axis, *[stg.x_axis] * d, indexing="ij", sparse=True)
     lhs *= lam ** (-(d + 2) / e.q) * np.exp(1j * (t * float(xt @ xt) / lam**2 + sum(v * xa for v, xa in zip(xt, x)) / lam))
 
-    denom, discrepancy = _truncated_lq(stg, (lhs, rhs), e.q, ((0, 1), (1, -1)))
+    denom, discrepancy = _truncated_lq(stg, (lhs, rhs), e.q, ((0, 1), (1, -1)), threads=threads)
     if denom == 0.0:
         raise ValueError("zero field on the comparison grid")
     return discrepancy / denom

@@ -69,6 +69,7 @@ def test_byte_identical_across_threads_and_reruns(tmp_path):
         "shift: {tau0: 0.0, xi0: [1.0]}\n",
         "sequence": wide + "lambdas: [1.0, 0.5]\n",
         "shifted-limit": wide + "shifts:\n  - {tau0: 0.25, xi0: [0.5]}\n  - {tau0: 0.5, xi0: [1.0]}\n",
+        "verify-symmetry": wide + "draws: 2\n",
     }
     for kind, text in cases.items():
         cfg = write_cfg(tmp_path, f"{kind}.yaml", text)
@@ -194,7 +195,6 @@ def test_stray_key_or_malformed_value_exits_2(tmp_path, capsys, kind, extra, key
     [
         pytest.param("quotient", "", "0", id="quotient-zero"),
         pytest.param("quotient", "", "-3", id="quotient-negative"),
-        pytest.param("verify-symmetry", SHIFT + "draws: 1\n", "2", id="verify-symmetry-two"),
         pytest.param("separation", SHIFT + "shift_n: {tau0: 0.0, xi0: [1.1]}\n", "2", id="separation-two"),
     ],
 )

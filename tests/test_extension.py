@@ -249,24 +249,44 @@ def test_complex_profile_rows_are_not_mirrored(d, phase, shifted, t_points):
 
 
 def test_apply_working_set_is_bounded():
-    # a block's transform buffer holds about 2^17 complex points (2 MiB); apply
-    # and apply_adjoint on the PAIR grid need a few of those beyond their
-    # output, however many slices the grid has
+    # a block's transform buffer holds about 2^17 complex points (2 MiB); on
+    # the PAIR grid, apply of a complex and of a real profile into the whole
+    # field, extend of a real one into its held t >= 0 rows, and
+    # apply_adjoint need a few of those beyond what they hold, however many
+    # slices the grid has
     budget = 3 * 2**17 * 16
-    op = ExtensionOperator(PAIR_FGRID, ParaboloidShift(0.0, (1.0,)), PAIR_STG)
-    samples = gaussian_profile(PAIR_FGRID).samples
+    shift = ParaboloidShift(0.0, (1.0,))
+    op = ExtensionOperator(PAIR_FGRID, shift, PAIR_STG)
+    real = gaussian_profile(PAIR_FGRID)
+    chirped = gaussian_profile(PAIR_FGRID, chirp=0.3)
+    assert not real.samples.imag.any() and chirped.samples.imag.any()
+    n_t = PAIR_STG.t_points
+    runs = (
+        (lambda: op.apply(chirped.samples), n_t),
+        (lambda: op.apply(real.samples), n_t),
+        (
+            lambda: extend(real, shift, PAIR_STG, consumer=extension._HeldField(PAIR_STG, mirrored=True)),
+            n_t - n_t // 2,
+        ),
+    )
+    peaks = []
     tracemalloc.start()
     try:
-        field = op.apply(samples)
-        apply_peak = tracemalloc.get_traced_memory()[1] - field.nbytes
+        for run, rows in runs:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = run()
+            peaks.append(tracemalloc.get_traced_memory()[1] - before - out.nbytes)
+            assert out.shape[0] == rows
+            del out
+        field = op.apply(real.samples)
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
         op.apply_adjoint(field)
-        adjoint_peak = tracemalloc.get_traced_memory()[1] - held
+        peaks.append(tracemalloc.get_traced_memory()[1] - held)
     finally:
         tracemalloc.stop()
-    assert apply_peak < budget
-    assert adjoint_peak < budget
+    assert all(peak < budget for peak in peaks), peaks
 
 
 PLANCHEREL_CASES = {

@@ -67,6 +67,18 @@ def imported_packages(source: str) -> set:
     return found
 
 
+def private_imports(source: str, module: str) -> list:
+    """(line, name) for each private name ``source`` imports from the
+    package module ``module``, relatively or as ``parext.<module>``."""
+    return sorted(
+        (node.lineno, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in ((1, module), (0, f"parext.{module}"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
 def names_in(tree: ast.AST) -> Counter:
     """How often each name or attribute appears in ``tree``."""
     found = Counter()
@@ -125,6 +137,23 @@ def test_only_the_block_runner_starts_threads():
     }
     found = {p.name for p in MODULES if imported_packages(p.read_text()) & {"concurrent", "threading"}}
     assert found == {"extension.py"}
+
+
+def test_private_imports_are_detected():
+    src = (
+        "from .extension import _a, b\n"
+        "from parext.extension import _c\n"
+        "from .norms import _d\n"
+        "from . import extension\n"
+    )
+    assert private_imports(src, "extension") == [(1, "_a"), (2, "_c")]
+
+
+def test_only_norms_imports_private_names_of_extension():
+    # the held field and the consumer protocol of ExtensionOperator.apply
+    # (mirrored, rows, scratch, out) stay behind extension and norms
+    found = {p.name: private_imports(p.read_text(), "extension") for p in MODULES}
+    assert {name for name, hits in found.items() if hits} == {"norms.py"}
 
 
 def test_unused_parameters_are_detected():

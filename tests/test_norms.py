@@ -20,7 +20,7 @@ from conftest import (
     truncated_gauss_l4_d2,
     truncated_gauss_l6_d1,
 )
-from parext import norms
+from parext import extension, norms
 from parext.errors import TailCertificationError
 from parext.exponents import validate_exponents
 from parext.extension import ExtensionOperator, ParaboloidShift, _run_blocks, _split, extend
@@ -32,8 +32,8 @@ from parext.grids import (
 )
 from parext.norms import (
     _LQ_BLOCK_POINTS,
+    _lq_against,
     _space_tail_mass,
-    _streamed_lq,
     _sup_bound,
     _tail_ingredients,
     _time_tail_mass,
@@ -338,14 +338,18 @@ def test_streamed_norms_equal_the_materialized_path(fg, stg, odd_chunk):
             assert res.value == value and res.quadrature_estimate == abs(value - coarse) / 3.0
             assert list(res.parts) == _truncated_lq(stg, (other, held), q, parts)
             # one streamed field alone, at both strides
-            alone = _streamed_lq(stg, (), (f, zero), q, (((1,), (1, 2)),), threads, chirp == 0.0)
+            (alone,) = _lq_against(stg, (), [(f, zero)], q, (((1,), (1, 2)),), threads)
             assert alone == _truncated_lq(stg, (held,), q, strides=(1, 2))
-            # a held reference against a streamed shifted field of the same
-            # profile
-            residual = shifted_limit_test(f, zero, [shift], validate_exponents(d, 2.0), stg, threads)
+            # one held reference against two streamed shifted fields of the
+            # same profile
+            shifts = [shift, ParaboloidShift(0.25, (0.5,) + (0.0,) * (d - 1))]
+            residuals = shifted_limit_test(f, zero, shifts, validate_exponents(d, 2.0), stg, threads)
             unit = f.scaled(1.0 / lp_norm_frequency(f, 2.0))
-            fields = tuple(extend(unit, s, stg, threads=threads) for s in (zero, shift))
-            assert residual == _truncated_lq(stg, fields, q, ((1, -1),))
+            ref = extend(unit, zero, stg, threads=threads)
+            assert len(residuals) == len(shifts)
+            for s, residual in zip(shifts, residuals):
+                fields = (ref, extend(unit, s, stg, threads=threads))
+                assert [residual] == _truncated_lq(stg, fields, q, ((1, -1),))
 
 
 @pytest.mark.parametrize("d, n_t, n_x", [(1, 61, 129), (1, 60, 128), (2, 31, 17), (2, 30, 16)])
@@ -399,7 +403,7 @@ def test_mirror_rows_reach_the_reduction_only_for_real_profiles(monkeypatch):
         assert [res.value, *res.parts] == _truncated_lq(stg, fields, 6.0, ((1, 1), (1, -1)))
     # a mirrored consumer refuses the field of a complex profile
     with pytest.raises(ValueError, match="real samples only"):
-        extend(chirped, zero, stg, consumer=norms._HalfField(stg))
+        extend(chirped, zero, stg, consumer=extension._HeldField(stg, mirrored=True))
 
 
 def test_real_pair_quotient_holds_half_a_field(exponents_d1):
