@@ -293,8 +293,9 @@ def _run_verify_symmetry(cfg: dict, threads: int):
         x0 = tuple(float(v) for v in rng.uniform(-x_max, x_max, e.d))
         S = Symmetry(lam, xt, t0, x0)
         disc = verify_intertwining(S, f, shift, e, stg, threads)
-        rows.append((i, lam, *xt, t0, *x0, disc))
-    header = ["draw", "lambda"] + [f"xi_tilde_{a}" for a in range(e.d)]
+        # the Nyquist ratio of the sheared side's operator names a warned draw
+        rows.append((i, lam, f.grid.nyquist_ratio(stg.x_half_width / lam), *xt, t0, *x0, disc))
+    header = ["draw", "lambda", "nyquist_ratio"] + [f"xi_tilde_{a}" for a in range(e.d)]
     header += ["t0"] + [f"x0_{a}" for a in range(e.d)] + ["discrepancy"]
     worst = max(r[-1] for r in rows)
     return {"verify_symmetry": (header, rows)}, {"worst_discrepancy": worst, "seed": seed}

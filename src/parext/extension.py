@@ -35,26 +35,22 @@ or, when the block is streamed, in place into its own head.  No step makes
 a temporary of the block's size, and each slice's bits depend on its index
 alone, never on the block split or the thread count.
 
-The t- and x-grids are symmetric, so for real samples (the exact test: no
-nonzero imaginary part) the Riemann sum satisfies F(-t, x) = conj F(t, -x)
-for any shift.  ``apply`` then transforms only the slices with t >= 0 and
-forms the conjugate of each, flipped along t and every x axis, as its
-mirror slice with t < 0.  A mirrored slice depends on its source slice
-alone, so the bits still do not depend on the block split or the thread
-count; complex samples take the same loop over every slice.
-
 ``apply`` always fills a consumer and returns its ``out``.  A held field,
 ``_HeldField``, the default, has each finished block written straight into
 its rows.  Any other consumer is a stream: ``apply`` hands it each finished
-block of slices on the thread that made it, out of a per-thread block
-buffer, so a caller that only reduces a field (the L^q norms of
-``parext.norms``) holds one block of it per thread.  A consumer flagged
-``mirrored`` derives the t < 0 slices of a real profile itself: it receives
-only the slices of t >= 0, and ``apply`` forms no mirror slice for it; a
-mirrored held field holds only those rows.  Any other consumer receives
-each block and then its block of mirror slices.  The memory guard sizes what
-is allocated before it is: a held field when it is made, and, in every
-call, the per-thread block buffers and the input table.
+block of slices on the thread that made it, so a caller that only reduces a
+field (the L^q norms of ``parext.norms``) holds one block of it per thread.
+
+The t- and x-grids are symmetric, so for real samples (the exact test: no
+nonzero imaginary part) the Riemann sum satisfies F(-t, x) = conj F(t, -x)
+for any shift.  So ``apply`` transforms only the slices with t >= 0 of real
+samples, and the consumer alone makes the rest: a held field in one
+conjugate flip after the blocks (``_HeldField.fill_mirror``), unless it is
+``mirrored`` and holds only those rows, and a stream, which must be a
+mirrored reduction, by reading each block a second time as its mirror rows.
+The memory guard sizes what is allocated before it is: a held field when it
+is made, and, in every call, the per-thread block buffers and the input
+table.
 
 The pipeline is linear in f, and its exact discrete adjoint (the same
 transforms with conjugated chirps and the lengths swapped) is available for
@@ -207,6 +203,13 @@ class _HeldField:
     def rows(self, i: int, j: int) -> np.ndarray:
         return self.out[i - self._first : j - self._first]
 
+    def fill_mirror(self) -> None:
+        """Fill the rows t < 0 of a real profile's whole field by
+        F(-t, x) = conj F(t, -x)."""
+        n_t = self.out.shape[0]
+        flip = (slice(None, None, -1),) * self.out.ndim
+        np.conjugate(self.out[n_t - n_t // 2 :][flip], out=self.out[: n_t // 2])
+
 
 def _run_blocks(work, blocks: list, scratch, threads: int) -> None:
     """Call ``work(block, buffers)`` for each block, with ``buffers`` the
@@ -244,7 +247,7 @@ class ExtensionOperator:
         self.stg = stg
         self.shift = shift
 
-        self.nyquist_ratio = fgrid.spacing * stg.x_half_width / np.pi
+        self.nyquist_ratio = fgrid.nyquist_ratio(stg.x_half_width)
         if self.nyquist_ratio > NYQUIST_HARD_FACTOR:
             raise NyquistError(
                 f"frequency spacing {fgrid.spacing:.4g} too coarse for |x| <= "
@@ -339,46 +342,35 @@ class ExtensionOperator:
         """Fill ``consumer``, by default a ``_HeldField`` of every row, with
         the field of ``samples``, and return ``consumer.out``.
 
-        A consumer with a view ``rows(i, j)`` (a ``_HeldField``) has each
-        finished block of slices i..j-1 written straight into that view.  Any
-        other consumer is passed each finished block of slices i..i+k-1 as
-        ``consumer(i, rows)``, rows shaped (k,) + the x-shape, on the thread
-        that made it, or, for a consumer with per-thread buffers, as
-        ``consumer(i, rows, scratch)`` with that thread's
-        ``consumer.scratch(chunk)``, made once per thread for blocks of up to
-        ``chunk`` rows; the rows are reused once the call returns.  Each
-        slice reaches the consumer exactly once, blocks of mirror slices
-        starting on any row, odd ones included, unless ``consumer.mirrored``
-        is true: such a consumer derives the t < 0 slices of real samples
-        from the t >= 0 ones itself, takes only the slices
-        n_t // 2 .. n_t - 1, and refuses complex samples."""
+        Of real samples only the slices n_t // 2 .. n_t - 1 (t > 0, and
+        t = 0 when n_t is odd) are transformed; ``apply`` forms no slice with
+        t < 0.  A ``_HeldField`` has each finished block of slices i..j-1
+        written straight into its view ``rows(i, j)``, and, unless it is
+        ``mirrored``, fills its rows t < 0 by ``fill_mirror`` after the
+        last block.  Any other consumer is a stream, passed each finished
+        block of slices i..i+k-1 as ``consumer(i, rows, scratch)``, rows
+        shaped (k,) + the x-shape, on the thread that made it, with that
+        thread's ``consumer.scratch(chunk)``, made once per thread for blocks
+        of up to ``chunk`` rows; the rows are reused once the call returns.
+        A stream of real samples must be ``mirrored``, deriving the rows
+        t < 0 itself, and a mirrored consumer refuses complex samples."""
         if consumer is None:
             consumer = _HeldField(self.stg)
         n, m, d = self._czt[0].n, self._czt[0].m, self.fgrid.d
         n_t = self.stg.t_points
-        # on the symmetric t- and x-grids a real profile gives
-        # F(-t, x) = conj F(t, -x): only slices n_t // 2 .. n_t - 1 (t > 0,
-        # and t = 0 when n_t is odd) are transformed, and, unless the
-        # consumer mirrors them itself, each block forms the conjugate flip
-        # of its rows r as their mirror rows n_t - 1 - r below n_t // 2; a
-        # mirrored row depends on its source row alone, so the bits still
-        # depend on neither the block split nor the thread count
-        mirror = not samples.imag.any()
-        if consumer.mirrored and not mirror:
+        real = not samples.imag.any()
+        held = isinstance(consumer, _HeldField)
+        if consumer.mirrored and not real:
             raise ValueError("a mirrored consumer takes the field of real samples only")
-        flip_rows = mirror and not consumer.mirrored
-        held = hasattr(consumer, "rows")
-        blocks = _split(n_t // 2 if mirror else 0, n_t, self._default_chunk())
+        if real and not (held or consumer.mirrored):
+            raise ValueError("a stream of real samples must be a mirrored reduction")
+        blocks = _split(n_t // 2 if real else 0, n_t, self._default_chunk())
         chunk = blocks[0][1] - blocks[0][0]
-        flip = (slice(None, None, -1),) * (d + 1)
         # each thread's transform buffers, the last of which holds a streamed
-        # block in its head, plus, when apply streams them, one block of
-        # mirror rows; and the input table, the samples times every
+        # block in its head; and the input table, the samples times every
         # pre-chirp and each time step's chirp, which a block's time chirp
         # bases multiply into its input
         shapes = self._buffer_shapes(chunk, n, m)
-        if flip_rows and not held:
-            shapes.append((chunk,) + (m,) * d)
         used = min(threads, len(blocks))
         _refuse_above_budget(
             16 * (used * sum(math.prod(shape) for shape in shapes) + self._chirp_steps.size),
@@ -396,21 +388,16 @@ class ExtensionOperator:
             for axis, (czt, buf) in enumerate(zip(self._czt, bufs), start=1):
                 rows = czt.forward(buf, axis, last if axis == d else _head(bufs[axis], axis + 1, n))
             if not held:
-                consumer(i, rows, *buffers[len(shapes) :])
-            lo, hi = n_t - j, min(n_t - i, n_t // 2)
-            if flip_rows and lo < hi:
-                # mirror rows lo..hi-1 are the source rows j-1 down to n_t-hi
-                mirrored = consumer.rows(lo, hi) if held else buffers[d][: hi - lo]
-                np.conjugate(rows[n_t - hi - i :][flip], out=mirrored)
-                if not held:
-                    consumer(lo, mirrored, *buffers[len(shapes) :])
+                consumer(i, rows, buffers[d])
 
         def scratch():
-            # the consumer's own buffers, if it has any, follow apply's
+            # a stream's own buffers follow apply's
             buffers = [np.empty(shape, dtype=complex) for shape in shapes]
-            return buffers + [consumer.scratch(chunk)] if hasattr(consumer, "scratch") else buffers
+            return buffers if held else buffers + [consumer.scratch(chunk)]
 
         _run_blocks(work, blocks, scratch, threads)
+        if real and not consumer.mirrored:
+            consumer.fill_mirror()
         return consumer.out
 
     # -- adjoint ------------------------------------------------------------

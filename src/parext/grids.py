@@ -102,6 +102,10 @@ class FrequencyGrid:
     def spacing(self) -> float:
         return 2.0 * self.half_width / self.points_per_axis
 
+    def nyquist_ratio(self, x_half_width: float) -> float:
+        """dxi X / pi: above 1, the x-window [-X, X] outruns the period 2 pi / dxi."""
+        return self.spacing * x_half_width / np.pi
+
     def axis_points(self, axis: int = 0) -> np.ndarray:
         j = np.arange(self.points_per_axis)
         return self.center[axis] - self.half_width + j * self.spacing

@@ -98,13 +98,13 @@ class _LqRows:
     arrays on ``stg``.
 
     ``terms`` lists (signs, strides) pairs: one sign (1, -1 or 0) per part,
-    the parts being the ``held`` arrays followed, when rows are streamed in,
-    by the streamed field; and the strides (1 or 2) at which that
-    combination is reduced, on every ``stride``-th grid point.  A block of
-    rows is reduced by ``reduce(i, parts, scratch)``, or, for a streamed
-    field, by calling the object itself on (i, rows, scratch) (the consumer
-    protocol of ``ExtensionOperator.apply``), in a thread's buffers from
-    ``scratch``, on any thread and starting on any row:
+    the parts being the ``held`` arrays followed by the streamed field; and
+    the strides (1 or 2) at which that combination is reduced, on every
+    ``stride``-th grid point.  A block of rows i.. of the streamed field is
+    reduced, with the same rows of the held arrays, by calling the object
+    itself on (i, rows, scratch) (the consumer protocol of
+    ``ExtensionOperator.apply``), in a thread's buffers from ``scratch``, on
+    any thread and starting on any row:
     each block forms each combination once, raises it to |.|^q once and
     reduces every t-row by dot products of its own with the weights, so the
     row sums, ``out``, depend on neither the block split nor the thread
@@ -143,10 +143,6 @@ class _LqRows:
         powers = np.empty((2,) + shape)
         return powers[0], powers[1], np.empty(shape, dtype=complex) if self._mixes else None
 
-    def __call__(self, i: int, rows: np.ndarray, scratch: tuple) -> None:
-        lo = i - self._first
-        self.reduce(i, [a[lo : lo + rows.shape[0]] for a in self.held] + [rows], scratch)
-
     def _power(self, c: np.ndarray, out: np.ndarray, spare: np.ndarray) -> tuple:
         """|c|^q from |c|^2 = re^2 + im^2, by repeated multiplication, left
         to right, when q / 2 is whole, and otherwise as (|c|^2)^(q / 2):
@@ -165,12 +161,13 @@ class _LqRows:
             spare *= out
         return spare, out
 
-    def reduce(self, i: int, parts: list, scratch: tuple) -> None:
-        """Reduce rows i.. of every term from ``parts``, the same rows of
-        each part, in a thread's ``scratch``; with ``mirrored``, also their
-        mirror rows."""
+    def __call__(self, i: int, rows: np.ndarray, scratch: tuple) -> None:
+        """Reduce the streamed ``rows`` i.. and the same rows of the held
+        arrays into every term, in a thread's ``scratch``; with
+        ``mirrored``, also their mirror rows."""
         d, n_t = self._d, self._n_t
-        k = parts[0].shape[0]
+        k = rows.shape[0]
+        parts = [a[i - self._first : i - self._first + k] for a in self.held] + [rows]
         out_rows, spare_rows, mix_rows = (b if b is None else b[:k] for b in scratch)
         # the mirror rows lo..hi-1, below n_t // 2, are the rows n_t-1-r of
         # the block's rows r from n_t-hi on
@@ -229,12 +226,14 @@ def _truncated_lq(
     threads, so the norms are those of the streamed reduction, bit for bit."""
     if combos is None:
         combos = ((1,) * len(fields),)
-    red = _LqRows(stg, fields, q, tuple((signs, strides) for signs in combos))
+    # the last array takes the place of a streamed field
+    *held, last = fields
+    red = _LqRows(stg, tuple(held), q, tuple((signs, strides) for signs in combos))
     rows = max(1, _LQ_BLOCK_POINTS // stg.x_points_per_axis**stg.d)
 
     def work(block, scratch):
         i, j = block
-        red.reduce(i, [a[i:j] for a in fields], scratch)
+        red(i, last[i:j], scratch)
 
     _run_blocks(work, _split(0, stg.t_points, rows), lambda: red.scratch(rows), threads)
     return red.norms()
@@ -246,7 +245,8 @@ def _lq_against(stg: SpacetimeGrid, held, streamed, q: float, terms: tuple, thre
     by the extension of each pair of ``streamed`` in turn, streamed through
     ``extend``'s t-blocks and never held: one list of norms per streamed
     pair.  When every profile is real, the held fields keep, and the streams
-    bring, only their t >= 0 rows (see ``_LqRows``)."""
+    bring, only their t >= 0 rows (see ``_LqRows``); otherwise each streamed
+    profile must be complex."""
     mirrored = not any(prof.samples.imag.any() for prof, _ in [*held, *streamed])
     fields = tuple(extend(prof, shift, stg, threads, _HeldField(stg, mirrored)) for prof, shift in held)
     found = []
@@ -337,10 +337,11 @@ def lq_norm_spacetime(
     """Truncated-grid L^q norm on ``stg`` of the sum of the extensions of the
     (profile, shift) pairs ``tail_pairs``, plus tail certification.
 
-    Every extension but the last is held as a sample array; the last is
-    streamed through ``extend``'s t-blocks into the one reduction, so the sum
-    is never formed, and the extension of a single pair is never held.  When
-    every profile is real, the time reversal |c(-t, x)| = |c(t, -x)| of every
+    Every extension but the last (the last complex one, when real and
+    complex profiles mix) is held as a sample array; that one is streamed
+    through ``extend``'s t-blocks into the one reduction, so the sum is never
+    formed, and the extension of a single pair is never held.  When every
+    profile is real, the time reversal |c(-t, x)| = |c(t, -x)| of every
     signed sum c lets the held fields keep, and the stream bring, only their
     t >= 0 rows (see ``_LqRows``); the memory guard sizes those half fields.
     Complex or mixed profiles hold and stream every row.  The tail
@@ -363,8 +364,14 @@ def lq_norm_spacetime(
             f"d (q - 2) / 2 = {beta:.3g} <= 1: the dispersive tail is not integrable"
         )
 
-    terms = (((1,) * len(tail_pairs), (1, 2)),) + tuple((signs, (1,)) for signs in parts)
-    ((value, coarse, *extra),) = _lq_against(stg, tail_pairs[:-1], tail_pairs[-1:], q, terms, threads)
+    # a real field streams only into a mirrored reduction; the signs follow the
+    # stream to the end, keeping two pairs' bits: a + b == b + a, a - b == -(b - a)
+    n = len(tail_pairs)
+    last = max((k for k, (prof, _) in enumerate(tail_pairs) if prof.samples.imag.any()), default=n - 1)
+    order = [k for k in range(n) if k != last] + [last]
+    terms = (((1,) * n, (1, 2)),) + tuple((tuple(signs[k] for k in order), (1,)) for signs in parts)
+    pairs = [tail_pairs[k] for k in order]
+    ((value, coarse, *extra),) = _lq_against(stg, pairs[:-1], pairs[-1:], q, terms, threads)
     quad_est = abs(value - coarse) / 3.0
     T = stg.t_half_width
     X = stg.x_half_width

@@ -27,6 +27,7 @@ from .symmetry import Symmetry
 ARMIJO_C = 1e-4
 MIN_BACKTRACK = 1e-12  # smallest Armijo step tried before giving up
 BOUNDARY_SHELL = 0.1  # outer fraction of the grid per axis
+BOUNDARY_MASS_LIMIT = 1e-3  # |f|^2 fraction in the outer shell that exhausts the grid
 CANONICAL_WIDTH = 0.5  # std of |f|^2 for the width-1 reference profile e^{-xi^2}
 
 
@@ -34,7 +35,6 @@ CANONICAL_WIDTH = 0.5  # std of |f|^2 for the width-1 reference profile e^{-xi^2
 class SearchOptions:
     max_steps: int = 200
     step_tolerance: float = 2e-6  # relative Q improvement per accepted step
-    boundary_mass_limit: float = 1e-3  # |f|^2 fraction in the outer shell
 
     def __post_init__(self):
         if self.max_steps < 0:
@@ -143,7 +143,7 @@ def maximize_quotient_pair(
             _boundary_mass_fraction(fs, BOUNDARY_SHELL),
             _boundary_mass_fraction(gs, BOUNDARY_SHELL),
         )
-        if bmass > opts.boundary_mass_limit:
+        if bmass > BOUNDARY_MASS_LIMIT:
             reason = "grid_exhausted"
             break
         if k == opts.max_steps:

@@ -69,7 +69,7 @@ def test_criterion_2_convergence_limit(exponents_d1, emit):
     details = []
     ok = True
     for shift in (ParaboloidShift(0.0, (1.0,)), ParaboloidShift(1.0, (0.0,))):
-        study = convergence_study(f, shift, LAMBDAS, exponents_d1, FROZEN_STG_D1)
+        study = convergence_study(f, shift, LAMBDAS, exponents_d1, FROZEN_STG_D1, threads=2)
         col = [row[1] for row in study.rows]
         increasing = all(b > a for a, b in zip(col, col[1:]))
         gap = study.final_gap()
@@ -110,7 +110,7 @@ def test_criterion_3_pair_bound_and_search(exponents_d1, frozen_quotient_d1, emi
     for f in _corpus(PAIR_FGRID):
         for tau0, xi0 in SHIFTS_5:
             res = quotient_pair(
-                f, f, ParaboloidShift(tau0, (xi0,)), exponents_d1, PAIR_STG
+                f, f, ParaboloidShift(tau0, (xi0,)), exponents_d1, PAIR_STG, threads=2
             )
             margin = bound_base + res.certified_error() - res.quotient
             worst_margin = min(worst_margin, margin)
@@ -138,7 +138,7 @@ def test_criterion_4_weak_limit_diagnostics(exponents_d1, frozen_quotient_d1, em
     shift = ParaboloidShift(0.0, (1.0,))
     a_p = frozen_quotient_d1[0].quotient
     diags = [
-        weak_limit_diagnostics(f_lam, f_lam, shift, exponents_d1, stg_lam, a_p_estimate=a_p)
+        weak_limit_diagnostics(f_lam, f_lam, shift, exponents_d1, stg_lam, a_p_estimate=a_p, threads=2)
         for _, f_lam, stg_lam in dilation_sequence(f, LAMBDAS, 2.0, FROZEN_STG_D1)
     ]
     last = diags[-1]

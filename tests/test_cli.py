@@ -1,4 +1,5 @@
 import json
+import math
 import time
 import tracemalloc
 import warnings
@@ -152,6 +153,11 @@ SEQUENCE = SHIFT + "lambdas: [1.0, 0.5]\n"
         ),
         pytest.param("search", SHIFT + "optimizer: {max_steps: many}\n", "max_steps", id="max_steps-word"),
         pytest.param("search", SHIFT + "optimizer: {max_steps: -1}\n", "max_steps", id="max_steps-negative"),
+        # a constant of the search since it became one, no longer an option
+        pytest.param(
+            "search", SHIFT + "optimizer: {boundary_mass_limit: 0.01}\n", "boundary_mass_limit",
+            id="boundary_mass_limit",
+        ),
         pytest.param("verify-symmetry", SHIFT + "box: {lam_min: -1}\n", "lam_min", id="lam_min-negative"),
         pytest.param(
             "quotient", "profile_g: {kind: bump}\nshift: {tau0: 0.0, xi0: 1.0}\n", "xi0", id="xi0-scalar"
@@ -286,6 +292,28 @@ def test_symmetry_check_follows_the_nyquist_rule(tmp_path, capsys):
     assert run(0.04) == 3
     assert "ratio 4.97 exceeds the hard factor 4.0" in capsys.readouterr().err
     assert not (tmp_path / "o0.04").exists()
+
+
+def test_symmetry_rows_name_their_nyquist_ratio(tmp_path):
+    # each row carries its draw's Nyquist ratio, 0.199 / lambda on BASE_GRID,
+    # and the report's Nyquist warnings, which carry only the ratio and are
+    # listed once per message, are those of the rows above 1
+    cfg = write_cfg(
+        tmp_path,
+        "nyq.yaml",
+        f"d: 1\n{BASE_GRID}\nprofile: {{kind: gaussian}}\n{SHIFT}draws: 8\n"
+        "box: {lam_min: 0.125, lam_max: 0.4}\n",
+    )
+    assert main(["verify-symmetry", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    report = read_report(tmp_path / "o")
+    table = report["tables"]["verify_symmetry"]
+    assert table["columns"][:3] == ["draw", "lambda", "nyquist_ratio"]
+    ratios = [float(row[2]) for row in table["rows"]]
+    assert ratios == pytest.approx([0.0625 * 10.0 / math.pi / float(row[1]) for row in table["rows"]], rel=1e-10)
+    warned = {f"{r:.3g}" for r in ratios if r > 1.0}
+    nyquist = [w for w in report["warnings"] if w.startswith("Nyquist condition violated")]
+    assert 0 < len(warned) < len(ratios)
+    assert warned == {w.split("(ratio ")[1].split(")")[0] for w in nyquist}
 
 
 def test_separation_refusal_exits_3(tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 
 import parext
 from conftest import PAIR_FGRID, PAIR_STG, gaussian_extension_oracle
-from parext import extension
+from parext import extension, norms
 from parext.errors import NumericalRefusalError, NyquistError, ParextWarning
 from parext.extension import (
     ExtensionOperator,
@@ -234,6 +234,39 @@ def test_real_profile_rows_are_mirrored(d, shifted, t_points):
     half = t_points // 2
     assert np.array_equal(got[:half], _conjugate_flip(got)[:half])
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("t_points", [70, 71])
+@pytest.mark.parametrize("d", [1, 2])
+def test_real_field_is_its_t_nonnegative_rows_and_their_conjugate_flip(d, t_points, threads, monkeypatch):
+    # apply makes only the t >= 0 rows of a real profile, here in blocks of
+    # 3: the whole field extend holds is exactly those rows, as a mirrored
+    # held field holds them, completed below t = 0 by their conjugate flip
+    monkeypatch.setattr(ExtensionOperator, "_default_chunk", lambda self: 3)
+    fg = FrequencyGrid(d, 4.0, 16 if d == 1 else 8, center=(0.3,) * d)
+    stg = SpacetimeGrid(d, 1.5, 3.0, t_points, 17 if d == 1 else 9)
+    shift, kw = MIRROR_CASES[d]
+    f = gaussian_profile(fg, **kw)
+    half = extend(f, shift, stg, threads, extension._HeldField(stg, mirrored=True))
+    whole = extend(f, shift, stg, threads)
+    assert half.shape[0] == t_points - t_points // 2
+    assert np.array_equal(whole, np.concatenate([_conjugate_flip(half)[: t_points // 2], half]))
+
+
+def test_apply_streams_a_real_field_only_into_a_mirrored_reduction():
+    # apply forms no t < 0 row of a real profile, so a stream of one that
+    # does not derive them itself is refused before any transform; the same
+    # stream takes a complex profile's field, every row of it
+    fg = FrequencyGrid(1, 4.0, 16)
+    stg = SpacetimeGrid(1, 1.5, 3.0, 7, 17)
+    op = ExtensionOperator(fg, ParaboloidShift(0.3, (0.7,)), stg)
+    stream = norms._LqRows(stg, (), 6.0, (((1,), (1,)),))
+    with pytest.raises(ValueError, match="a stream of real samples must be a mirrored reduction"):
+        op.apply(gaussian_profile(fg).samples, consumer=stream)
+    chirped = gaussian_profile(fg, chirp=0.4).samples
+    op.apply(chirped, consumer=stream)
+    assert stream.norms() == norms._truncated_lq(stg, (op.apply(chirped),), 6.0)
 
 
 @pytest.mark.parametrize("t_points", [6, 7])

@@ -378,9 +378,10 @@ def test_mirrored_reduction_equals_the_whole_field(d, n_t, n_x):
 
 
 def test_mirror_rows_reach_the_reduction_only_for_real_profiles(monkeypatch):
-    # two real profiles: the reduction takes only the blocks of t >= 0 and
-    # mirrors them itself; a complex profile in the pair turns that off, and
-    # apply streams the conjugate-flipped rows of the real one as before
+    # two real profiles: the reduction takes only the blocks of t >= 0 of
+    # the last one and mirrors them itself; a complex profile in the pair
+    # turns that off, and it is the complex one that is streamed, in either
+    # order, against the real one held whole
     stg = SpacetimeGrid(1, 20.0, 30.0, 259, 257)
     fg = FrequencyGrid(1, 10.0, 512)
     zero, shift = ParaboloidShift.zero(1), ParaboloidShift(0.5, (-1.0,))
@@ -390,16 +391,18 @@ def test_mirror_rows_reach_the_reduction_only_for_real_profiles(monkeypatch):
     call = norms._LqRows.__call__
 
     def spy(self, i, rows, scratch):
-        calls.append((self.mirrored, i))
+        calls.append((self.mirrored, i, rows.copy()))
         call(self, i, rows, scratch)
 
     monkeypatch.setattr(norms._LqRows, "__call__", spy)
     for f, g, mirrored in ((real, real_g, True), (chirped, real_g, False), (real_g, chirped, False)):
         calls.clear()
         res = lq_norm_spacetime(stg, [(f, zero), (g, shift)], 6.0, parts=((1, -1),))
-        assert {m for m, _ in calls} == {mirrored}
-        assert min(i for _, i in calls) == (stg.t_points // 2 if mirrored else 0)
+        assert {m for m, _, _ in calls} == {mirrored}
+        assert min(i for _, i, _ in calls) == (stg.t_points // 2 if mirrored else 0)
         fields = (extend(f, zero, stg), extend(g, shift, stg))
+        streamed = fields[0] if f is chirped else fields[1]
+        assert all(np.array_equal(rows, streamed[i : i + len(rows)]) for _, i, rows in calls)
         assert [res.value, *res.parts] == _truncated_lq(stg, fields, 6.0, ((1, 1), (1, -1)))
     # a mirrored consumer refuses the field of a complex profile
     with pytest.raises(ValueError, match="real samples only"):
