@@ -3,16 +3,17 @@
 Usage: parext <kind> --config <path> [--out <dir>] [--threads <n>]
 
 Kinds: quotient | sequence | search | verify-symmetry | separation |
-shifted-limit.  Configs are strict YAML: each kind accepts d, p, grid,
-profile, out and the keys its runner declares, each profile kind only its
-constructor's keys; any other key, a missing key or a malformed value (a
-non-finite number included) is a configuration error (exit 2) naming the
-key.  Every run writes report.json plus one CSV per result table,
-atomically; wall-clock time goes to a run_meta.json sidecar so that report
-and tables are byte-identical across reruns and thread counts.  The report's ``warnings`` key lists the
-ParextWarning messages the run raised, sorted and once each.  --threads
-must be at least 1, and exactly 1 for separation, which runs on one thread;
-any other value is a configuration error too.
+shifted-limit, the keys of ``RUNNERS``.  Configs are strict YAML: each kind
+accepts d, p, grid, profile, out and the keys its runner declares, each
+profile kind only its constructor's keys; any other key, a missing key or a
+malformed value (a non-finite number included) is a configuration error
+(exit 2) naming the key.  Every run writes report.json plus one CSV per
+result table, atomically; wall-clock time goes to a run_meta.json sidecar
+so that report and tables are byte-identical across reruns and thread
+counts.  The report's ``warnings`` key lists the ParextWarning messages the
+run raised, sorted and once each.  --threads must be at least 1, and
+exactly 1 for separation, whose runner refuses any other count; any other
+value is a configuration error too.
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ from .sequences import (
     weak_limit_diagnostics,
 )
 from .symmetry import Symmetry, verify_intertwining
-
-KINDS = ("quotient", "sequence", "search", "verify-symmetry", "separation", "shifted-limit")
-SINGLE_THREADED = ("separation",)  # kinds that never read --threads
-
 
 # ---------------------------------------------------------------------------
 # config reading: each value is coerced where it is read
@@ -301,7 +298,9 @@ def _run_verify_symmetry(cfg: dict, threads: int):
     return {"verify_symmetry": (header, rows)}, {"worst_discrepancy": worst, "seed": seed}
 
 
-def _run_separation(cfg: dict):
+def _run_separation(cfg: dict, threads: int):
+    if threads != 1:
+        raise ConfigError(f"--threads must be 1 for separation, got {threads}")
     e, _, f = _common(cfg, {"shift", "shift_n", "s0", "r"})
     shift0 = _shift(cfg, "shift", e.d)
     shift_n = _shift(cfg, "shift_n", e.d)
@@ -333,6 +332,17 @@ def _run_shifted_limit(cfg: dict, threads: int):
     return {"shifted_limit": (header, rows)}, {}
 
 
+RUNNERS = {
+    "quotient": _run_quotient,
+    "sequence": _run_sequence,
+    "search": _run_search,
+    "verify-symmetry": _run_verify_symmetry,
+    "separation": _run_separation,
+    "shifted-limit": _run_shifted_limit,
+}
+KINDS = tuple(RUNNERS)
+
+
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
@@ -340,25 +350,13 @@ def _run_shifted_limit(cfg: dict, threads: int):
 def run_experiment(kind: str, cfg: dict, out_dir: str, threads: int = 1) -> dict:
     if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind '{kind}' (expected one of {KINDS})")
-    if threads < 1 or (kind in SINGLE_THREADED and threads != 1):
-        allowed = "1" if kind in SINGLE_THREADED else "a positive whole number"
-        raise ConfigError(f"--threads must be {allowed} for {kind}, got {threads}")
+    if threads < 1:
+        raise ConfigError(f"--threads must be a positive whole number for {kind}, got {threads}")
 
     start = time.monotonic()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ParextWarning)
-        if kind == "quotient":
-            tables, extra = _run_quotient(cfg, threads)
-        elif kind == "sequence":
-            tables, extra = _run_sequence(cfg, threads)
-        elif kind == "search":
-            tables, extra = _run_search(cfg, threads)
-        elif kind == "verify-symmetry":
-            tables, extra = _run_verify_symmetry(cfg, threads)
-        elif kind == "separation":
-            tables, extra = _run_separation(cfg)
-        else:
-            tables, extra = _run_shifted_limit(cfg, threads)
+        tables, extra = RUNNERS[kind](cfg, threads)
     elapsed = time.monotonic() - start
     # the report takes the package's warnings; any other warning goes on as raised
     for w in caught:

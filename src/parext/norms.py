@@ -1,5 +1,7 @@
 """Spacetime L^q norms with certified truncation-tail bounds, and the
-single- and pair-operator sharp-constant quotients.
+sharp-constant quotient of a sum of shifted extensions, one evaluator
+(``_quotient``) for one paraboloid (``quotient_single``) or two
+(``quotient_pair``).
 
 The tail policy combines three ingredients, all computable from the
 generating profile:
@@ -77,7 +79,12 @@ class QuotientResult:
 
 
 # float64 points of |F|^q held at once by each thread of the reduction of
-# held fields (2 MB, next to the 4 MB of a formed combination)
+# held fields (2 MB, next to the 4 MB of a formed combination).  The
+# scratch is not cut to a short field's n_t rows: on the SEARCH grid its
+# 4 MB, once freed, lifts glibc's mmap threshold above the 0.2-0.8 MB
+# buffers of each apply and apply_adjoint, which then reuse mapped pages;
+# cut to 81 rows, every search iterate took 656 fresh page faults and 1.5
+# times as long (test_search_iterates_reuse_freed_pages)
 _LQ_BLOCK_POINTS = 1 << 18
 
 
@@ -383,19 +390,30 @@ def lq_norm_spacetime(
     return NormResult(value, tail, quad_est, q, tuple(extra))
 
 
+def _quotient(pairs: list, e: Exponents, stg: SpacetimeGrid, threads: int, parts: tuple = ()) -> tuple:
+    """The L^p norm of the profile of each (profile, shift) pair of ``pairs``,
+    and the quotient ||sum_k E_{s_k} f_k||_q / (sum_k ||f_k||_p^p)^{1/p}
+    with the certified numerator of ``lq_norm_spacetime``, whose ``parts``
+    are the truncated norms of the further combinations ``parts`` (one sign
+    per pair) from the same pass.  Refuses before extending when every
+    profile is zero."""
+    lp = [lp_norm_frequency(prof, e.p) for prof, _ in pairs]
+    den = sum(n**e.p for n in lp) ** (1.0 / e.p)
+    if den == 0.0:
+        raise ValueError("every profile is zero")
+    num = lq_norm_spacetime(stg, pairs, e.q, threads, parts)
+    return lp, QuotientResult(num.value / den, num, den)
+
+
 def quotient_single(
     f: FrequencyProfile,
     e: Exponents,
     stg: SpacetimeGrid,
     threads: int = 1,
 ) -> QuotientResult:
-    """||Ef||_q / ||f||_p with a certified numerator; the field is streamed
-    into the reduction and never held."""
-    den = lp_norm_frequency(f, e.p)
-    if den == 0.0:
-        raise ValueError("zero profile")
-    num = lq_norm_spacetime(stg, [(f, ParaboloidShift.zero(f.grid.d))], e.q, threads=threads)
-    return QuotientResult(num.value / den, num, den)
+    """||Ef||_q / ||f||_p, the one-part case of ``_quotient``; the field is
+    streamed into the reduction and never held."""
+    return _quotient([(f, ParaboloidShift.zero(f.grid.d))], e, stg, threads)[1]
 
 
 def quotient_pair(
@@ -406,35 +424,9 @@ def quotient_pair(
     stg: SpacetimeGrid,
     threads: int = 1,
 ) -> QuotientResult:
-    """||Ef + E_shift g||_q / (||f||_p^p + ||g||_p^p)^{1/p}."""
-    _, _, den, num = _pair_terms(f, g, shift, e, stg, threads)
-    return QuotientResult(num.value / den, num, den)
-
-
-def _pair_terms(
-    f: FrequencyProfile,
-    g: FrequencyProfile,
-    shift: ParaboloidShift,
-    e: Exponents,
-    stg: SpacetimeGrid,
-    threads: int,
-    parts: tuple = (),
-) -> tuple:
-    """The parts of the pair quotient: ||f||_p, ||g||_p, the denominator
-    (||f||_p^p + ||g||_p^p)^{1/p}, and the certified norm of E f + E_shift g,
-    whose ``parts`` are the truncated norms of the further combinations
-    ``parts`` (signs on (E f, E_shift g)) from the same pass.  E f is held
-    and E_shift g streamed against it, so at most one field is held.
-    Refuses before extending when the grid dimensions differ or both
-    profiles vanish."""
-    nf = lp_norm_frequency(f, e.p)
-    ng = lp_norm_frequency(g, e.p)
-    den = (nf**e.p + ng**e.p) ** (1.0 / e.p)
-    if den == 0.0:
-        raise ValueError("both profiles are zero")
-    zero = ParaboloidShift.zero(f.grid.d)
-    num = lq_norm_spacetime(stg, [(f, zero), (g, shift)], e.q, threads=threads, parts=parts)
-    return nf, ng, den, num
+    """||Ef + E_shift g||_q / (||f||_p^p + ||g||_p^p)^{1/p}, the two-part
+    case of ``_quotient``, which holds at most one field."""
+    return _quotient([(f, ParaboloidShift.zero(f.grid.d)), (g, shift)], e, stg, threads)[1]
 
 
 def sharp_holder_gap(a: float, b: float, p: float) -> float:

@@ -28,13 +28,13 @@ ARMIJO_C = 1e-4
 MIN_BACKTRACK = 1e-12  # smallest Armijo step tried before giving up
 BOUNDARY_SHELL = 0.1  # outer fraction of the grid per axis
 BOUNDARY_MASS_LIMIT = 1e-3  # |f|^2 fraction in the outer shell that exhausts the grid
+STEP_TOLERANCE = 2e-6  # relative Q gain of an accepted step that ends the ascent
 CANONICAL_WIDTH = 0.5  # std of |f|^2 for the width-1 reference profile e^{-xi^2}
 
 
 @dataclass
 class SearchOptions:
     max_steps: int = 200
-    step_tolerance: float = 2e-6  # relative Q improvement per accepted step
 
     def __post_init__(self):
         if self.max_steps < 0:
@@ -170,7 +170,7 @@ def maximize_quotient_pair(
             reason = "step_tolerance"
             break
         # a step that gains too little is recorded, then ends the ascent
-        converged = (Qn - Q) / Q < opts.step_tolerance
+        converged = (Qn - Q) / Q < STEP_TOLERANCE
         fs, gs, F, Q = fn, gn, Fn, Qn
 
     return SearchTrajectory(

@@ -28,7 +28,7 @@ from .grids import (
     plateau_bump,
     smooth_bump,
 )
-from .norms import _lq_against, _pair_terms, quotient_pair, quotient_single
+from .norms import _lq_against, _quotient, quotient_pair, quotient_single
 from .symmetry import Symmetry, apply_symmetry_frequency
 
 SEPARATION_MAX_HALVINGS = 12  # halvings of s0 tried by build_separating_testfn
@@ -167,14 +167,14 @@ def weak_limit_diagnostics(
     ``default_test_functions``."""
     # ||E f||_q, ||E_shift g||_q and ||E f - E_shift g||_q come from the pass
     # that certifies the norm of the sum
-    nf, ng, den_p, num = _pair_terms(f_n, g_n, shift, e, stg, threads, parts=((1, 0), (0, 1), (1, -1)))
-    nqf, nqg, field_difference = num.parts
-
-    ratio_first = num.value / (nqf + nqg)
-    ratio_second = (nqf + nqg) / (a_p_estimate * (nf + ng))
-    ratio_third = (nf + ng) / (2.0 ** (1.0 / e.p_conj) * den_p)
-
     zero = ParaboloidShift.zero(f_n.grid.d)
+    (nf, ng), res = _quotient([(f_n, zero), (g_n, shift)], e, stg, threads, parts=((1, 0), (0, 1), (1, -1)))
+    nqf, nqg, field_difference = res.numerator.parts
+
+    ratio_first = res.numerator.value / (nqf + nqg)
+    ratio_second = (nqf + nqg) / (a_p_estimate * (nf + ng))
+    ratio_third = (nf + ng) / (2.0 ** (1.0 / e.p_conj) * res.denominator)
+
     pairings = []
     for phi in default_test_functions(f_n.grid.d):
         pf = abs(surface_pairing(f_n, zero, phi))

@@ -153,10 +153,13 @@ SEQUENCE = SHIFT + "lambdas: [1.0, 0.5]\n"
         ),
         pytest.param("search", SHIFT + "optimizer: {max_steps: many}\n", "max_steps", id="max_steps-word"),
         pytest.param("search", SHIFT + "optimizer: {max_steps: -1}\n", "max_steps", id="max_steps-negative"),
-        # a constant of the search since it became one, no longer an option
+        # constants of the search now, no longer options
         pytest.param(
             "search", SHIFT + "optimizer: {boundary_mass_limit: 0.01}\n", "boundary_mass_limit",
             id="boundary_mass_limit",
+        ),
+        pytest.param(
+            "search", SHIFT + "optimizer: {step_tolerance: 1e-3}\n", "step_tolerance", id="step_tolerance"
         ),
         pytest.param("verify-symmetry", SHIFT + "box: {lam_min: -1}\n", "lam_min", id="lam_min-negative"),
         pytest.param(

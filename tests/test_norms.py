@@ -43,7 +43,7 @@ from parext.norms import (
     quotient_single,
     sharp_holder_gap,
 )
-from parext.sequences import scaled_spacetime_grid, shifted_limit_test
+from parext.sequences import scaled_spacetime_grid, shifted_limit_test, weak_limit_diagnostics
 from parext.symmetry import Symmetry, apply_symmetry_frequency
 
 ZERO1 = ParaboloidShift(0.0, (0.0,))
@@ -121,7 +121,24 @@ def test_pair_reduces_to_single_for_zero_g(exponents_d1):
     g = f.scaled(0.0)
     qp = quotient_pair(f, g, ParaboloidShift(0.0, (1.0,)), exponents_d1, MED_STG)
     qs = quotient_single(f, exponents_d1, MED_STG)
-    assert qp.quotient == pytest.approx(qs.quotient, rel=1e-12)
+    assert qp.quotient == qs.quotient
+
+
+def test_all_zero_profiles_refuse_before_extending(exponents_d1, monkeypatch):
+    def extend_nothing(*args, **kwargs):
+        raise AssertionError("a zero profile was extended")
+
+    monkeypatch.setattr(norms, "extend", extend_nothing)
+    z = gaussian_profile(MED_FGRID).scaled(0.0)
+    shift = ParaboloidShift(0.0, (1.0,))
+    calls = [
+        lambda: quotient_single(z, exponents_d1, MED_STG),
+        lambda: quotient_pair(z, z, shift, exponents_d1, MED_STG),
+        lambda: weak_limit_diagnostics(z, z, shift, exponents_d1, MED_STG, a_p_estimate=2.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="every profile is zero"):
+            call()
 
 
 def test_pair_triangle_chain(exponents_d1):

@@ -1,8 +1,13 @@
 import math
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import parext
 from conftest import SEARCH_FGRID, SEARCH_STG
 from parext import search
 from parext.extension import ParaboloidShift
@@ -138,11 +143,10 @@ def test_ascent_is_monotone(exponents_d1):
     assert traj.final_quotient == qs[-1]
 
 
-def test_small_gain_ends_on_step_tolerance(exponents_d1):
+def test_small_gain_ends_on_step_tolerance(exponents_d1, monkeypatch):
+    monkeypatch.setattr(search, "STEP_TOLERANCE", 1e-3)
     f = gaussian_profile(SEARCH_FGRID)
-    traj = maximize_quotient_pair(
-        f, f, ZERO, exponents_d1, SEARCH_STG, opts=SearchOptions(step_tolerance=1e-3)
-    )
+    traj = maximize_quotient_pair(f, f, ZERO, exponents_d1, SEARCH_STG)
     qs = [it[1] for it in traj.iterates]
     assert traj.terminated_reason == "step_tolerance"
     assert len(qs) == 4
@@ -242,3 +246,39 @@ def test_p_not_2_rejected(exponents_d1):
     e3 = validate_exponents(1, 3.0)
     with pytest.raises(ValueError):
         maximize_quotient_pair(f, f, ZERO, e3, SEARCH_STG)
+
+
+# one warm-up ascent, then the minor page faults per iterate of a second
+# ascent, on the SEARCH grids
+FAULTS_PER_ITERATE = """
+import resource
+from parext.exponents import validate_exponents
+from parext.extension import ParaboloidShift
+from parext.grids import FrequencyGrid, SpacetimeGrid, gaussian_profile
+from parext.search import maximize_quotient_pair
+
+f = gaussian_profile(FrequencyGrid(1, 10.0, 256))
+stg = SpacetimeGrid(1, 5.0, 15.0, 81, 129)
+e = validate_exponents(1, 2.0)
+ascend = lambda: maximize_quotient_pair(f, f, ParaboloidShift(0.0, (1.0,)), e, stg)
+ascend()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+iterates = len(ascend().iterates)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / iterates)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc only")
+def test_search_iterates_reuse_freed_pages():
+    # _truncated_lq's 4 MB scratch (see _LQ_BLOCK_POINTS), once freed, lifts
+    # glibc's mmap threshold above the per-call buffers of apply and
+    # apply_adjoint, so later iterates take them from pages already mapped;
+    # a fresh interpreter, with glibc's default malloc settings, starts from
+    # the default threshold that earlier tests have moved in this one
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+    root = os.path.dirname(os.path.dirname(parext.__file__))
+    env["PYTHONPATH"] = os.pathsep.join([root, env.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", FAULTS_PER_ITERATE], env=env, capture_output=True, text=True, check=True
+    )
+    assert float(out.stdout) < 10.0
