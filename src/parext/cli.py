@@ -25,7 +25,7 @@ import sys
 import tempfile
 import time
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import yaml
@@ -221,7 +221,8 @@ def _run_quotient(cfg: dict, threads: int):
     rows = [(res.quotient, num.value, res.denominator, num.tail_bound, num.quadrature_estimate,
              res.certified_error())]
     header = ["quotient", "numerator", "denominator", "tail_bound", "quadrature_estimate", "certified_error"]
-    return {"quotient": (header, rows)}, {"a_p_estimate": res.quotient}
+    # only the single quotient estimates A_p; the pair's supremum is 2^{1/p'} A_p
+    return {"quotient": (header, rows)}, {} if pair else {"a_p_estimate": res.quotient}
 
 
 def _run_sequence(cfg: dict, threads: int):
@@ -306,14 +307,12 @@ def _run_separation(cfg: dict, threads: int):
     shift_n = _shift(cfg, "shift_n", e.d)
     s0 = _read(cfg, "s0", "config", _positive, 0.5)
     R = _read(cfg, "r", "config", _positive, f.grid.half_width * 0.8)
-    rep = separation_report(shift0, shift_n, s0, R, f.grid)
-    extra = {}
+    rep, extra = separation_report(shift0, shift_n, s0, R, f.grid), {}
     if not rep.degenerate:
-        # the test function halves s0 until its cutoff fits and estimates c
-        # at the s it ends with; the hyperplane's offset does not depend on s
+        # the test function halves s0 until its cutoff fits and reports the
+        # separation at the s it ends with
         tf = build_separating_testfn(shift0, shift_n, f, s0, R)
-        rep = replace(rep, s=tf.s0, c_estimate=tf.c)
-        extra = {"m1": tf.m1, "m2": tf.m2}
+        rep, extra = tf.report, {"m1": tf.m1, "m2": tf.m2}
     rows = [(rep.s, rep.R, rep.zero_set_offset, rep.c_estimate, float(rep.degenerate))]
     header = ["s", "r", "zero_set_offset", "c_estimate", "degenerate"]
     return {"separation": (header, rows)}, extra

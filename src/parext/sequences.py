@@ -260,24 +260,23 @@ def _hyperplane_distance(h, a: np.ndarray):
 
 @dataclass
 class SeparatingTestfn:
+    """The separating test function Psi with its pairing margins m1, m2 and
+    the ``SeparationReport`` at the s its hyperplane cutoff ends with."""
+
     m1: float
     m2: float
-    s0: float
-    c: float
-    phi: FrequencyProfile
+    report: SeparationReport
     shift0: ParaboloidShift
-    shift_n: ParaboloidShift
+    cut: np.ndarray  # 1 - eta(dist(xi, A_n) / (2 s)) on phi's grid
+    phi: FrequencyProfile
 
     def sample(self, tau, xi_mesh):
         """Psi(tau, xi): plateau cutoff around the reference paraboloid,
         times the complement cutoff off the hyperplane, times Phi.  The
         points are those of phi's own frequency grid: ``xi_mesh`` is that
         grid's mesh (or broadcasts to it) and ``tau`` broadcasts against it."""
-        fac1 = plateau_bump(3.0 * (tau - self.shift0.height(xi_mesh)) / self.c)
-        h, a, _ = separation_height(xi_mesh, self.shift0, self.shift_n)
-        dist = _hyperplane_distance(h, a)
-        fac2 = 1.0 - plateau_bump(dist / (2.0 * self.s0))
-        return fac1 * fac2 * self.phi.samples
+        fac1 = plateau_bump(3.0 * (tau - self.shift0.height(xi_mesh)) / self.report.c_estimate)
+        return fac1 * self.cut * self.phi.samples
 
 
 def _mollify(samples: np.ndarray) -> np.ndarray:
@@ -297,11 +296,12 @@ def build_separating_testfn(
     """Assemble the separating test function
 
         Psi(tau, xi) = eta(3 (tau - tau0 - |xi-xi0|^2) / c) *
-                       [1 - eta(dist(xi, A_n) / (2 s0))] * Phi(xi)
+                       [1 - eta(dist(xi, A_n) / (2 s))] * Phi(xi)
 
     with eta a plateau bump and Phi the mollified conjugate of f on the
-    R-ball, shrinking s0 until the hyperplane cutoff costs less than 1/4 of
-    Phi's pairing with f.  Returns the margins
+    R-ball, halving s from s0 until the hyperplane cutoff costs less than
+    1/4 of Phi's pairing with f, and c the separation c_{s,R} at that s.
+    The result carries the ``separation_report`` at that s and the margins
     m1 = |<f dsigma, Psi>| and m2 = sup |Psi| on the other paraboloid.
 
     A zero profile or coinciding paraboloids raise ValueError; a pairing of
@@ -350,10 +350,7 @@ def build_separating_testfn(
     if not np.isfinite(rep.c_estimate) or rep.c_estimate <= 0.0:
         raise NumericalRefusalError("no positive separation away from the hyperplane")
 
-    tf = SeparatingTestfn(
-        m1=0.0, m2=0.0, s0=s_cur, c=rep.c_estimate, phi=phi,
-        shift0=shift0, shift_n=shift_n,
-    )
+    tf = SeparatingTestfn(m1=0.0, m2=0.0, report=rep, shift0=shift0, cut=cut, phi=phi)
     # m1: pairing of f against Psi restricted to the reference paraboloid
     tf.m1 = abs(surface_pairing(f, shift0, tf))
 

@@ -3,6 +3,7 @@ import math
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import pytest
 import yaml
@@ -54,6 +55,33 @@ def test_quotient_kind_value(tmp_path):
     assert csv_lines[0].split(",")[0] == "quotient"
     assert float(csv_lines[1].split(",")[0]) == pytest.approx(res.quotient, rel=1e-10)
     assert (out / "run_meta.json").exists()
+
+
+def test_only_the_single_quotient_reports_a_p_estimate(tmp_path):
+    # the pair quotient is bounded by 2^{1/p'} A_p, so it estimates no A_p
+    single = f"d: 1\n{BASE_GRID}\nprofile: {{kind: gaussian, width: 1.0}}\n"
+    pair = single + "profile_g: {kind: gaussian, width: 0.8}\n" + SHIFT
+    reports = {}
+    for name, text in (("single", single), ("pair", pair)):
+        cfg = write_cfg(tmp_path, f"{name}.yaml", text)
+        assert main(["quotient", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        reports[name] = read_report(tmp_path / name)
+    assert "a_p_estimate" not in reports["pair"]
+    assert f"{reports['single']['a_p_estimate']:.11e}" == reports["single"]["tables"]["quotient"]["rows"][0][0]
+
+
+@pytest.mark.parametrize("keys, half", [(", separation: 3.0", 1.5), ("", 2.0)], ids=["separation-3", "default"])
+def test_two_bump_profile_is_two_superposed_bumps(tmp_path, keys, half):
+    from parext.exponents import validate_exponents
+    from parext.grids import FrequencyGrid, SpacetimeGrid, bump_profile, superpose
+    from parext.norms import quotient_single
+
+    cfg = write_cfg(tmp_path, "q.yaml", f"d: 1\n{BASE_GRID}\nprofile: {{kind: two_bump{keys}, radius: 1.0}}\n")
+    assert main(["quotient", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    fg = FrequencyGrid(1, 8.0, 256)
+    f = superpose(bump_profile(fg, center=-half, radius=1.0), bump_profile(fg, center=half, radius=1.0))
+    res = quotient_single(f, validate_exponents(1, 2.0), SpacetimeGrid(1, 3.0, 10.0, 33, 65))
+    assert read_report(tmp_path / "o")["a_p_estimate"] == res.quotient
 
 
 def test_byte_identical_across_threads_and_reruns(tmp_path):
@@ -349,6 +377,41 @@ def test_separation_row_is_the_final_separation(tmp_path):
     assert (s, r, degenerate) == (4.0 / 2**8, 6.0, 0.0)
     assert c == pytest.approx(0.00484375, rel=1e-10)
     assert "s0_final" not in rep and "c_estimate" not in rep
+
+
+def test_separation_runs_in_two_dimensions(tmp_path):
+    # the hyperplane cutoff fits after s0 = 1 is halved six times
+    cfg = write_cfg(
+        tmp_path,
+        "sep2.yaml",
+        "d: 2\ngrid: {l_xi: 7, n: 64, t: 3, x: 10, m: 9, n_x: 17}\n"
+        "profile: {kind: gaussian, width: 1.3, phase_velocity: [0.5, -0.2]}\n"
+        "shift: {tau0: 0.2, xi0: [1.0, 0.5]}\nshift_n: {tau0: -0.1, xi0: [1.2, 0.3]}\ns0: 1.0\n",
+    )
+    out = tmp_path / "o"
+    assert main(["separation", "--config", cfg, "--out", str(out)]) == 0
+    rep = read_report(out)
+    s, _, _, c, degenerate = map(float, rep["tables"]["separation"]["rows"][0])
+    assert (s, degenerate) == (1.0 / 64, 0.0)
+    assert c == pytest.approx(0.02, rel=1e-10)
+    assert rep["m1"] > 0.5 and rep["m2"] == 0.0
+
+
+def _readme_table_names(header: str) -> set:
+    """The backticked names in the first column of the README table under ``header``."""
+    lines = (Path(__file__).parent.parent / "README.md").read_text().splitlines()
+    start = lines.index(header) + 2  # past the header and its rule
+    names = set()
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        names.add(line.split("|")[1].strip().strip("`"))
+    return names
+
+
+def test_readme_tables_name_the_runners_and_profiles():
+    assert _readme_table_names("| kind | further keys |") == set(cli.RUNNERS)
+    assert _readme_table_names("| profile `kind` | keys |") == set(cli.PROFILES)
 
 
 def test_warnings_reach_the_report(tmp_path):

@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from parext import sequences
 from parext.errors import NumericalRefusalError
 from parext.extension import ParaboloidShift
 from parext.grids import (
@@ -179,9 +180,32 @@ def test_separating_testfn_standard_example():
     )
     assert tf.m1 > 0.5
     assert tf.m2 < 1e-6
-    assert 0.0 < tf.s0 <= 0.5
-    assert tf.c > 0.0
+    assert 0.0 < tf.report.s <= 0.5
+    assert tf.report.c_estimate > 0.0
     assert isinstance(tf, SeparatingTestfn)
+
+
+def test_separating_testfn_record_invariants(monkeypatch):
+    # the record carries the report at its final s and margins that its own
+    # sample reproduces; one build evaluates the separation field twice, for
+    # the halving loop and for the report
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return separation_height(*args)
+
+    monkeypatch.setattr(sequences, "separation_height", counted)
+    shift0, shift_n, R = ParaboloidShift(0.0, (1.0,)), ParaboloidShift(0.0, (1.1,)), 6.0
+    f = gaussian_profile(FG, center=1.0)
+    tf = build_separating_testfn(shift0, shift_n, f, 4.0, R)
+    assert len(calls) == 2
+    assert tf.report.s < 4.0  # the loop halved s0
+    assert tf.report == separation_report(shift0, shift_n, tf.report.s, R, FG)
+    assert tf.m1 == abs(surface_pairing(f.scaled(1.0 / lp_norm_frequency(f, 2.0)), shift0, tf))
+    mesh = FG.meshgrid()
+    ball = mesh[0] ** 2 < R**2
+    assert tf.m2 == float(np.abs(tf.sample(shift_n.height(mesh), mesh))[ball].max())
 
 
 def test_separating_testfn_tau_shift():
