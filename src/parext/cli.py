@@ -28,7 +28,6 @@ import warnings
 from dataclasses import fields
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .errors import ConfigError, NumericalRefusalError, ParextWarning
@@ -307,8 +306,10 @@ def _run_separation(cfg: dict, threads: int):
     shift_n = _shift(cfg, "shift_n", e.d)
     s0 = _read(cfg, "s0", "config", _positive, 0.5)
     R = _read(cfg, "r", "config", _positive, f.grid.half_width * 0.8)
-    rep, extra = separation_report(shift0, shift_n, s0, R, f.grid), {}
-    if not rep.degenerate:
+    if shift0 == shift_n:
+        # coinciding paraboloids: the degenerate report, and no test function
+        rep, extra = separation_report(shift0, shift_n, s0, R, f.grid), {}
+    else:
         # the test function halves s0 until its cutoff fits and reports the
         # separation at the s it ends with
         tf = build_separating_testfn(shift0, shift_n, f, s0, R)
@@ -389,6 +390,9 @@ def run_experiment(kind: str, cfg: dict, out_dir: str, threads: int = 1) -> dict
 
 
 def main(argv=None) -> int:
+    # imported on use: run_experiment takes parsed configs
+    import yaml
+
     parser = argparse.ArgumentParser(prog="parext", description=__doc__)
     parser.add_argument("kind", choices=KINDS)
     parser.add_argument("--config", required=True)

@@ -13,9 +13,9 @@ convolution with the chirp exp(-i dx dxi m^2 / 2) and a post-chirp in k
 (Bluestein's algorithm), the convolution taking one FFT pair of length at
 least N + M - 1.  Each t-slice is the chirp-modulated profile pushed through
 one such transform per axis; on the uniform t-grid the time chirp
-exp(i t |xi - xi0|^2) is the product of three tabulated factors: one per
+exp(i t |xi - xi0|^2) is the product of three factors: one per
 CHIRP_PERIOD^2-th slice, one per multiple of CHIRP_PERIOD time steps and one
-per time step within such a period.  The
+per time step within such a period, each tabulated per axis.  The
 result is the Riemann sum itself, exact to rounding at every
 requested x, including points past the period 2 pi / dxi of the sum.
 
@@ -23,7 +23,9 @@ The transform along axis a acts on that axis alone, so every axis's
 pre-chirp can ride on the input.  Once per call, ``apply`` multiplies the
 samples by all the pre-chirps and by each time step's factor into one input
 table of CHIRP_PERIOD x N^d points, and a slice's input is then one product,
-the rest of its time chirp times its row of the table.
+the rest of its time chirp times its row of the table.  The table is the
+step chirps themselves, made as one product of per-axis factors and then
+multiplied in place, so no other array of its size is made.
 
 The slices run in blocks whose transform buffer holds about 2^17 complex
 points (2 MB), so a block stays in one core's L2 cache.  Each axis has one
@@ -48,9 +50,15 @@ samples, and the consumer alone makes the rest: a held field in one
 conjugate flip after the blocks (``_HeldField.fill_mirror``), unless it is
 ``mirrored`` and holds only those rows, and a stream, which must be a
 mirrored reduction, by reading each block a second time as its mirror rows.
-The memory guard sizes what is allocated before it is: a held field when it
-is made, and, in every call, the per-thread block buffers and the input
-table.
+
+An operator holds per-axis tables only: the time chirp factors of each axis,
+(n_t / CHIRP_PERIOD^2 + 2 CHIRP_PERIOD) x N points, and each axis's chirp-z
+transform, so keeping one costs nothing of the size N^d of the frequency
+grid or of the field.  Every full-grid or block-sized array is made inside a
+call, and the memory guard sizes it before it is allocated: a held field
+when it is made; in ``apply``, the per-thread block buffers and the input
+table; in ``apply_adjoint``, the block buffers, the y rows of a block, the
+step chirps (the table's rows without the samples) and the sum.
 
 The pipeline is linear in f, and its exact discrete adjoint (the same
 transforms with conjugated chirps and the lengths swapped) is available for
@@ -74,10 +82,11 @@ from .grids import FrequencyGrid, FrequencyProfile, SpacetimeGrid, _squared_dist
 
 NYQUIST_HARD_FACTOR = 4.0
 CHIRP_PERIOD = 16  # time steps per row of the tabulated time chirp factors
-# largest share of physical memory one allocation may take (a held field, or
-# a call's block buffers and input table): a caller holds up to three fields
-# at once (the search keeps its accepted field while it sums a candidate's
-# two applies in place), which this keeps under half of it
+# largest share of physical memory one allocation may take (a held field, a
+# call's block buffers and tables, the tail lattice of parext.norms): a
+# caller holds up to three fields at once (the search keeps its accepted
+# field while it sums a candidate's two applies in place), which this keeps
+# under half of it
 FIELD_MEMORY_FRACTION = 1 / 8
 
 
@@ -268,7 +277,7 @@ class ExtensionOperator:
         # first axis
         d = fgrid.d
         xi0 = shift.xi0_vec()
-        self._heights = [
+        heights = [
             ((fgrid.axis_points(a) - xi0[a]) ** 2 + (shift.tau0 if a == 0 else 0.0)).reshape(
                 (-1,) + (1,) * (d - 1 - a)
             )
@@ -276,14 +285,16 @@ class ExtensionOperator:
         ]
         # the t-grid is uniform: with P = CHIRP_PERIOD, slice
         # i = (k P + m) P + s has the time chirp of slice k P^2 times the
-        # chirp of m P time steps, both tabulated per axis, times the chirp
-        # of s time steps, tabulated over the whole frequency grid as the
-        # product of its per-axis factors
+        # chirp of m P time steps times the chirp of s time steps, each
+        # tabulated per axis; a call forms the products over the whole
+        # frequency grid it needs, the step chirps' product broadcasting
+        # into one new array of P x N^d points with none of that size
+        # besides it
         bases = stg.t_axis[:: CHIRP_PERIOD**2].reshape((-1,) + (1,) * d)
-        self._chirp_bases = [np.exp(1j * bases * h) for h in self._heights]
+        self._chirp_bases = [np.exp(1j * bases * h) for h in heights]
         steps = (np.arange(CHIRP_PERIOD) * stg.t_spacing).reshape((-1,) + (1,) * d)
-        self._chirp_periods = [np.exp(1j * CHIRP_PERIOD * steps * h) for h in self._heights]
-        self._chirp_steps = math.prod(np.exp(1j * steps * h) for h in self._heights)
+        self._chirp_periods = [np.exp(1j * CHIRP_PERIOD * steps * h) for h in heights]
+        self._chirp_step_factors = [np.exp(1j * steps * h) for h in heights]
         self._czt = [
             _ChirpZ(
                 fgrid.center[a] - fgrid.half_width,
@@ -294,10 +305,6 @@ class ExtensionOperator:
             )
             for a in range(d)
         ]
-        # every axis's pre-chirp, over the whole frequency grid: the
-        # transform of axis a acts along axis a alone, so the pre-chirps of
-        # the later axes can ride on its input
-        self._pre = math.prod(czt.pre.reshape((-1,) + (1,) * (d - 1 - a)) for a, czt in enumerate(self._czt))
 
     def _time_chirp(self, i: int, j: int, steps: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write, for each slice i..j-1 of the t-grid, the time chirp of the
@@ -333,9 +340,6 @@ class ExtensionOperator:
         n_fft = self._czt[0].n_fft
         return [(rows,) + (n_out,) * (a - 1) + (n_fft,) + (n_in,) * (d - a) for a in range(1, d + 1)]
 
-    def _buffers(self, rows: int, n_in: int, n_out: int) -> list:
-        return [np.empty(shape, dtype=complex) for shape in self._buffer_shapes(rows, n_in, n_out)]
-
     # -- forward ------------------------------------------------------------
 
     def apply(self, samples: np.ndarray, threads: int = 1, consumer=None) -> np.ndarray:
@@ -367,16 +371,20 @@ class ExtensionOperator:
         blocks = _split(n_t // 2 if real else 0, n_t, self._default_chunk())
         chunk = blocks[0][1] - blocks[0][0]
         # each thread's transform buffers, the last of which holds a streamed
-        # block in its head; and the input table, the samples times every
-        # pre-chirp and each time step's chirp, which a block's time chirp
-        # bases multiply into its input
+        # block in its head; and the input table, each time step's chirp
+        # times the samples times every pre-chirp (the transform of axis a
+        # acts along axis a alone, so the pre-chirps of the later axes can
+        # ride on its input), which a block's time chirp bases multiply into
+        # its input
         shapes = self._buffer_shapes(chunk, n, m)
         used = min(threads, len(blocks))
         _refuse_above_budget(
-            16 * (used * sum(math.prod(shape) for shape in shapes) + self._chirp_steps.size),
+            16 * (used * sum(math.prod(shape) for shape in shapes) + (CHIRP_PERIOD + 1) * n**d),
             f"the block buffers of {used} thread(s) and the input table",
         )
-        table = self._chirp_steps * (samples * self._pre)
+        pre = math.prod(czt.pre.reshape((-1,) + (1,) * (d - 1 - a)) for a, czt in enumerate(self._czt))
+        table = math.prod(self._chirp_step_factors)
+        table *= np.multiply(samples, pre, out=pre)
 
         def work(block, buffers):
             i, j = block
@@ -405,10 +413,19 @@ class ExtensionOperator:
     def apply_adjoint(self, field: np.ndarray) -> np.ndarray:
         """Exact conjugate transpose of ``apply`` on sample vectors."""
         n, m, d = self._czt[0].n, self._czt[0].m, self.fgrid.d
-        acc = np.zeros(self.fgrid.shape, dtype=complex)
         blocks = _split(0, self.stg.t_points, self._default_chunk())
-        full = self._buffers(blocks[0][1], m, n)
-        y_full = np.empty((blocks[0][1],) + self.fgrid.shape, dtype=complex)
+        chunk = blocks[0][1]
+        # the transform buffers, the y rows of a block, the step chirps and
+        # the sum
+        shapes = self._buffer_shapes(chunk, m, n)
+        _refuse_above_budget(
+            16 * (sum(math.prod(shape) for shape in shapes) + (chunk + CHIRP_PERIOD + 1) * n**d),
+            "the adjoint's block buffers, y rows and step chirps",
+        )
+        full = [np.empty(shape, dtype=complex) for shape in shapes]
+        y_full = np.empty((chunk,) + self.fgrid.shape, dtype=complex)
+        steps = math.prod(self._chirp_step_factors)
+        acc = np.zeros(self.fgrid.shape, dtype=complex)
         for i, j in blocks:
             bufs = [buf[: j - i] for buf in full]
             y = y_full[: j - i]
@@ -417,7 +434,7 @@ class ExtensionOperator:
                 czt.adjoint(buf, axis, y if axis == d else _head(bufs[axis], axis + 1, m))
             # the last transform buffer is free again: its head takes the
             # conjugated time chirp
-            chirp = self._time_chirp(i, j, self._chirp_steps, _head(bufs[-1], d, n))
+            chirp = self._time_chirp(i, j, steps, _head(bufs[-1], d, n))
             np.conjugate(chirp, out=chirp)
             acc += np.multiply(chirp, y, out=chirp).sum(axis=0)
         return acc

@@ -33,7 +33,7 @@ from .grids import (
     lp_norm_frequency,
     profile_gradient_l2sq,
 )
-from .extension import ParaboloidShift, _HeldField, _run_blocks, _split, extend
+from .extension import ParaboloidShift, _HeldField, _refuse_above_budget, _run_blocks, _split, extend
 
 
 @dataclass
@@ -280,9 +280,11 @@ def _tail_ingredients(f: FrequencyProfile, shift: ParaboloidShift) -> _TailIngre
     if l2 == 0.0:
         return _TailIngredients(0.0, 0.0, 0.0, 0.0, 0.0)
     # m1 = (2 pi)^{-d} L^1 norm of the t = 0 physical-space profile, from the
-    # periodic transform lattice of 4N points per axis
+    # periodic transform lattice of 4N points per axis, made in place so that
+    # only the lattice and its |.| are held at once
     n_lat = 4 * f.grid.points_per_axis
-    g = np.fft.ifftn(f.samples, s=(n_lat,) * d, axes=tuple(range(d))) * (n_lat**d)
+    g = np.fft.ifftn(f.samples, s=(n_lat,) * d, axes=tuple(range(d)))
+    g *= n_lat**d
     lat_dx = 2.0 * np.pi / (n_lat * f.grid.spacing)
     phys_l1 = float(np.abs(g).sum() * lat_dx**d) * f.grid.cell_volume
     m1 = phys_l1 / (2.0 * np.pi) ** d
@@ -355,7 +357,8 @@ def lq_norm_spacetime(
     norms of the pairs add by Minkowski.  ``parts`` lists further signed
     combinations of the same extensions, one sign per pair, whose truncated
     norms (without tails) the same pass reduces into ``NormResult.parts``.
-    Non-integrable tails refuse before anything is extended.
+    Non-integrable tails, and a tail lattice (4N points per axis) above the
+    memory guard's budget, refuse before anything is extended.
     """
     if q <= 2:
         raise ValueError("q must exceed 2")
@@ -370,6 +373,11 @@ def lq_norm_spacetime(
         raise TailCertificationError(
             f"d (q - 2) / 2 = {beta:.3g} <= 1: the dispersive tail is not integrable"
         )
+
+    # the tail certificate holds, one profile at a time, a complex lattice of
+    # 4N points per axis and its |.|, 24 bytes a point
+    n_lat = 4 * max(prof.grid.points_per_axis for prof, _ in tail_pairs)
+    _refuse_above_budget(24 * n_lat**d, f"the tail lattice of shape {(n_lat,) * d}")
 
     # a real field streams only into a mirrored reduction; the signs follow the
     # stream to the end, keeping two pairs' bits: a + b == b + a, a - b == -(b - a)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import NumericalRefusalError
 from .exponents import Exponents
@@ -281,6 +280,9 @@ class SeparatingTestfn:
 
 def _mollify(samples: np.ndarray) -> np.ndarray:
     """One Gaussian smoothing pass at two-cell width."""
+    # imported on use: only the separating test function needs scipy.ndimage
+    from scipy import ndimage
+
     re = ndimage.gaussian_filter(samples.real, sigma=2.0)
     im = ndimage.gaussian_filter(samples.imag, sigma=2.0)
     return re + 1j * im

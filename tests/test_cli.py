@@ -379,6 +379,26 @@ def test_separation_row_is_the_final_separation(tmp_path):
     assert "s0_final" not in rep and "c_estimate" not in rep
 
 
+def test_separation_evaluates_the_separation_field_twice(tmp_path, monkeypatch):
+    # a non-degenerate run builds the test function alone: its halving loop
+    # and its report each evaluate the separation field once
+    from parext import sequences
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return separation_height(*args)
+
+    separation_height = sequences.separation_height
+    monkeypatch.setattr(sequences, "separation_height", counted)
+    cfg = {"d": 1, **yaml.safe_load(BASE_GRID), "profile": {"kind": "gaussian"},
+           "shift": {"tau0": 0.0, "xi0": [1.0]}, "shift_n": {"tau0": 0.0, "xi0": [1.1]}, "s0": 0.5, "r": 6.0}
+    report = run_experiment("separation", cfg, str(tmp_path / "o"))
+    assert len(calls) == 2
+    assert float(report["tables"]["separation"]["rows"][0][-1]) == 0.0  # not degenerate
+
+
 def test_separation_runs_in_two_dimensions(tmp_path):
     # the hyperplane cutoff fits after s0 = 1 is halved six times
     cfg = write_cfg(

@@ -395,6 +395,37 @@ def test_memory_guard_sizes_what_a_call_allocates(monkeypatch, exponents_d1):
         quotient_single(f, exponents_d1, stg)
 
 
+def test_operator_holds_per_axis_tables_only():
+    # what an operator keeps grows with N per axis, not with the N^d points
+    # of its frequency grid: less than one full-grid complex array
+    fgrid = FrequencyGrid(2, 8.0, 256)
+    stg = SpacetimeGrid(2, 1.0, 2.0, 9, 9)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        op = ExtensionOperator(fgrid, ParaboloidShift(0.3, (0.5, -0.2)), stg)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 16 * fgrid.points_per_axis**2, kept
+    assert op.apply(gaussian_profile(fgrid).samples).shape == stg.field_shape
+
+
+def test_adjoint_refuses_above_budget(monkeypatch):
+    # apply_adjoint sizes its block buffers, y rows and step chirps before
+    # it allocates them
+    shift = ParaboloidShift(0.0, (1.0,))
+    op = ExtensionOperator(PAIR_FGRID, shift, PAIR_STG)
+    field = op.apply(gaussian_profile(PAIR_FGRID).samples)
+    czt = op._czt[0]
+    rows = min(op._default_chunk(), PAIR_STG.t_points)
+    buffer_bytes = 16 * sum(math.prod(shape) for shape in op._buffer_shapes(rows, czt.m, czt.n))
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    monkeypatch.setattr(extension, "FIELD_MEMORY_FRACTION", 0.5 * buffer_bytes / memory)
+    with pytest.raises(NumericalRefusalError, match="the adjoint's block buffers"):
+        op.apply_adjoint(field)
+
+
 def test_paraboloid_shift_helpers():
     s = ParaboloidShift(0.0, (0.0, 0.0))
     assert s.d == 2 and not s.is_nonzero()
@@ -413,11 +444,14 @@ def test_paraboloid_shift_helpers():
 
 def test_import_leaves_scipy_signal_unloaded():
     # scipy.signal costs most of a second to import, more than the package
-    # itself; no module of the package may pull it in
+    # itself; no module of the package may pull it in.  scipy.ndimage (the
+    # separating test function's smoothing) and yaml (the CLI's config
+    # reader) are imported where they are used, so every run that does not
+    # use them pays neither their set-up time nor their memory
     code = (
         "import sys, parext, parext.cli, parext.search, parext.sequences, parext.symmetry; "
-        "print('scipy.signal' in sys.modules)"
+        "print([m for m in ('scipy.signal', 'scipy.ndimage', 'yaml') if m in sys.modules])"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(parext.__file__)))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"

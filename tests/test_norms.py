@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ from conftest import (
     truncated_gauss_l6_d1,
 )
 from parext import extension, norms
-from parext.errors import TailCertificationError
+from parext.errors import NumericalRefusalError, TailCertificationError
 from parext.exponents import validate_exponents
 from parext.extension import ExtensionOperator, ParaboloidShift, _run_blocks, _split, extend
 from parext.grids import (
@@ -201,6 +202,21 @@ def test_tail_refusal_at_nonintegrable_exponent():
     # a pair of another dimension than the grid refuses before any extension
     with pytest.raises(ValueError, match="a pair of dimension 1 .shift 2. on a 1-d spacetime grid"):
         lq_norm_spacetime(stg, [(f, ZERO1), (f, ParaboloidShift(0.0, (0.0, 0.0)))], 6.0)
+
+
+def test_tail_lattice_refuses_above_budget_before_extending(monkeypatch):
+    # the tail certificate's lattice of 4N points per axis, a complex array
+    # and its |.|, is sized before any field is extended
+    def extend_nothing(*args, **kwargs):
+        raise AssertionError("a field was extended")
+
+    f = gaussian_profile(FROZEN_FGRID_D2)
+    n_lat = 4 * FROZEN_FGRID_D2.points_per_axis
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    monkeypatch.setattr(norms, "extend", extend_nothing)
+    monkeypatch.setattr(extension, "FIELD_MEMORY_FRACTION", 0.9 * 24 * n_lat**2 / memory)
+    with pytest.raises(NumericalRefusalError, match=rf"the tail lattice of shape \({n_lat}, {n_lat}\)"):
+        lq_norm_spacetime(FROZEN_STG_D2, [(f, ParaboloidShift.zero(2))], 4.0)
 
 
 def test_d2_frozen_config(exponents_d2):
