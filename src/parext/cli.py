@@ -25,7 +25,6 @@ import sys
 import tempfile
 import time
 import warnings
-from dataclasses import fields
 
 import numpy as np
 
@@ -250,15 +249,9 @@ def _run_search(cfg: dict, threads: int):
     e, stg, f = _common(cfg, {"profile_g", "shift", "optimizer"})
     g = _parse_profile(_read(cfg, "profile_g", "config", _mapping, cfg["profile"]), f.grid, "profile_g")
     shift = _shift(cfg, "shift", e.d)
-    # the optimizer keys, their types and their defaults are SearchOptions' fields
     optimizer = _read(cfg, "optimizer", "config", _mapping, {})
-    coercions = {fl.name: {int: _whole, float: _finite}[type(fl.default)]
-                 for fl in fields(SearchOptions)}
-    _check_keys(optimizer, set(coercions), "optimizer")
-    try:
-        opts = SearchOptions(**{k: _read(optimizer, k, "optimizer", coercions[k]) for k in optimizer})
-    except ValueError as ex:
-        raise ConfigError(f"optimizer: {ex}") from ex
+    _check_keys(optimizer, {"max_steps"}, "optimizer")
+    opts = SearchOptions(_read(optimizer, "max_steps", "optimizer", _whole, SearchOptions.max_steps))
     traj = maximize_quotient_pair(f, g, shift, e, stg, opts=opts, threads=threads)
     rows = [(k, q, S.lam, *S.xi_tilde, S.t0, *S.x0, nf, ng) for k, q, S, nf, ng in traj.iterates]
     header = ["step", "quotient", "lambda_fit"] + [f"xi_tilde_{a}" for a in range(e.d)]

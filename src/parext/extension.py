@@ -56,9 +56,10 @@ An operator holds per-axis tables only: the time chirp factors of each axis,
 transform, so keeping one costs nothing of the size N^d of the frequency
 grid or of the field.  Every full-grid or block-sized array is made inside a
 call, and the memory guard sizes it before it is allocated: a held field
-when it is made; in ``apply``, the per-thread block buffers and the input
-table; in ``apply_adjoint``, the block buffers, the y rows of a block, the
-step chirps (the table's rows without the samples) and the sum.
+when it is made; in ``apply``, the per-thread block buffers, a stream's
+per-thread scratch and the input table; in ``apply_adjoint``, the block
+buffers, the y rows of a block, the step chirps (the table's rows without
+the samples) and the sum.
 
 The pipeline is linear in f, and its exact discrete adjoint (the same
 transforms with conjugated chirps and the lengths swapped) is available for
@@ -355,7 +356,8 @@ class ExtensionOperator:
         block of slices i..i+k-1 as ``consumer(i, rows, scratch)``, rows
         shaped (k,) + the x-shape, on the thread that made it, with that
         thread's ``consumer.scratch(chunk)``, made once per thread for blocks
-        of up to ``chunk`` rows; the rows are reused once the call returns.
+        of up to ``chunk`` rows and sized by ``consumer.scratch_bytes(chunk)``
+        for the memory guard; the rows are reused once the call returns.
         A stream of real samples must be ``mirrored``, deriving the rows
         t < 0 itself, and a mirrored consumer refuses complex samples."""
         if consumer is None:
@@ -378,9 +380,12 @@ class ExtensionOperator:
         # its input
         shapes = self._buffer_shapes(chunk, n, m)
         used = min(threads, len(blocks))
+        per_thread = 16 * sum(math.prod(shape) for shape in shapes)
+        if not held:
+            per_thread += consumer.scratch_bytes(chunk)
         _refuse_above_budget(
-            16 * (used * sum(math.prod(shape) for shape in shapes) + (CHIRP_PERIOD + 1) * n**d),
-            f"the block buffers of {used} thread(s) and the input table",
+            used * per_thread + 16 * (CHIRP_PERIOD + 1) * n**d,
+            f"the block buffers of {used} thread(s){'' if held else ', their stream scratch'} and the input table",
         )
         pre = math.prod(czt.pre.reshape((-1,) + (1,) * (d - 1 - a)) for a, czt in enumerate(self._czt))
         table = math.prod(self._chirp_step_factors)
@@ -456,34 +461,4 @@ def extend(
     if consumer is None:
         consumer = _HeldField(stg)
     return ExtensionOperator(f.grid, shift, stg).apply(f.samples, threads=threads, consumer=consumer)
-
-
-def plancherel_slice_defect(
-    f: FrequencyProfile,
-    shift: ParaboloidShift,
-    t_values,
-) -> float:
-    """Max relative deviation of the per-slice L^2 norm from
-    (2 pi)^{d/2} ||f||_2 over the given time values.
-
-    Each slice is evaluated by ``ExtensionOperator.apply`` on one period of
-    the field: N points per axis spaced 2 pi / (N dxi) from -pi / dxi, where
-    Parseval makes the discrete L^2 norm exact."""
-    from .grids import lp_norm_frequency
-
-    d = f.grid.d
-    n = f.grid.points_per_axis
-    x_half = np.pi / f.grid.spacing
-    target = (2.0 * np.pi) ** (d / 2.0) * lp_norm_frequency(f, 2.0)
-    period = (slice(0, n),) * d  # the point at +pi / dxi repeats the one at -pi / dxi
-    worst = 0.0
-    for t in np.atleast_1d(t_values):
-        t = float(t)
-        # t-points {-|t|, 0, |t|}; slice 1 + sign(t) is the one at t
-        stg = SpacetimeGrid(d, abs(t) if t != 0.0 else 1.0, x_half, 3, n + 1)
-        op = ExtensionOperator(f.grid, shift, stg)
-        slice_t = op.apply(f.samples)[(1 + int(np.sign(t)),) + period]
-        got = float(np.sqrt((np.abs(slice_t) ** 2).sum() * stg.x_spacing**d))
-        worst = max(worst, abs(got - target) / target)
-    return worst
 

@@ -150,6 +150,10 @@ class _LqRows:
         powers = np.empty((2,) + shape)
         return powers[0], powers[1], np.empty(shape, dtype=complex) if self._mixes else None
 
+    def scratch_bytes(self, rows: int) -> int:
+        """The bytes ``scratch(rows)`` allocates."""
+        return (16 + 16 * self._mixes) * rows * math.prod(self._row_shape)
+
     def _power(self, c: np.ndarray, out: np.ndarray, spare: np.ndarray) -> tuple:
         """|c|^q from |c|^2 = re^2 + im^2, by repeated multiplication, left
         to right, when q / 2 is whole, and otherwise as (|c|^2)^(q / 2):

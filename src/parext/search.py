@@ -52,13 +52,15 @@ class SearchTrajectory:
         return self.iterates[-1][1]
 
 
-def _boundary_mass_fraction(samples: np.ndarray, shell: float) -> float:
+def _boundary_mass_fraction(samples: np.ndarray) -> float:
+    """The share of |samples|^2 in the outer BOUNDARY_SHELL of the grid
+    along any axis; 0 for a zero profile."""
     w = np.abs(samples) ** 2
     total = w.sum()
     if total == 0.0:
         return 0.0
     n = samples.shape[0]
-    k = max(1, int(round(shell * n)))
+    k = max(1, int(round(BOUNDARY_SHELL * n)))
     inner = w
     for axis in range(samples.ndim):
         sl = [slice(None)] * samples.ndim
@@ -108,10 +110,13 @@ def maximize_quotient_pair(
     Terminates on step_tolerance (converged), max_steps, or grid_exhausted —
     the iterate's mass reaching the frequency-grid boundary, the discrete
     signature of the maximizing sequence running off along the scaling
-    direction.
+    direction.  Refuses with ValueError, before any operator is built, when
+    both profiles are zero.
     """
     if e.p != 2.0:
         raise ValueError("the optimizer requires p = 2")
+    if not (f0.samples.any() or g0.samples.any()):
+        raise ValueError("every profile is zero")
     if opts is None:
         opts = SearchOptions()
     op_f = ExtensionOperator(f0.grid, ParaboloidShift.zero(f0.grid.d), stg)
@@ -139,11 +144,7 @@ def maximize_quotient_pair(
             reason = "step_tolerance"
             break
 
-        bmass = max(
-            _boundary_mass_fraction(fs, BOUNDARY_SHELL),
-            _boundary_mass_fraction(gs, BOUNDARY_SHELL),
-        )
-        if bmass > BOUNDARY_MASS_LIMIT:
+        if max(_boundary_mass_fraction(fs), _boundary_mass_fraction(gs)) > BOUNDARY_MASS_LIMIT:
             reason = "grid_exhausted"
             break
         if k == opts.max_steps:
@@ -178,23 +179,6 @@ def maximize_quotient_pair(
         terminated_reason=reason,
         f_final=FrequencyProfile(f0.grid, fs),
     )
-
-
-def quotient_gradient(
-    f: FrequencyProfile,
-    g: FrequencyProfile,
-    shift: ParaboloidShift,
-    e: Exponents,
-    stg: SpacetimeGrid,
-) -> tuple:
-    """Euclidean gradient of the pair quotient at (f, g) plus the quotient
-    value; exposed for finite-difference validation."""
-    if e.p != 2.0:
-        raise ValueError("gradient available only at p = 2")
-    op_f = ExtensionOperator(f.grid, ParaboloidShift.zero(f.grid.d), stg)
-    op_g = ExtensionOperator(g.grid, shift, stg)
-    F, N = _pair_field(op_f, op_g, f.samples, g.samples, e.q)
-    return _pair_gradient(op_f, op_g, f.samples, g.samples, F, N, e.q)
 
 
 def fit_symmetry(f: FrequencyProfile) -> Symmetry:

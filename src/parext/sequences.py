@@ -112,9 +112,6 @@ class ConvergenceStudy:
     a_p_estimate: float
     target: float  # 2^{1/p'} * a_p_estimate
 
-    def final_gap(self) -> float:
-        return abs(self.rows[-1][1] - self.target) / self.target
-
 
 def convergence_study(
     f: FrequencyProfile,

@@ -12,9 +12,10 @@ import pytest
 from scipy import integrate, special
 
 from parext.exponents import validate_exponents
-from parext.extension import ParaboloidShift
-from parext.grids import FrequencyGrid, SpacetimeGrid, gaussian_profile
+from parext.extension import ExtensionOperator, ParaboloidShift
+from parext.grids import FrequencyGrid, SpacetimeGrid, gaussian_profile, lp_norm_frequency
 from parext.norms import quotient_single
+from parext.search import _pair_field, _pair_gradient
 
 # ---------------------------------------------------------------------------
 # closed-form Gaussian constants (f(xi) = exp(-|xi|^2), d = 1 unless noted)
@@ -103,6 +104,44 @@ def gaussian_extension_oracle(
     pref = (np.pi / a) ** (d / 2.0)
     outer = shift.tau0 * t + (x * xi0).sum(axis=-1) + float(xi0 @ v)
     return pref * np.exp(quad - (cp @ cp) / width**2 + 1j * outer)
+
+
+# ---------------------------------------------------------------------------
+# checks of the operator and the search gradient
+# ---------------------------------------------------------------------------
+
+
+def plancherel_slice_defect(f, shift: ParaboloidShift, t_values) -> float:
+    """Max relative deviation of the per-slice L^2 norm from
+    (2 pi)^{d/2} ||f||_2 over the given time values.
+
+    Each slice is evaluated by ``ExtensionOperator.apply`` on one period of
+    the field: N points per axis spaced 2 pi / (N dxi) from -pi / dxi, where
+    Parseval makes the discrete L^2 norm exact."""
+    d = f.grid.d
+    n = f.grid.points_per_axis
+    x_half = np.pi / f.grid.spacing
+    target = (2.0 * np.pi) ** (d / 2.0) * lp_norm_frequency(f, 2.0)
+    period = (slice(0, n),) * d  # the point at +pi / dxi repeats the one at -pi / dxi
+    worst = 0.0
+    for t in np.atleast_1d(t_values):
+        t = float(t)
+        # t-points {-|t|, 0, |t|}; slice 1 + sign(t) is the one at t
+        stg = SpacetimeGrid(d, abs(t) if t != 0.0 else 1.0, x_half, 3, n + 1)
+        op = ExtensionOperator(f.grid, shift, stg)
+        slice_t = op.apply(f.samples)[(1 + int(np.sign(t)),) + period]
+        got = float(np.sqrt((np.abs(slice_t) ** 2).sum() * stg.x_spacing**d))
+        worst = max(worst, abs(got - target) / target)
+    return worst
+
+
+def quotient_gradient(f, g, shift: ParaboloidShift, e, stg: SpacetimeGrid) -> tuple:
+    """Euclidean gradient of the pair quotient at (f, g), at p = 2, plus the
+    quotient value, through the search's own field and gradient."""
+    op_f = ExtensionOperator(f.grid, ParaboloidShift.zero(f.grid.d), stg)
+    op_g = ExtensionOperator(g.grid, shift, stg)
+    F, N = _pair_field(op_f, op_g, f.samples, g.samples, e.q)
+    return _pair_gradient(op_f, op_g, f.samples, g.samples, F, N, e.q)
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,21 @@ SEQUENCE = SHIFT + "lambdas: [1.0, 0.5]\n"
         pytest.param(
             "verify-symmetry", SHIFT + "profile: {kind: gaussian, center: 100.0}\n", "profile", id="profile-zero"
         ),
+        # values each reader or constructor refuses
+        pytest.param("quotient", "profile: 3\n", "config.profile: must be a mapping", id="profile-scalar"),
+        pytest.param(
+            "quotient", "profile_g: {kind: bump}\nshift: {tau0: 0.0, xi0: [1.0, 2.0]}\n",
+            "shift.xi0 must have 1 components", id="xi0-length",
+        ),
+        pytest.param(
+            "quotient", "profile: {kind: gaussian, width: -1.0}\n", "profile: width must be positive",
+            id="width-negative",
+        ),
+        pytest.param("quotient", "p: 1.0\n", "p must exceed 1", id="p-one"),
+        pytest.param(
+            "quotient", BASE_GRID.replace("n: 256", "n: 100"), "grid: points_per_axis must be a power of two",
+            id="n-not-power-of-two",
+        ),
     ],
 )
 def test_stray_key_or_malformed_value_exits_2(tmp_path, capsys, kind, extra, key):
@@ -241,6 +256,40 @@ def test_unread_or_nonpositive_threads_exit_2(tmp_path, capsys, kind, extra, thr
     assert main([kind, "--config", cfg, "--out", str(tmp_path / "o"), "--threads", threads]) == 2
     assert "--threads" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("d: 1\nprofile: {kind: gaussian}\n", "missing key 'grid' in config", id="grid-missing"),
+        pytest.param("- d: 1\n- profile: {kind: gaussian}\n", "config must be a YAML mapping", id="list"),
+    ],
+)
+def test_malformed_whole_config_exits_2(tmp_path, capsys, text, message):
+    cfg = write_cfg(tmp_path, "cfg.yaml", text)
+    assert main(["quotient", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_whole_float_grid_size_reads_as_its_integer(tmp_path):
+    # n: 256.0 reads as 256, so the table is the same byte for byte
+    tables = []
+    for i, grid in enumerate((BASE_GRID, BASE_GRID.replace("n: 256", "n: 256.0"))):
+        cfg = write_cfg(tmp_path, f"q{i}.yaml", f"d: 1\n{grid}\nprofile: {{kind: gaussian}}\n")
+        assert main(["quotient", "--config", cfg, "--out", str(tmp_path / f"o{i}")]) == 0
+        tables.append((tmp_path / f"o{i}" / "quotient.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
+def test_runner_exception_exits_4(tmp_path, capsys, monkeypatch):
+    def broken(cfg, threads):
+        raise RuntimeError("runner broke")
+
+    monkeypatch.setitem(cli.RUNNERS, "quotient", broken)
+    cfg = write_cfg(tmp_path, "q.yaml", f"d: 1\n{BASE_GRID}\nprofile: {{kind: gaussian}}\n")
+    assert main(["quotient", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    assert "internal error: runner broke" in capsys.readouterr().err
 
 
 def test_removed_pad_key_exits_2(tmp_path):
@@ -377,6 +426,24 @@ def test_separation_row_is_the_final_separation(tmp_path):
     assert (s, r, degenerate) == (4.0 / 2**8, 6.0, 0.0)
     assert c == pytest.approx(0.00484375, rel=1e-10)
     assert "s0_final" not in rep and "c_estimate" not in rep
+
+
+def test_coinciding_separation_shifts_report_degenerate(tmp_path):
+    # coinciding paraboloids: one row at s0, degenerate, no separation and
+    # no test function margins
+    cfg = write_cfg(
+        tmp_path,
+        "sep.yaml",
+        f"d: 1\n{BASE_GRID}\nprofile: {{kind: gaussian}}\n"
+        "shift: {tau0: 0.0, xi0: [1.0]}\nshift_n: {tau0: 0.0, xi0: [1.0]}\n",
+    )
+    out = tmp_path / "o"
+    assert main(["separation", "--config", cfg, "--out", str(out)]) == 0
+    rep = read_report(out)
+    (row,) = rep["tables"]["separation"]["rows"]
+    s, _, _, c, degenerate = map(float, row)
+    assert (s, c, degenerate) == (0.5, 0.0, 1.0)
+    assert "m1" not in rep and "m2" not in rep
 
 
 def test_separation_evaluates_the_separation_field_twice(tmp_path, monkeypatch):

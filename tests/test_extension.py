@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import parext
-from conftest import PAIR_FGRID, PAIR_STG, gaussian_extension_oracle
+from conftest import PAIR_FGRID, PAIR_STG, gaussian_extension_oracle, plancherel_slice_defect
 from parext import extension, norms
 from parext.errors import NumericalRefusalError, NyquistError, ParextWarning
 from parext.extension import (
@@ -17,7 +17,6 @@ from parext.extension import (
     ParaboloidShift,
     _ChirpZ,
     extend,
-    plancherel_slice_defect,
 )
 from parext.grids import FrequencyGrid, SpacetimeGrid, gaussian_profile
 from parext.norms import quotient_single
@@ -393,6 +392,18 @@ def test_memory_guard_sizes_what_a_call_allocates(monkeypatch, exponents_d1):
     monkeypatch.setattr(extension, "FIELD_MEMORY_FRACTION", 0.1 * field_bytes / memory)
     with pytest.raises(NumericalRefusalError, match="the block buffers of 1 thread"):
         quotient_single(f, exponents_d1, stg)
+
+
+def test_memory_guard_sizes_the_stream_scratch(monkeypatch, exponents_d1):
+    # quotient_single on FROZEN d = 1 streams blocks of 16 slices: apply's
+    # block buffers and input table take 3.06 MiB and the reduction's |c|^q
+    # buffers 1.00 MiB more per thread, so a 3.5 MiB budget refuses the call
+    from conftest import FROZEN_FGRID_D1, FROZEN_STG_D1
+
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    monkeypatch.setattr(extension, "FIELD_MEMORY_FRACTION", 3.5 * 2**20 / memory)
+    with pytest.raises(NumericalRefusalError, match="the block buffers of 1 thread\\(s\\), their stream scratch"):
+        quotient_single(gaussian_profile(FROZEN_FGRID_D1), exponents_d1, FROZEN_STG_D1)
 
 
 def test_operator_holds_per_axis_tables_only():

@@ -107,6 +107,38 @@ def test_superpose_grid_mismatch():
         superpose(f, g)
 
 
+# -- refusals ---------------------------------------------------------------
+
+G1 = FrequencyGrid(1, 4.0, 64)
+G2 = FrequencyGrid(2, 4.0, 16)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: gaussian_profile(G2, center=(0.0, 1.0, 2.0)), "center must have length 2", id="center"),
+        pytest.param(
+            lambda: gaussian_profile(G2, phase_velocity=(1.0, 2.0, 3.0)), "phase_velocity must have length 2",
+            id="phase_velocity",
+        ),
+        pytest.param(lambda: bump_profile(G1, center=(0.0, 1.0)), "center must have length 1", id="bump-center"),
+        pytest.param(lambda: FrequencyGrid(0, 1.0, 8), "dimension must be >= 1", id="grid-d"),
+        pytest.param(lambda: FrequencyGrid(1, 0.0, 8), "half_width must be positive", id="grid-half_width"),
+        pytest.param(lambda: FrequencyGrid(2, 1.0, 8, center=(0.0,)), "center must have length d", id="grid-center"),
+        pytest.param(lambda: SpacetimeGrid(1, -1.0, 1.0, 3, 3), "half-widths must be positive", id="stg-t"),
+        pytest.param(lambda: SpacetimeGrid(1, 1.0, 0.0, 3, 3), "half-widths must be positive", id="stg-x"),
+        pytest.param(lambda: SpacetimeGrid(1, 1.0, 1.0, 1, 3), "at least two points", id="stg-t_points"),
+        pytest.param(lambda: SpacetimeGrid(1, 1.0, 1.0, 3, 1), "at least two points", id="stg-x_points"),
+        pytest.param(lambda: gaussian_profile(G1, width=0.0), "width must be positive", id="width"),
+        pytest.param(lambda: bump_profile(G1, radius=-1.0), "radius must be positive", id="radius"),
+        pytest.param(lambda: lp_norm_frequency(gaussian_profile(G1), 0.5), "p must be >= 1", id="lp-p"),
+    ],
+)
+def test_grid_and_profile_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # -- norms and moments ------------------------------------------------------
 
 def test_gaussian_l2_norm():

@@ -12,13 +12,12 @@ MODULES = sorted(p for p in Path(parext.__file__).parent.glob("*.py") if p.name 
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
 BENCHMARKS = sorted((Path(__file__).parent.parent / "benchmarks").glob("*.py"))
 
-# public names that only tests call, on purpose: the acceptance criteria use
-# the first four; the last two wait for the symmetry-sequence checks
+# public names that only tests call, each waiting for the ROADMAP item that
+# gives it a report: a K-term sharp_holder_gap for K translated paraboloids
+# (item 13), the sequence-condition check and the composition law for the
+# constructed symmetry families (item 8)
 TEST_ONLY = {
-    "plancherel_slice_defect",
     "sharp_holder_gap",
-    "quotient_gradient",
-    "ConvergenceStudy.final_gap",
     "check_sequence_conditions",
     "compose_symmetry",
 }

@@ -204,6 +204,11 @@ def test_tail_refusal_at_nonintegrable_exponent():
         lq_norm_spacetime(stg, [(f, ZERO1), (f, ParaboloidShift(0.0, (0.0, 0.0)))], 6.0)
 
 
+def test_empty_pair_list_refuses():
+    with pytest.raises(ValueError, match="no .profile, shift. pair to extend"):
+        lq_norm_spacetime(MED_STG, [], 6.0)
+
+
 def test_tail_lattice_refuses_above_budget_before_extending(monkeypatch):
     # the tail certificate's lattice of 4N points per axis, a complex array
     # and its |.|, is sized before any field is extended

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import parext
-from conftest import SEARCH_FGRID, SEARCH_STG
+from conftest import SEARCH_FGRID, SEARCH_STG, quotient_gradient
 from parext import search
 from parext.extension import ParaboloidShift
 from parext.grids import FrequencyGrid, FrequencyProfile, SpacetimeGrid, gaussian_profile
@@ -18,7 +18,6 @@ from parext.search import (
     _boundary_mass_fraction,
     fit_symmetry,
     maximize_quotient_pair,
-    quotient_gradient,
 )
 
 ZERO = ParaboloidShift(0.0, (0.0,))
@@ -96,6 +95,14 @@ def test_fit_symmetry_zero_profile():
         fit_symmetry(FrequencyProfile(fg, np.zeros(64)))
 
 
+def test_fit_symmetry_point_mass():
+    # one nonzero sample has a centroid but no width
+    samples = np.zeros(64)
+    samples[20] = 1.0
+    with pytest.raises(ValueError, match="degenerate point-mass profile"):
+        fit_symmetry(FrequencyProfile(FrequencyGrid(1, 4.0, 64), samples))
+
+
 # -- gradient -------------------------------------------------------------------
 
 def test_gradient_matches_finite_differences(exponents_d1, rng):
@@ -127,9 +134,9 @@ def test_gradient_matches_finite_differences(exponents_d1, rng):
 def test_boundary_mass_fraction():
     v = np.zeros(100)
     v[50] = 1.0
-    assert _boundary_mass_fraction(v, 0.1) == 0.0
+    assert _boundary_mass_fraction(v) == 0.0
     v[2] = 1.0
-    assert _boundary_mass_fraction(v, 0.1) == pytest.approx(0.5)
+    assert _boundary_mass_fraction(v) == pytest.approx(0.5)
 
 
 def test_ascent_is_monotone(exponents_d1):
@@ -237,6 +244,26 @@ def test_max_steps_termination(exponents_d1):
     # no step count leaves the trajectory without its starting iterate
     with pytest.raises(ValueError):
         SearchOptions(max_steps=-1)
+
+
+def test_all_zero_profiles_refuse_before_the_search(exponents_d1, monkeypatch):
+    def build_nothing(*args, **kwargs):
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr(search, "ExtensionOperator", build_nothing)
+    z = gaussian_profile(SEARCH_FGRID).scaled(0.0)
+    with pytest.raises(ValueError, match="every profile is zero"):
+        maximize_quotient_pair(z, z, ParaboloidShift(0.0, (1.0,)), exponents_d1, SEARCH_STG)
+
+
+def test_zero_g_next_to_a_nonzero_f_ascends(exponents_d1):
+    # the gradient gives g mass from the first step on
+    f = gaussian_profile(SEARCH_FGRID)
+    traj = maximize_quotient_pair(f, f.scaled(0.0), ParaboloidShift(0.0, (1.0,)), exponents_d1, SEARCH_STG)
+    qs = [it[1] for it in traj.iterates]
+    assert len(qs) > 2 and all(b > a for a, b in zip(qs, qs[1:]))
+    assert traj.iterates[0][4] == 0.0 and traj.iterates[1][4] > 0.0
+    assert traj.terminated_reason == "grid_exhausted"
 
 
 def test_p_not_2_rejected(exponents_d1):

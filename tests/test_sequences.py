@@ -251,6 +251,38 @@ def test_separating_testfn_survives_replace_and_pickle():
         assert np.array_equal(copy.sample(tau, mesh), want)
 
 
+# tau shifts of 1 and 0 under xi0 = 1e8 differ by less than the rounding of
+# |xi0|^2 = 1e16, so their separation sums to exactly 0
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda e: shifted_limit_test(gaussian_profile(FG).scaled(0.0), ZERO, [ZERO], e, STG),
+            ValueError, "zero profile", id="shifted-limit-zero",
+        ),
+        pytest.param(
+            lambda e: build_separating_testfn(
+                ZERO, ParaboloidShift(0.0, (1.0,)), gaussian_profile(FG).scaled(0.0), 0.5, 8.0
+            ),
+            ValueError, "zero profile", id="testfn-zero",
+        ),
+        pytest.param(
+            lambda e: build_separating_testfn(ZERO, ParaboloidShift(0.0, (1.0,)), gaussian_profile(FG), 1e6, 8.0),
+            NumericalRefusalError, "never cleared the 1/4 budget", id="cutoff-too-wide",
+        ),
+        pytest.param(
+            lambda e: build_separating_testfn(
+                ParaboloidShift(1.0, (1e8,)), ParaboloidShift(0.0, (1e8,)), gaussian_profile(FG), 0.5, 8.0
+            ),
+            NumericalRefusalError, "no positive separation", id="separation-rounds-to-zero",
+        ),
+    ],
+)
+def test_sequence_refusals(exponents_d1, call, error, message):
+    with pytest.raises(error, match=message):
+        call(exponents_d1)
+
+
 # -- shifted limits -----------------------------------------------------------
 
 def test_shifted_limit_constant_sequence(exponents_d1):

@@ -113,6 +113,26 @@ def test_compose_parameter_law():
     assert phi == pytest.approx(0.5 * 4.0 / 0.25 + 0.3 * (-2.0) / 0.5)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: Symmetry(0.0, (0.0,), 0.0, (0.0,)), "scaling parameter must be positive", id="lam"),
+        pytest.param(lambda: Symmetry(1.0, (0.0, 1.0), 0.0, (0.0,)), "same dimension", id="x0-dimension"),
+        pytest.param(
+            lambda: apply_symmetry_frequency(Symmetry(1.0, (0.0, 0.0), 0.0, (0.0, 0.0)), gaussian_profile(FG), 2.0, ZERO),
+            "symmetry dimension does not match", id="action-dimension",
+        ),
+        pytest.param(
+            lambda: compose_symmetry(Symmetry(1.0, (0.0,), 0.0, (0.0,)), Symmetry(1.0, (0.0, 0.0), 0.0, (0.0, 0.0))),
+            "dimension mismatch", id="compose-dimension",
+        ),
+    ],
+)
+def test_symmetry_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_intertwining_identity_symmetry(exponents_d1):
     f = gaussian_profile(FG)
     disc = verify_intertwining(
