@@ -43,13 +43,29 @@ its rows.  Any other consumer is a stream: ``apply`` hands it each finished
 block of slices on the thread that made it, so a caller that only reduces a
 field (the L^q norms of ``parext.norms``) holds one block of it per thread.
 
-The t- and x-grids are symmetric, so for real samples (the exact test: no
-nonzero imaginary part) the Riemann sum satisfies F(-t, x) = conj F(t, -x)
-for any shift.  So ``apply`` transforms only the slices with t >= 0 of real
-samples, and the consumer alone makes the rest: a held field in one
-conjugate flip after the blocks (``_HeldField.fill_mirror``), unless it is
-``mirrored`` and holds only those rows, and a stream, which must be a
-mirrored reduction, by reading each block a second time as its mirror rows.
+The t- and x-grids are symmetric, and the paraboloid's symmetry group holds
+time reversal composed with a reflection of space, so the Riemann sum
+satisfies F(-t, x) = conj F(t, R x) for two kinds of profile
+(``_time_reflection``), with two reflections R:
+
+* the real reflection, R x = -x: real samples (the exact test: no nonzero
+  imaginary part), for any shift;
+* the Hermitian reflection, R x = x: on a frequency grid centred exactly at
+  0 and the shift xi0 = 0 (any tau0), samples with f[j] == conj f[N - j]
+  exactly on every axis for the interior indices j >= 1, and an unpaired
+  edge slab (the samples with any axis index 0, whose mirror +L is off the
+  grid) holding at most HERMITIAN_EDGE_SHARE = 2^-53 of sum |f|, so that the
+  slab's defect stays below the transform's own rounding.  The Gaussians
+  exp(-|xi|^2 + i v . xi), the space translates of the extremizers, are of
+  this kind.
+
+So ``apply`` transforms only the slices with t >= 0 of such samples, and the
+rows t < 0 are the mirrors of those: a consumer ``mirrored`` by the
+samples' reflection derives them itself (a held field that keeps only the
+rows t >= 0, an L^q reduction that reads each block again as its mirror
+rows), and ``apply`` writes them, for any other consumer, one conjugate
+flip of each block's rows (``_Reflection.flip``) into the held field or
+into a buffer it streams.
 
 An operator holds per-axis tables only: the time chirp factors of each axis,
 (n_t / CHIRP_PERIOD^2 + 2 CHIRP_PERIOD) x N points, and each axis's chirp-z
@@ -57,9 +73,9 @@ transform, so keeping one costs nothing of the size N^d of the frequency
 grid or of the field.  Every full-grid or block-sized array is made inside a
 call, and the memory guard sizes it before it is allocated: a held field
 when it is made; in ``apply``, the per-thread block buffers, a stream's
-per-thread scratch and the input table; in ``apply_adjoint``, the block
-buffers, the y rows of a block, the step chirps (the table's rows without
-the samples) and the sum.
+per-thread scratch and mirror rows, and the input table; in
+``apply_adjoint``, the block buffers, the y rows of a block, the step
+chirps (the table's rows without the samples) and the sum.
 
 The pipeline is linear in f, and its exact discrete adjoint (the same
 transforms with conjugated chirps and the lengths swapped) is available for
@@ -68,6 +84,7 @@ gradient computations.
 
 from __future__ import annotations
 
+import enum
 import math
 import os
 import threading
@@ -89,6 +106,10 @@ CHIRP_PERIOD = 16  # time steps per row of the tabulated time chirp factors
 # field while it sums a candidate's two applies in place), which this keeps
 # under half of it
 FIELD_MEMORY_FRACTION = 1 / 8
+# the largest share of sum |f| the unpaired edge slab of a Hermitian profile
+# may hold: the slab's defect in F(-t, x) = conj F(t, x) is at most twice its
+# share of the bound sum |f| dxi^d on |F|, below the transform's own rounding
+HERMITIAN_EDGE_SHARE = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -122,6 +143,41 @@ class ParaboloidShift:
     def zero(cls, d: int) -> "ParaboloidShift":
         """The unshifted paraboloid tau = |xi|^2."""
         return cls(0.0, (0.0,) * d)
+
+
+class _Reflection(enum.Enum):
+    """The reflection R of F(-t, x) = conj F(t, R x): REAL, R x = -x, and
+    HERMITIAN, R x = x (see the module docstring)."""
+
+    REAL = "real"
+    HERMITIAN = "hermitian"
+
+    def flip(self, ndim: int) -> tuple:
+        """The index that reverses the t-axis and, under REAL, every x axis
+        of an array of ``ndim`` axes, t first: the conjugates of the rows
+        r.. of a field so flipped are its mirror rows n_t - 1 - r, in
+        increasing order."""
+        return (slice(None, None, -1),) * (ndim if self is _Reflection.REAL else 1)
+
+
+def _time_reflection(fgrid: FrequencyGrid, shift: ParaboloidShift, samples: np.ndarray) -> _Reflection | None:
+    """The reflection whose rule F(-t, x) = conj F(t, R x) the field of
+    ``samples`` on ``fgrid`` from the paraboloid shifted by ``shift``
+    satisfies: REAL for real samples, HERMITIAN for the profiles of the
+    module docstring's Hermitian rule, and otherwise None."""
+    if not samples.imag.any():
+        return _Reflection.REAL
+    if any(fgrid.center) or any(shift.xi0):
+        return None
+    interior = (slice(1, None),) * fgrid.d
+    inner = samples[interior]
+    mirror = inner[(slice(None, None, -1),) * fgrid.d]
+    if not (np.array_equal(inner.real, mirror.real) and np.array_equal(inner.imag, -mirror.imag)):
+        return None
+    size = np.abs(samples)
+    total = size.sum()
+    size[interior] = 0.0
+    return _Reflection.HERMITIAN if size.sum() <= HERMITIAN_EDGE_SHARE * total else None
 
 
 class _ChirpZ:
@@ -198,12 +254,19 @@ def _refuse_above_budget(nbytes: int, what: str) -> None:
 
 class _HeldField:
     """The package's one held field, a consumer of ``ExtensionOperator.apply``:
-    ``out`` holds every row of the field on ``stg``, or, when ``mirrored``,
-    only the rows n_t // 2 .. n_t - 1 (t >= 0) of a real profile's field.
+    ``out`` holds every row of the field on ``stg``, or, when ``mirrored``
+    by a ``_Reflection``, only the rows n_t // 2 .. n_t - 1 (t >= 0) of the
+    field of a profile with that reflection, whose rows t < 0 are their
+    mirrors: F(-t, x) = conj F(t, -x) under the real reflection (real
+    samples, any shift) and conj F(t, x) under the Hermitian one
+    (f[j] == conj f[N - j] in the interior of a grid centred at 0, xi0 = 0,
+    an edge slab of at most HERMITIAN_EDGE_SHARE = 2^-53 of sum |f|).
     ``apply`` writes each block of rows i..j-1 straight into the view
-    ``rows(i, j)``.  The memory guard sizes ``out`` before it is allocated."""
+    ``rows(i, j)``, and, unless the field is mirrored, each block's mirror
+    rows into theirs.  The memory guard sizes ``out`` before it is
+    allocated."""
 
-    def __init__(self, stg: SpacetimeGrid, mirrored: bool = False):
+    def __init__(self, stg: SpacetimeGrid, mirrored: _Reflection | None = None):
         self.mirrored = mirrored
         self._first = stg.t_points // 2 if mirrored else 0
         shape = (stg.t_points - self._first,) + stg.field_shape[1:]
@@ -212,13 +275,6 @@ class _HeldField:
 
     def rows(self, i: int, j: int) -> np.ndarray:
         return self.out[i - self._first : j - self._first]
-
-    def fill_mirror(self) -> None:
-        """Fill the rows t < 0 of a real profile's whole field by
-        F(-t, x) = conj F(t, -x)."""
-        n_t = self.out.shape[0]
-        flip = (slice(None, None, -1),) * self.out.ndim
-        np.conjugate(self.out[n_t - n_t // 2 :][flip], out=self.out[: n_t // 2])
 
 
 def _run_blocks(work, blocks: list, scratch, threads: int) -> None:
@@ -347,42 +403,52 @@ class ExtensionOperator:
         """Fill ``consumer``, by default a ``_HeldField`` of every row, with
         the field of ``samples``, and return ``consumer.out``.
 
-        Of real samples only the slices n_t // 2 .. n_t - 1 (t > 0, and
-        t = 0 when n_t is odd) are transformed; ``apply`` forms no slice with
-        t < 0.  A ``_HeldField`` has each finished block of slices i..j-1
-        written straight into its view ``rows(i, j)``, and, unless it is
-        ``mirrored``, fills its rows t < 0 by ``fill_mirror`` after the
-        last block.  Any other consumer is a stream, passed each finished
-        block of slices i..i+k-1 as ``consumer(i, rows, scratch)``, rows
-        shaped (k,) + the x-shape, on the thread that made it, with that
-        thread's ``consumer.scratch(chunk)``, made once per thread for blocks
-        of up to ``chunk`` rows and sized by ``consumer.scratch_bytes(chunk)``
-        for the memory guard; the rows are reused once the call returns.
-        A stream of real samples must be ``mirrored``, deriving the rows
-        t < 0 itself, and a mirrored consumer refuses complex samples."""
+        Of samples with a reflection (``_time_reflection``: real samples,
+        F(-t, x) = conj F(t, -x), or a Hermitian profile on a grid centred
+        at 0 with xi0 = 0 and an unpaired edge slab of at most
+        HERMITIAN_EDGE_SHARE = 2^-53 of sum |f|, F(-t, x) = conj F(t, x))
+        only the slices n_t // 2 .. n_t - 1 (t > 0, and t = 0 when n_t is
+        odd) are transformed; ``apply`` forms no slice with t < 0.  A
+        consumer ``mirrored`` by the samples' reflection derives the rows
+        t < 0 itself, and one mirrored by another refuses the samples; any
+        other consumer is given every row, those t < 0 made from each
+        finished block by one conjugate flip (``_Reflection.flip``), so
+        every consumer sees the same bits.  A ``_HeldField`` has each
+        finished block of rows i..j-1, and its mirror rows, written straight
+        into its views ``rows(i, j)``.  Any other consumer is a stream,
+        passed each finished block of rows i..i+k-1, and then its mirror
+        rows, as ``consumer(i, rows, scratch)``, rows shaped (k,) + the
+        x-shape, on the thread that made it, with that thread's
+        ``consumer.scratch(chunk)``, made once per thread for blocks of up
+        to ``chunk`` rows and sized by ``consumer.scratch_bytes(chunk)`` for
+        the memory guard; the rows are reused once the call returns."""
         if consumer is None:
             consumer = _HeldField(self.stg)
         n, m, d = self._czt[0].n, self._czt[0].m, self.fgrid.d
         n_t = self.stg.t_points
-        real = not samples.imag.any()
+        reflection = _time_reflection(self.fgrid, self.shift, samples)
+        mirrored = consumer.mirrored
+        if mirrored is not None and mirrored is not reflection:
+            raise ValueError(
+                f"a consumer mirrored by the {mirrored.value} reflection takes the field of "
+                f"{mirrored.value} samples only"
+            )
         held = isinstance(consumer, _HeldField)
-        if consumer.mirrored and not real:
-            raise ValueError("a mirrored consumer takes the field of real samples only")
-        if real and not (held or consumer.mirrored):
-            raise ValueError("a stream of real samples must be a mirrored reduction")
-        blocks = _split(n_t // 2 if real else 0, n_t, self._default_chunk())
+        # apply makes the rows t < 0 of a consumer that does not derive them
+        derive = reflection is not None and mirrored is None
+        blocks = _split(n_t // 2 if reflection else 0, n_t, self._default_chunk())
         chunk = blocks[0][1] - blocks[0][0]
         # each thread's transform buffers, the last of which holds a streamed
-        # block in its head; and the input table, each time step's chirp
-        # times the samples times every pre-chirp (the transform of axis a
-        # acts along axis a alone, so the pre-chirps of the later axes can
-        # ride on its input), which a block's time chirp bases multiply into
-        # its input
+        # block in its head, and a stream's mirror rows; and the input table,
+        # each time step's chirp times the samples times every pre-chirp (the
+        # transform of axis a acts along axis a alone, so the pre-chirps of
+        # the later axes can ride on its input), which a block's time chirp
+        # bases multiply into its input
         shapes = self._buffer_shapes(chunk, n, m)
         used = min(threads, len(blocks))
         per_thread = 16 * sum(math.prod(shape) for shape in shapes)
         if not held:
-            per_thread += consumer.scratch_bytes(chunk)
+            per_thread += consumer.scratch_bytes(chunk) + 16 * derive * chunk * m**d
         _refuse_above_budget(
             used * per_thread + 16 * (CHIRP_PERIOD + 1) * n**d,
             f"the block buffers of {used} thread(s){'' if held else ', their stream scratch'} and the input table",
@@ -402,15 +468,25 @@ class ExtensionOperator:
                 rows = czt.forward(buf, axis, last if axis == d else _head(bufs[axis], axis + 1, n))
             if not held:
                 consumer(i, rows, buffers[d])
+            # the mirror rows lo..hi-1, below n_t // 2, of the block's rows
+            # from n_t - hi on
+            lo, hi = n_t - j, min(n_t - i, n_t // 2)
+            if derive and lo < hi:
+                out = consumer.rows(lo, hi) if held else buffers[-1][: hi - lo]
+                np.conjugate(rows[n_t - hi - i :][reflection.flip(d + 1)], out=out)
+                if not held:
+                    consumer(lo, out, buffers[d])
 
         def scratch():
-            # a stream's own buffers follow apply's
+            # a stream's own buffers, and its mirror rows, follow apply's
             buffers = [np.empty(shape, dtype=complex) for shape in shapes]
-            return buffers if held else buffers + [consumer.scratch(chunk)]
+            if not held:
+                buffers.append(consumer.scratch(chunk))
+                if derive:
+                    buffers.append(np.empty((chunk,) + (m,) * d, dtype=complex))
+            return buffers
 
         _run_blocks(work, blocks, scratch, threads)
-        if real and not consumer.mirrored:
-            consumer.fill_mirror()
         return consumer.out
 
     # -- adjoint ------------------------------------------------------------

@@ -251,8 +251,6 @@ def lp_norm_frequency(f: FrequencyProfile, p: float) -> float:
     """Trapezoid-rule approximation to the frequency-side L^p norm."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    if f.samples.size == 0:
-        raise ValueError("empty profile")
     return float((np.abs(f.samples) ** p).sum() * f.grid.cell_volume) ** (1.0 / p)
 
 

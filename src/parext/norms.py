@@ -33,7 +33,16 @@ from .grids import (
     lp_norm_frequency,
     profile_gradient_l2sq,
 )
-from .extension import ParaboloidShift, _HeldField, _refuse_above_budget, _run_blocks, _split, extend
+from .extension import (
+    ParaboloidShift,
+    _HeldField,
+    _Reflection,
+    _refuse_above_budget,
+    _run_blocks,
+    _split,
+    _time_reflection,
+    extend,
+)
 
 
 @dataclass
@@ -117,16 +126,24 @@ class _LqRows:
     row sums, ``out``, depend on neither the block split nor the thread
     count.  ``norms`` finishes them with the t-weights.
 
-    With ``mirrored``, every part is the field of a real profile, so that
-    c(-t, x) = conj c(t, -x) and |c|^q has the same values at (-t, x) and
-    (t, -x): the parts hold, and the blocks bring, only the rows
-    n_t // 2 .. n_t - 1 (t >= 0), and each block's |c|^q is reduced twice,
-    as its own rows and, read flipped along t and every x axis, as their
-    mirror rows n_t - 1 - r below n_t // 2.  A mirror row is reduced from
-    the values, in the order, of the row it mirrors, so its sum has the bits
-    the conjugate flip of the block would give."""
+    With ``mirrored``, a ``_Reflection`` R that every part shares (R x = -x
+    for real profiles, R x = x for Hermitian ones on a grid centred at 0
+    with xi0 = 0 and an edge slab of at most 2^-53 of sum |f|; see
+    ``parext.extension``), so that c(-t, x) = conj c(t, R x) and |c|^q has
+    the same values at (-t, x) and (t, R x): the parts hold, and the blocks
+    bring, only the rows n_t // 2 .. n_t - 1 (t >= 0), and each block's
+    |c|^q also gives the sums of its mirror rows n_t - 1 - r below n_t // 2.
+    Under the real reflection they are reduced again from the block read
+    flipped along t and every x axis.  Under the Hermitian one a mirror row
+    is the row itself, in the same order, so its sum is copied from that
+    row's; when n_t is even, the mirror of a row on the stride-2 grid is
+    not on it, and there the block read flipped along t is reduced again.
+    Either way a mirror row's sum has the bits the conjugate flip of the
+    block would give."""
 
-    def __init__(self, stg: SpacetimeGrid, held: tuple, q: float, terms: tuple, mirrored: bool = False):
+    def __init__(
+        self, stg: SpacetimeGrid, held: tuple, q: float, terms: tuple, mirrored: _Reflection | None = None
+    ):
         self.held, self.q, self.terms, self.mirrored = held, q, terms, mirrored
         self._d = stg.d
         strides = {s for _, ss in terms for s in ss}
@@ -176,27 +193,35 @@ class _LqRows:
         """Reduce the streamed ``rows`` i.. and the same rows of the held
         arrays into every term, in a thread's ``scratch``; with
         ``mirrored``, also their mirror rows."""
-        d, n_t = self._d, self._n_t
+        n_t, mirror = self._n_t, self.mirrored
         k = rows.shape[0]
         parts = [a[i - self._first : i - self._first + k] for a in self.held] + [rows]
         out_rows, spare_rows, mix_rows = (b if b is None else b[:k] for b in scratch)
         # the mirror rows lo..hi-1, below n_t // 2, are the rows n_t-1-r of
         # the block's rows r from n_t-hi on
         lo, hi = n_t - i - k, min(n_t - i, n_t // 2)
-        flip = (slice(None, None, -1),) * (d + 1)
         for (signs, strides), term_rows in zip(self.terms, self._rows):
             power, free = self._power(_combine(signs, parts, mix_rows), out_rows, spare_rows)
-            blocks = [(i, power)]
-            if self.mirrored and lo < hi:
-                blocks.append((lo, power[n_t - hi - i :][flip]))
             for s, r in zip(strides, term_rows):
-                for first, rows in blocks:
-                    # the first row of the block on the stride-s grid
-                    o = -first % s
-                    sub = _contiguous(rows[(slice(o, None, s),) + (slice(None, None, s),) * d], free)
-                    for _ in range(d):
-                        sub = np.vecdot(sub, self._wx[s])
-                    r[(first + o) // s : (first + o) // s + sub.size] = sub
+                self._reduce(i, power, s, r, free)
+                if mirror is None or lo >= hi:
+                    continue
+                if mirror is _Reflection.HERMITIAN and (n_t - 1) % s == 0:
+                    # the mirror rows a s..(b - 1) s on the stride-s grid are
+                    # the block's rows (top - a) s down to (top - b + 1) s
+                    a, b, top = -(-lo // s), -(-hi // s), (n_t - 1) // s
+                    r[a:b] = r[top - b + 1 : top - a + 1][::-1]
+                else:
+                    self._reduce(lo, power[n_t - hi - i :][mirror.flip(power.ndim)], s, r, free)
+
+    def _reduce(self, first: int, power: np.ndarray, s: int, r: np.ndarray, free: np.ndarray) -> None:
+        """Write the x-sums of the rows of ``power``, the |c|^q rows first..,
+        that lie on the stride-s grid into their places in ``r``."""
+        o = -first % s  # the first row of the block on the stride-s grid
+        sub = _contiguous(power[(slice(o, None, s),) + (slice(None, None, s),) * self._d], free)
+        for _ in range(self._d):
+            sub = np.vecdot(sub, self._wx[s])
+        r[(first + o) // s : (first + o) // s + sub.size] = sub
 
     def norms(self) -> list:
         """The norm of each term at each of its strides, in order."""
@@ -255,10 +280,11 @@ def _lq_against(stg: SpacetimeGrid, held, streamed, q: float, terms: tuple, thre
     (profile, shift) pairs ``held``, each extended once and held, followed
     by the extension of each pair of ``streamed`` in turn, streamed through
     ``extend``'s t-blocks and never held: one list of norms per streamed
-    pair.  When every profile is real, the held fields keep, and the streams
-    bring, only their t >= 0 rows (see ``_LqRows``); otherwise each streamed
-    profile must be complex."""
-    mirrored = not any(prof.samples.imag.any() for prof, _ in [*held, *streamed])
+    pair.  When every pair shares one reflection (``_time_reflection``), the
+    held fields keep, and the streams bring, only their t >= 0 rows (see
+    ``_LqRows``); otherwise every field is held, and streamed, whole."""
+    reflections = {_time_reflection(prof.grid, shift, prof.samples) for prof, shift in [*held, *streamed]}
+    mirrored = reflections.pop() if len(reflections) == 1 else None
     fields = tuple(extend(prof, shift, stg, threads, _HeldField(stg, mirrored)) for prof, shift in held)
     found = []
     for prof, shift in streamed:
@@ -350,17 +376,19 @@ def lq_norm_spacetime(
     """Truncated-grid L^q norm on ``stg`` of the sum of the extensions of the
     (profile, shift) pairs ``tail_pairs``, plus tail certification.
 
-    Every extension but the last (the last complex one, when real and
-    complex profiles mix) is held as a sample array; that one is streamed
-    through ``extend``'s t-blocks into the one reduction, so the sum is never
-    formed, and the extension of a single pair is never held.  When every
-    profile is real, the time reversal |c(-t, x)| = |c(t, -x)| of every
-    signed sum c lets the held fields keep, and the stream bring, only their
-    t >= 0 rows (see ``_LqRows``); the memory guard sizes those half fields.
-    Complex or mixed profiles hold and stream every row.  The tail
-    norms of the pairs add by Minkowski.  ``parts`` lists further signed
-    combinations of the same extensions, one sign per pair, whose truncated
-    norms (without tails) the same pass reduces into ``NormResult.parts``.
+    Every extension but the last is held as a sample array; the last is
+    streamed through ``extend``'s t-blocks into the one reduction, so the
+    sum is never formed, and the extension of a single pair is never held.
+    When every pair shares one reflection R (``_time_reflection``: every
+    profile real, or every one Hermitian on the unshifted paraboloid), the
+    time reversal |c(-t, x)| = |c(t, R x)| of every signed sum c lets the
+    held fields keep, and the stream bring, only their t >= 0 rows (see
+    ``_LqRows``); the memory guard sizes those half fields.  Any other set
+    of pairs, a real profile next to a Hermitian one included, holds and
+    streams every row.  The tail norms of the pairs add by Minkowski.
+    ``parts`` lists further signed combinations of the same extensions, one
+    sign per pair, whose truncated norms (without tails) the same pass
+    reduces into ``NormResult.parts``.
     Non-integrable tails, and a tail lattice (4N points per axis) above the
     memory guard's budget, refuse before anything is extended.
     """
@@ -383,14 +411,8 @@ def lq_norm_spacetime(
     n_lat = 4 * max(prof.grid.points_per_axis for prof, _ in tail_pairs)
     _refuse_above_budget(24 * n_lat**d, f"the tail lattice of shape {(n_lat,) * d}")
 
-    # a real field streams only into a mirrored reduction; the signs follow the
-    # stream to the end, keeping two pairs' bits: a + b == b + a, a - b == -(b - a)
-    n = len(tail_pairs)
-    last = max((k for k, (prof, _) in enumerate(tail_pairs) if prof.samples.imag.any()), default=n - 1)
-    order = [k for k in range(n) if k != last] + [last]
-    terms = (((1,) * n, (1, 2)),) + tuple((tuple(signs[k] for k in order), (1,)) for signs in parts)
-    pairs = [tail_pairs[k] for k in order]
-    ((value, coarse, *extra),) = _lq_against(stg, pairs[:-1], pairs[-1:], q, terms, threads)
+    terms = (((1,) * len(tail_pairs), (1, 2)),) + tuple((signs, (1,)) for signs in parts)
+    ((value, coarse, *extra),) = _lq_against(stg, tail_pairs[:-1], tail_pairs[-1:], q, terms, threads)
     quad_est = abs(value - coarse) / 3.0
     T = stg.t_half_width
     X = stg.x_half_width

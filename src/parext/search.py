@@ -111,12 +111,17 @@ def maximize_quotient_pair(
     the iterate's mass reaching the frequency-grid boundary, the discrete
     signature of the maximizing sequence running off along the scaling
     direction.  Refuses with ValueError, before any operator is built, when
-    both profiles are zero.
+    both profiles are zero, or f0 is: every iterate fits the symmetry of its
+    f, which a zero profile has none of.
     """
     if e.p != 2.0:
         raise ValueError("the optimizer requires p = 2")
     if not (f0.samples.any() or g0.samples.any()):
         raise ValueError("every profile is zero")
+    if not f0.samples.any():
+        raise ValueError(
+            "maximize_quotient_pair: f0 is zero, and the search fits the symmetry of f at every iterate"
+        )
     if opts is None:
         opts = SearchOptions()
     op_f = ExtensionOperator(f0.grid, ParaboloidShift.zero(f0.grid.d), stg)

@@ -16,9 +16,11 @@ from parext.extension import (
     ExtensionOperator,
     ParaboloidShift,
     _ChirpZ,
+    _Reflection,
+    _time_reflection,
     extend,
 )
-from parext.grids import FrequencyGrid, SpacetimeGrid, gaussian_profile
+from parext.grids import FrequencyGrid, FrequencyProfile, SpacetimeGrid, gaussian_profile
 from parext.norms import quotient_single
 
 
@@ -169,25 +171,31 @@ def test_thread_determinism(monkeypatch):
 
 
 @pytest.mark.parametrize("t_points", [70, 71])
-@pytest.mark.parametrize("kind", ["complex", "real"])
+@pytest.mark.parametrize("kind", ["complex", "real", "hermitian"])
 @pytest.mark.parametrize("d", [1, 2])
 def test_apply_bits_independent_of_blocking(d, kind, t_points, monkeypatch):
     # 70 or 71 slices: blocks of 3 straddle the CHIRP_PERIOD boundaries,
     # blocks of 32 meet them, and the last block is short; the default is one
-    # block.  A real u is transformed from the half-way row (35) on and
-    # mirrored, so the blocks start there and the half-way row, or the centre
-    # row of 71, sits inside a block or at its edge depending on the chunk
+    # block.  A real u, or a Hermitian one on the paraboloid with xi0 = 0, is
+    # transformed from the half-way row (35) on and mirrored, so the blocks
+    # start there and the half-way row, or the centre row of 71, sits inside
+    # a block or at its edge depending on the chunk
     fg = FrequencyGrid(d, 8.0, 64 if d == 1 else 16)
     stg = SpacetimeGrid(d, 3.0, 6.0, t_points, 33 if d == 1 else 17)
+    shift = ParaboloidShift(0.3, (0.0, 0.0)[:d] if kind == "hermitian" else (1.0, -0.5)[:d])
     # the d = 2 grid runs past Nyquist (ratio 1.91) on purpose, and says so
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        op = ExtensionOperator(fg, ParaboloidShift(0.3, (1.0, -0.5)[:d]), stg)
+        op = ExtensionOperator(fg, shift, stg)
     assert [w.category for w in caught] == ([ParextWarning] if d == 2 else [])
     rng = np.random.default_rng(2)
     u = rng.standard_normal(fg.shape) + 1j * rng.standard_normal(fg.shape)
     if kind == "real":
         u = u.real.astype(complex)
+    if kind == "hermitian":
+        u = _hermitian(u)
+    expected = {"complex": None, "real": _Reflection.REAL, "hermitian": _Reflection.HERMITIAN}[kind]
+    assert _time_reflection(fg, shift, u) is expected
     F = rng.standard_normal(stg.field_shape) + 1j * rng.standard_normal(stg.field_shape)
     default = ExtensionOperator._default_chunk
     fields, adjoints = [], []
@@ -247,25 +255,44 @@ def test_real_field_is_its_t_nonnegative_rows_and_their_conjugate_flip(d, t_poin
     stg = SpacetimeGrid(d, 1.5, 3.0, t_points, 17 if d == 1 else 9)
     shift, kw = MIRROR_CASES[d]
     f = gaussian_profile(fg, **kw)
-    half = extend(f, shift, stg, threads, extension._HeldField(stg, mirrored=True))
+    half = extend(f, shift, stg, threads, extension._HeldField(stg, mirrored=_Reflection.REAL))
     whole = extend(f, shift, stg, threads)
     assert half.shape[0] == t_points - t_points // 2
     assert np.array_equal(whole, np.concatenate([_conjugate_flip(half)[: t_points // 2], half]))
 
 
-def test_apply_streams_a_real_field_only_into_a_mirrored_reduction():
-    # apply forms no t < 0 row of a real profile, so a stream of one that
-    # does not derive them itself is refused before any transform; the same
-    # stream takes a complex profile's field, every row of it
-    fg = FrequencyGrid(1, 4.0, 16)
+class _RecordingRows(norms._LqRows):
+    """An L^q reduction that records the first row of each block it takes."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.firsts = []
+
+    def __call__(self, i, rows, scratch):
+        self.firsts.append(i)
+        super().__call__(i, rows, scratch)
+
+
+def test_apply_streams_every_row_into_an_unmirrored_reduction(monkeypatch):
+    # a stream that does not derive the rows t < 0 itself is passed every
+    # row: of a real or a Hermitian profile the t >= 0 blocks and apply's
+    # conjugate flips of them, of any other profile every transformed block;
+    # either way the norms have the bits of the reduction of the held field
+    fg = FrequencyGrid(1, 6.0, 32)
     stg = SpacetimeGrid(1, 1.5, 3.0, 7, 17)
-    op = ExtensionOperator(fg, ParaboloidShift(0.3, (0.7,)), stg)
-    stream = norms._LqRows(stg, (), 6.0, (((1,), (1,)),))
-    with pytest.raises(ValueError, match="a stream of real samples must be a mirrored reduction"):
-        op.apply(gaussian_profile(fg).samples, consumer=stream)
-    chirped = gaussian_profile(fg, chirp=0.4).samples
-    op.apply(chirped, consumer=stream)
-    assert stream.norms() == norms._truncated_lq(stg, (op.apply(chirped),), 6.0)
+    monkeypatch.setattr(ExtensionOperator, "_default_chunk", lambda self: 2)
+    tau = ParaboloidShift(0.3, (0.0,))
+    for f, mirrored in (
+        (gaussian_profile(fg, width=0.8), True),
+        (gaussian_profile(fg, width=0.8, phase_velocity=0.7), True),
+        (gaussian_profile(fg, width=0.8, chirp=0.4), False),
+    ):
+        op = ExtensionOperator(fg, tau, stg)
+        stream = _RecordingRows(stg, (), 6.0, (((1,), (1, 2)),))
+        op.apply(f.samples, consumer=stream)
+        assert stream.norms() == norms._truncated_lq(stg, (op.apply(f.samples),), 6.0, strides=(1, 2))
+        # blocks of 2 rows from n_t // 2 = 3 on, each followed by its mirror
+        assert stream.firsts == ([3, 2, 5, 0] if mirrored else [0, 2, 4, 6])
 
 
 @pytest.mark.parametrize("t_points", [6, 7])
@@ -278,6 +305,94 @@ def test_complex_profile_rows_are_not_mirrored(d, phase, shifted, t_points):
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(got[:half] - _conjugate_flip(got)[:half])) > 1e-3 * scale
     assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+
+
+def _hermitian(u):
+    """``u`` made Hermitian, u[j] == conj u[N - j] exactly for the interior
+    indices j >= 1, with a zero edge slab (the samples with any index 0)."""
+    inner = (slice(1, None),) * u.ndim
+    out = np.zeros_like(u)
+    # a_j + conj a_{N-j} and conj(a_{N-j} + conj a_j) are one sum, in either order
+    out[inner] = u[inner] + np.conj(u[inner][(slice(None, None, -1),) * u.ndim])
+    return out
+
+
+def _hermitian_case(d, t_points):
+    """A phase-velocity Gaussian on a grid centred at 0 whose edge slab is
+    below 2^-53 of sum |f| (exp(-56) at the edge), and a small spacetime
+    grid."""
+    fg = FrequencyGrid(d, 6.0, 32 if d == 1 else 16)
+    stg = SpacetimeGrid(d, 1.5, 3.0, t_points, 17 if d == 1 else 9)
+    return gaussian_profile(fg, width=0.8, phase_velocity=(0.7, -0.4)[:d]), stg
+
+
+@pytest.mark.parametrize("t_points", [6, 7])
+@pytest.mark.parametrize("tau0", [0.0, 0.3])
+@pytest.mark.parametrize("d", [1, 2])
+def test_hermitian_profile_rows_are_mirrored(d, tau0, t_points):
+    # F(-t, x) = conj F(t, x) for f(-xi) = conj f(xi) on the paraboloid
+    # with xi0 = 0, for any tau0: the t < 0 rows are the conjugates of the
+    # t > 0 rows, flipped along t alone, bit for bit, and every row is the
+    # Riemann sum
+    f, stg = _hermitian_case(d, t_points)
+    shift = ParaboloidShift(tau0, (0.0,) * d)
+    assert _time_reflection(f.grid, shift, f.samples) is _Reflection.HERMITIAN
+    got = ExtensionOperator(f.grid, shift, stg).apply(f.samples)
+    ref = brute_force_extension(f, shift, stg)
+    half = t_points // 2
+    assert np.array_equal(got[:half], np.conj(got[::-1])[:half])
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _edge_slab(f, share):
+    # the edge sample (0, .., 0) set to ``share`` of sum |f|
+    s = f.samples.copy()
+    s[(0,) * f.grid.d] = share * np.abs(s).sum()
+    return FrequencyProfile(f.grid, s)
+
+
+def _off_the_hermitian_rule(case, f):
+    """The Hermitian profile ``f`` and the zero shift, with ``case`` moved
+    off the rule: (profile, shift)."""
+    d = f.grid.d
+    zero = ParaboloidShift.zero(d)
+    if case == "centre":  # a grid centred at 0.3, as in _mirror_case
+        grid = FrequencyGrid(d, 6.0, f.grid.points_per_axis, center=(0.3,) * d)
+        return gaussian_profile(grid, width=0.8, phase_velocity=0.7), zero
+    if case == "xi0":
+        return f, ParaboloidShift(0.0, (0.5,) + (0.0,) * (d - 1))
+    if case == "chirp":
+        return gaussian_profile(f.grid, width=0.8, chirp=0.4), zero
+    if case == "ulp":
+        s = f.samples.copy()
+        s[(3,) * d] = complex(np.nextafter(s[(3,) * d].real, np.inf), s[(3,) * d].imag)
+        return FrequencyProfile(f.grid, s), zero
+    return _edge_slab(f, 2.0**-52), zero
+
+
+@pytest.mark.parametrize("case", ["centre", "xi0", "chirp", "ulp", "edge-slab"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_profiles_off_the_hermitian_rule_are_not_mirrored(d, case):
+    # a grid centre or a shift xi0 off 0, a chirp, one interior sample one
+    # ulp off, or an edge slab above 2^-53 of sum |f|: every row is
+    # transformed, so the rows t < 0 are not the conjugates of the rows
+    # t > 0, and each is the Riemann sum
+    f, stg = _hermitian_case(d, 7)
+    f, shift = _off_the_hermitian_rule(case, f)
+    assert _time_reflection(f.grid, shift, f.samples) is None
+    got = ExtensionOperator(f.grid, shift, stg).apply(f.samples)
+    ref = brute_force_extension(f, shift, stg)
+    assert not np.array_equal(got[:3], np.conj(got[::-1])[:3])
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_an_edge_slab_up_to_the_bound_is_mirrored():
+    # an edge slab of 2^-54 of the other samples' sum |f| is below 2^-53 of
+    # the whole sum, one of 2^-52 above it
+    f, _ = _hermitian_case(1, 7)
+    zero = ParaboloidShift.zero(1)
+    assert _time_reflection(f.grid, zero, _edge_slab(f, 2.0**-54).samples) is _Reflection.HERMITIAN
+    assert _time_reflection(f.grid, zero, _edge_slab(f, 2.0**-52).samples) is None
 
 
 def test_apply_working_set_is_bounded():
@@ -297,7 +412,9 @@ def test_apply_working_set_is_bounded():
         (lambda: op.apply(chirped.samples), n_t),
         (lambda: op.apply(real.samples), n_t),
         (
-            lambda: extend(real, shift, PAIR_STG, consumer=extension._HeldField(PAIR_STG, mirrored=True)),
+            lambda: extend(
+                real, shift, PAIR_STG, consumer=extension._HeldField(PAIR_STG, mirrored=_Reflection.REAL)
+            ),
             n_t - n_t // 2,
         ),
     )

@@ -150,7 +150,7 @@ def test_private_imports_are_detected():
 
 def test_only_norms_imports_private_names_of_extension():
     # the held field and the consumer protocol of ExtensionOperator.apply
-    # (mirrored, rows, fill_mirror, scratch, out) stay behind extension and norms
+    # (mirrored, rows, scratch, out) stay behind extension and norms
     found = {p.name: private_imports(p.read_text(), "extension") for p in MODULES}
     assert {name for name, hits in found.items() if hits} == {"norms.py"}
 

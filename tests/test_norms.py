@@ -24,7 +24,7 @@ from conftest import (
 from parext import extension, norms
 from parext.errors import NumericalRefusalError, TailCertificationError
 from parext.exponents import validate_exponents
-from parext.extension import ExtensionOperator, ParaboloidShift, _run_blocks, _split, extend
+from parext.extension import ExtensionOperator, ParaboloidShift, _Reflection, _run_blocks, _split, extend
 from parext.grids import (
     FrequencyGrid,
     SpacetimeGrid,
@@ -390,24 +390,23 @@ def test_streamed_norms_equal_the_materialized_path(fg, stg, odd_chunk):
                 assert [residual] == _truncated_lq(stg, fields, q, ((1, -1),))
 
 
-@pytest.mark.parametrize("d, n_t, n_x", [(1, 61, 129), (1, 60, 128), (2, 31, 17), (2, 30, 16)])
-def test_mirrored_reduction_equals_the_whole_field(d, n_t, n_x):
-    # random rows t >= 0 of two fields, held and streamed in odd blocks of 7
-    # rows on one thread or two, reduce to the bits of both whole fields
-    # whose rows t < 0 are the conjugate flips of those, for every
-    # combination at strides 1 and 2: random values make the sums depend on
-    # their order, which a mirror row must keep
-    stg = SpacetimeGrid(d, 3.0, 5.0, n_t, n_x)
+def _mirrored_reduction_equals_the_whole_field(stg, reflection):
+    """Random rows t >= 0 of two fields, held and streamed in odd blocks of
+    7 rows on one thread or two into a reduction mirrored by ``reflection``,
+    reduce to the bits of both whole fields whose rows t < 0 are their
+    mirrors, for every combination at strides 1 and 2: random values make
+    the sums depend on their order, which a mirror row must keep."""
+    n_t = stg.t_points
     first = n_t // 2
     fields = []
     for seed in (0, 1):
         full = _random_field(stg, seed)
-        full[:first] = np.conj(full[::-1][:first][(slice(None),) + (slice(None, None, -1),) * d])
+        full[:first] = np.conj(full[n_t - first :][reflection.flip(full.ndim)])
         fields.append(full)
     combos = ((1, 0), (0, 1), (1, 1), (1, -1))
     expected = _truncated_lq(stg, tuple(fields), 6.0, combos, (1, 2))
     for threads in (1, 2):
-        red = norms._LqRows(stg, (fields[0][first:],), 6.0, tuple((c, (1, 2)) for c in combos), mirrored=True)
+        red = norms._LqRows(stg, (fields[0][first:],), 6.0, tuple((c, (1, 2)) for c in combos), reflection)
         _run_blocks(
             lambda block, scratch: red(block[0], fields[1][block[0] : block[1]], scratch),
             _split(first, n_t, 7), lambda: red.scratch(7), threads,
@@ -415,36 +414,93 @@ def test_mirrored_reduction_equals_the_whole_field(d, n_t, n_x):
         assert red.norms() == expected
 
 
-def test_mirror_rows_reach_the_reduction_only_for_real_profiles(monkeypatch):
-    # two real profiles: the reduction takes only the blocks of t >= 0 of
-    # the last one and mirrors them itself; a complex profile in the pair
-    # turns that off, and it is the complex one that is streamed, in either
-    # order, against the real one held whole
+@pytest.mark.parametrize("d, n_t, n_x", [(1, 61, 129), (1, 60, 128), (2, 31, 17), (2, 30, 16)])
+def test_mirrored_reduction_equals_the_whole_field(d, n_t, n_x):
+    # the mirror rows of real profiles are the conjugate flips of the rows
+    # t > 0 along t and every x axis
+    _mirrored_reduction_equals_the_whole_field(SpacetimeGrid(d, 3.0, 5.0, n_t, n_x), _Reflection.REAL)
+
+
+@pytest.mark.parametrize("d, n_t, n_x", [(1, 61, 129), (1, 60, 128), (2, 31, 17), (2, 30, 16)])
+def test_hermitian_mirrored_reduction_equals_the_whole_field(d, n_t, n_x):
+    # the mirror rows of Hermitian profiles are the conjugates of the rows
+    # t > 0 flipped along t alone: a mirror row copies the sums of the row
+    # it mirrors, or, on the stride-2 grid of an even n_t, where that row is
+    # not on the grid, reduces it again in the same order
+    _mirrored_reduction_equals_the_whole_field(SpacetimeGrid(d, 3.0, 5.0, n_t, n_x), _Reflection.HERMITIAN)
+
+
+def test_mirror_rows_reach_the_reduction_only_for_a_shared_reflection(monkeypatch):
+    # two real profiles, or two Hermitian ones on paraboloids with xi0 = 0:
+    # the reduction takes only the blocks of t >= 0 of the last one and
+    # mirrors them itself.  A chirped profile in the pair, or a real one
+    # next to a Hermitian one, shares no reflection: the pair is held and
+    # streamed whole, in either order, the last streamed, with its mirror
+    # rows made by apply when it has a reflection.  Every norm has the bits
+    # of the held whole fields
     stg = SpacetimeGrid(1, 20.0, 30.0, 259, 257)
     fg = FrequencyGrid(1, 10.0, 512)
-    zero, shift = ParaboloidShift.zero(1), ParaboloidShift(0.5, (-1.0,))
+    zero, tau = ParaboloidShift.zero(1), ParaboloidShift(0.5, (0.0,))
+    shift = ParaboloidShift(0.5, (-1.0,))
     real, real_g = gaussian_profile(fg), gaussian_profile(fg, width=0.8, center=0.1)
     chirped = gaussian_profile(fg, chirp=0.3)
+    herm = gaussian_profile(fg, phase_velocity=0.6)
+    herm_g = gaussian_profile(fg, width=0.8, phase_velocity=-0.3)
+    calls = _spy_on_reductions(monkeypatch, keep_rows=True)
+    for f, g, s, mirrored in (
+        (real, real_g, shift, _Reflection.REAL),
+        (chirped, real_g, shift, None),
+        (real_g, chirped, shift, None),
+        (herm, herm_g, tau, _Reflection.HERMITIAN),
+        (real_g, herm_g, tau, None),
+        (herm, real_g, tau, None),
+    ):
+        calls.clear()
+        res = lq_norm_spacetime(stg, [(f, zero), (g, s)], 6.0, parts=((1, -1),))
+        assert {m for m, _, _ in calls} == {mirrored}
+        assert min(i for _, i, _ in calls) == (stg.t_points // 2 if mirrored else 0)
+        fields = (extend(f, zero, stg), extend(g, s, stg))
+        assert all(np.array_equal(rows, fields[1][i : i + len(rows)]) for _, i, rows in calls)
+        assert [res.value, *res.parts] == _truncated_lq(stg, fields, 6.0, ((1, 1), (1, -1)))
+    # a consumer mirrored by one reflection refuses the field of a profile
+    # with another, or with none
+    real_only, hermitian_only = _Reflection.REAL, _Reflection.HERMITIAN
+    for prof, reflection in ((chirped, real_only), (herm, real_only), (real, hermitian_only)):
+        with pytest.raises(ValueError, match=f"{reflection.value} samples only"):
+            extend(prof, zero, stg, consumer=extension._HeldField(stg, mirrored=reflection))
+
+
+def _spy_on_reductions(monkeypatch, keep_rows: bool) -> list:
+    """(mirrored, first row, block rows or None) of each block every
+    ``_LqRows`` takes."""
     calls = []
     call = norms._LqRows.__call__
 
     def spy(self, i, rows, scratch):
-        calls.append((self.mirrored, i, rows.copy()))
+        calls.append((self.mirrored, i, rows.copy() if keep_rows else None))
         call(self, i, rows, scratch)
 
     monkeypatch.setattr(norms._LqRows, "__call__", spy)
-    for f, g, mirrored in ((real, real_g, True), (chirped, real_g, False), (real_g, chirped, False)):
-        calls.clear()
-        res = lq_norm_spacetime(stg, [(f, zero), (g, shift)], 6.0, parts=((1, -1),))
-        assert {m for m, _, _ in calls} == {mirrored}
-        assert min(i for _, i, _ in calls) == (stg.t_points // 2 if mirrored else 0)
-        fields = (extend(f, zero, stg), extend(g, shift, stg))
-        streamed = fields[0] if f is chirped else fields[1]
-        assert all(np.array_equal(rows, streamed[i : i + len(rows)]) for _, i, rows in calls)
-        assert [res.value, *res.parts] == _truncated_lq(stg, fields, 6.0, ((1, 1), (1, -1)))
-    # a mirrored consumer refuses the field of a complex profile
-    with pytest.raises(ValueError, match="real samples only"):
-        extend(chirped, zero, stg, consumer=extension._HeldField(stg, mirrored=True))
+    return calls
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_quotient_single_of_a_phase_velocity_gaussian_is_mirrored(d, monkeypatch):
+    # the space translates of the extremizers are Hermitian: on the frozen
+    # grids their quotient streams only the rows t >= 0; the same profile
+    # times e^{0.3 i} has the same |F| but fails the exact test, so it is
+    # streamed whole, to the same norm
+    fg, stg = {1: (FROZEN_FGRID_D1, FROZEN_STG_D1), 2: (FROZEN_FGRID_D2, FROZEN_STG_D2)}[d]
+    e = validate_exponents(d, 2.0)
+    f = gaussian_profile(fg, phase_velocity=(0.4, -0.7)[:d])
+    calls = _spy_on_reductions(monkeypatch, keep_rows=False)
+    mirrored = quotient_single(f, e, stg).numerator.value
+    assert min(i for _, i, _ in calls) == stg.t_points // 2
+    assert {m for m, _, _ in calls} == {_Reflection.HERMITIAN}
+    calls.clear()
+    whole = quotient_single(f.scaled(np.exp(0.3j)), e, stg).numerator.value
+    assert min(i for _, i, _ in calls) == 0 and {m for m, _, _ in calls} == {None}
+    assert abs(mirrored - whole) <= 1e-15 * whole
 
 
 def test_real_pair_quotient_holds_half_a_field(exponents_d1):

@@ -256,6 +256,17 @@ def test_all_zero_profiles_refuse_before_the_search(exponents_d1, monkeypatch):
         maximize_quotient_pair(z, z, ParaboloidShift(0.0, (1.0,)), exponents_d1, SEARCH_STG)
 
 
+def test_zero_f_next_to_a_nonzero_g_refuses_before_the_search(exponents_d1, monkeypatch):
+    # every iterate fits the symmetry of its f, which a zero f has none of
+    def build_nothing(*args, **kwargs):
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr(search, "ExtensionOperator", build_nothing)
+    g = gaussian_profile(SEARCH_FGRID)
+    with pytest.raises(ValueError, match="maximize_quotient_pair: f0 is zero"):
+        maximize_quotient_pair(g.scaled(0.0), g, ParaboloidShift(0.0, (1.0,)), exponents_d1, SEARCH_STG)
+
+
 def test_zero_g_next_to_a_nonzero_f_ascends(exponents_d1):
     # the gradient gives g mass from the first step on
     f = gaussian_profile(SEARCH_FGRID)
