@@ -19,6 +19,11 @@ class Exponents:
         if self.q <= self.p:
             raise ValueError(f"q={self.q} must exceed p={self.p}")
 
+    def check_dimension(self, d: int) -> None:
+        """Refuse a grid of dimension ``d`` unless it is this record's."""
+        if d != self.d:
+            raise ValueError(f"exponents of dimension {self.d} on a {d}-d grid")
+
 
 def validate_exponents(d: int, p: float) -> Exponents:
     """Build the exponent record for dimension ``d`` and input exponent ``p``.

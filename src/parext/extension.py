@@ -256,11 +256,9 @@ class _HeldField:
     """The package's one held field, a consumer of ``ExtensionOperator.apply``:
     ``out`` holds every row of the field on ``stg``, or, when ``mirrored``
     by a ``_Reflection``, only the rows n_t // 2 .. n_t - 1 (t >= 0) of the
-    field of a profile with that reflection, whose rows t < 0 are their
-    mirrors: F(-t, x) = conj F(t, -x) under the real reflection (real
-    samples, any shift) and conj F(t, x) under the Hermitian one
-    (f[j] == conj f[N - j] in the interior of a grid centred at 0, xi0 = 0,
-    an edge slab of at most HERMITIAN_EDGE_SHARE = 2^-53 of sum |f|).
+    field of a profile with that reflection (``_time_reflection``), whose
+    rows t < 0 are their mirrors: F(-t, x) = conj F(t, -x) under the real
+    reflection and conj F(t, x) under the Hermitian one.
     ``apply`` writes each block of rows i..j-1 straight into the view
     ``rows(i, j)``, and, unless the field is mirrored, each block's mirror
     rows into theirs.  The memory guard sizes ``out`` before it is
@@ -403,10 +401,8 @@ class ExtensionOperator:
         """Fill ``consumer``, by default a ``_HeldField`` of every row, with
         the field of ``samples``, and return ``consumer.out``.
 
-        Of samples with a reflection (``_time_reflection``: real samples,
-        F(-t, x) = conj F(t, -x), or a Hermitian profile on a grid centred
-        at 0 with xi0 = 0 and an unpaired edge slab of at most
-        HERMITIAN_EDGE_SHARE = 2^-53 of sum |f|, F(-t, x) = conj F(t, x))
+        Of samples with a reflection (``_time_reflection``: the real one,
+        F(-t, x) = conj F(t, -x), or the Hermitian one, F(-t, x) = conj F(t, x))
         only the slices n_t // 2 .. n_t - 1 (t > 0, and t = 0 when n_t is
         odd) are transformed; ``apply`` forms no slice with t < 0.  A
         consumer ``mirrored`` by the samples' reflection derives the rows

@@ -126,15 +126,14 @@ class _LqRows:
     row sums, ``out``, depend on neither the block split nor the thread
     count.  ``norms`` finishes them with the t-weights.
 
-    With ``mirrored``, a ``_Reflection`` R that every part shares (R x = -x
-    for real profiles, R x = x for Hermitian ones on a grid centred at 0
-    with xi0 = 0 and an edge slab of at most 2^-53 of sum |f|; see
-    ``parext.extension``), so that c(-t, x) = conj c(t, R x) and |c|^q has
-    the same values at (-t, x) and (t, R x): the parts hold, and the blocks
-    bring, only the rows n_t // 2 .. n_t - 1 (t >= 0), and each block's
-    |c|^q also gives the sums of its mirror rows n_t - 1 - r below n_t // 2.
-    Under the real reflection they are reduced again from the block read
-    flipped along t and every x axis.  Under the Hermitian one a mirror row
+    With ``mirrored``, a ``_Reflection`` R that every part shares (the real
+    reflection R x = -x or the Hermitian one R x = x; see
+    ``parext.extension._time_reflection``), so that c(-t, x) = conj c(t, R x)
+    and |c|^q has the same values at (-t, x) and (t, R x): the parts hold,
+    and the blocks bring, only the rows n_t // 2 .. n_t - 1 (t >= 0), and
+    each block's |c|^q also gives the sums of its mirror rows n_t - 1 - r
+    below n_t // 2.  Under the real reflection they are reduced again from
+    the block read flipped along t and every x axis.  Under the Hermitian one a mirror row
     is the row itself, in the same order, so its sum is copied from that
     row's; when n_t is even, the mirror of a row on the stride-2 grid is
     not on it, and there the block read flipped along t is reduced again.
@@ -429,8 +428,9 @@ def _quotient(pairs: list, e: Exponents, stg: SpacetimeGrid, threads: int, parts
     and the quotient ||sum_k E_{s_k} f_k||_q / (sum_k ||f_k||_p^p)^{1/p}
     with the certified numerator of ``lq_norm_spacetime``, whose ``parts``
     are the truncated norms of the further combinations ``parts`` (one sign
-    per pair) from the same pass.  Refuses before extending when every
-    profile is zero."""
+    per pair) from the same pass.  Refuses before extending exponents of
+    another dimension than ``stg``, and pairs whose profiles are all zero."""
+    e.check_dimension(stg.d)
     lp = [lp_norm_frequency(prof, e.p) for prof, _ in pairs]
     den = sum(n**e.p for n in lp) ** (1.0 / e.p)
     if den == 0.0:

@@ -37,15 +37,16 @@ class SearchOptions:
     max_steps: int = 200
 
     def __post_init__(self):
-        if self.max_steps < 0:
-            raise ValueError(f"max_steps must be non-negative, got {self.max_steps}")
+        if isinstance(self.max_steps, bool) or self.max_steps % 1 != 0 or self.max_steps < 0:
+            raise ValueError(f"max_steps must be a non-negative whole number, got {self.max_steps!r}")
+        self.max_steps = int(self.max_steps)
 
 
 @dataclass
 class SearchTrajectory:
     iterates: list  # (k, Q_k, fitted Symmetry for f, ||f||_2, ||g||_2)
     terminated_reason: str  # step_tolerance | max_steps | grid_exhausted
-    f_final: FrequencyProfile = None  # type: ignore[assignment]
+    f_final: FrequencyProfile
 
     @property
     def final_quotient(self) -> float:
@@ -69,30 +70,33 @@ def _boundary_mass_fraction(samples: np.ndarray) -> float:
     return float(1.0 - inner.sum() / total)
 
 
-def _pair_field(op_f, op_g, fs, gs, q: float, threads: int = 1) -> tuple:
-    """The field F = A_f f + A_g g and its truncated norm N = ||F||_q."""
-    F = op_f.apply(fs, threads=threads)
-    F += op_g.apply(gs, threads=threads)
-    return F, _truncated_lq(op_f.stg, (F,), q, threads=threads)[0]
+def _masses(u: np.ndarray, vol: float) -> tuple:
+    """||f||_2^2 and ||g||_2^2 of the pair state u = (f, g), cells of volume ``vol``."""
+    return tuple((np.abs(v) ** 2).sum() * vol for v in u)
 
 
-def _pair_gradient(op_f, op_g, fs, gs, F, N: float, q: float) -> tuple:
-    """Euclidean gradient of Q = N / D at (f, g), D^2 = ||f||_2^2 + ||g||_2^2,
+def _pair_field(ops: tuple, u: np.ndarray, q: float, threads: int = 1) -> tuple:
+    """The field F = A_f f + A_g g of u = (f, g), ``ops`` = (A_f, A_g), and its norm N = ||F||_q."""
+    F = ops[0].apply(u[0], threads=threads)
+    F += ops[1].apply(u[1], threads=threads)
+    return F, _truncated_lq(ops[0].stg, (F,), q, threads=threads)[0]
+
+
+def _pair_gradient(ops: tuple, u: np.ndarray, F, N: float, q: float) -> tuple:
+    """Euclidean gradient of Q = N / D at u = (f, g), D^2 = ||f||_2^2 + ||g||_2^2,
     from the field F and norm N of ``_pair_field``, plus Q itself:
     grad_f Q = A_f^H (w |F|^{q-2} F) / (N^{q-1} D) - N f dxi^d / D^3, with w
-    the trapezoid weights, and likewise for g."""
-    stg = op_f.stg
-    vol_f = op_f.fgrid.cell_volume
-    vol_g = op_g.fgrid.cell_volume
-    D = math.sqrt((np.abs(fs) ** 2).sum() * vol_f + (np.abs(gs) ** 2).sum() * vol_g)
+    the trapezoid weights, and likewise for g, stacked as u is."""
+    stg = ops[0].stg
+    vol = ops[0].fgrid.cell_volume
+    D = math.sqrt(sum(_masses(u, vol)))
     Phi = np.abs(F) ** (q - 2.0) * F
     Phi *= stg.t_weights().reshape((-1,) + (1,) * stg.d)
     for a in range(stg.d):
         Phi *= stg.x_weights().reshape((-1,) + (1,) * (stg.d - 1 - a))
     scale = 1.0 / (N ** (q - 1.0) * D)
-    grad_f = op_f.apply_adjoint(Phi) * scale - (N / D**3) * fs * vol_f
-    grad_g = op_g.apply_adjoint(Phi) * scale - (N / D**3) * gs * vol_g
-    return grad_f, grad_g, N / D
+    grad = np.stack([op.apply_adjoint(Phi) for op in ops]) * scale - (N / D**3) * u * vol
+    return grad, N / D
 
 
 def maximize_quotient_pair(
@@ -105,59 +109,53 @@ def maximize_quotient_pair(
     threads: int = 1,
 ) -> SearchTrajectory:
     """Ascend Q(f,g) = ||A_f f + A_g g||_q / (||f||_2^2 + ||g||_2^2)^{1/2}
-    with renormalization to the unit sphere after every step.
+    over pairs u = (f, g) on f0's frequency grid, renormalized to the unit
+    sphere after every step.
 
     Terminates on step_tolerance (converged), max_steps, or grid_exhausted —
     the iterate's mass reaching the frequency-grid boundary, the discrete
     signature of the maximizing sequence running off along the scaling
-    direction.  Refuses with ValueError, before any operator is built, when
-    both profiles are zero, or f0 is: every iterate fits the symmetry of its
-    f, which a zero profile has none of.
+    direction.  Refuses with ValueError, before any operator is built, exponents
+    of another dimension than ``stg``, a g0 on another grid, and a zero f0:
+    every iterate fits the symmetry of its f, which a zero profile has none of.
     """
     if e.p != 2.0:
         raise ValueError("the optimizer requires p = 2")
-    if not (f0.samples.any() or g0.samples.any()):
-        raise ValueError("every profile is zero")
+    e.check_dimension(stg.d)
+    if g0.grid != f0.grid:
+        raise ValueError(f"maximize_quotient_pair: g0 lies on {g0.grid}, f0 on {f0.grid}")
     if not f0.samples.any():
-        raise ValueError(
-            "maximize_quotient_pair: f0 is zero, and the search fits the symmetry of f at every iterate"
-        )
-    if opts is None:
-        opts = SearchOptions()
-    op_f = ExtensionOperator(f0.grid, ParaboloidShift.zero(f0.grid.d), stg)
-    op_g = ExtensionOperator(g0.grid, shift, stg)
-    vol_f = f0.grid.cell_volume
-    vol_g = g0.grid.cell_volume
-    q = e.q
+        raise ValueError("maximize_quotient_pair: f0 is zero, and the search fits the symmetry of f at every iterate"
+                         if g0.samples.any() else "every profile is zero")
+    opts = opts or SearchOptions()
+    ops = (ExtensionOperator(f0.grid, ParaboloidShift.zero(f0.grid.d), stg), ExtensionOperator(f0.grid, shift, stg))
+    vol = f0.grid.cell_volume
 
-    def normalize(fs, gs):
-        n2 = (np.abs(fs) ** 2).sum() * vol_f + (np.abs(gs) ** 2).sum() * vol_g
-        s = 1.0 / math.sqrt(n2)
-        return fs * s, gs * s
+    def normalize(u):
+        return u * (1.0 / math.sqrt(sum(_masses(u, vol))))
 
     # on the unit sphere D = 1, so Q is the numerator N
-    fs, gs = normalize(np.array(f0.samples), np.array(g0.samples))
-    F, Q = _pair_field(op_f, op_g, fs, gs, q, threads)
+    u = normalize(np.stack([f0.samples, g0.samples]))
+    F, Q = _pair_field(ops, u, e.q, threads)
 
     iterates = []
     converged = False
     for k in range(opts.max_steps + 1):
-        nf = math.sqrt((np.abs(fs) ** 2).sum() * vol_f)
-        ng = math.sqrt((np.abs(gs) ** 2).sum() * vol_g)
-        iterates.append((k, Q, fit_symmetry(FrequencyProfile(f0.grid, fs)), nf, ng))
+        nf, ng = map(math.sqrt, _masses(u, vol))
+        iterates.append((k, Q, fit_symmetry(FrequencyProfile(f0.grid, u[0])), nf, ng))
         if converged:
             reason = "step_tolerance"
             break
 
-        if max(_boundary_mass_fraction(fs), _boundary_mass_fraction(gs)) > BOUNDARY_MASS_LIMIT:
+        if max(map(_boundary_mass_fraction, u)) > BOUNDARY_MASS_LIMIT:
             reason = "grid_exhausted"
             break
         if k == opts.max_steps:
             reason = "max_steps"
             break
 
-        grad_f, grad_g, _ = _pair_gradient(op_f, op_g, fs, gs, F, Q, q)
-        gnorm2 = float((np.abs(grad_f) ** 2).sum() + (np.abs(grad_g) ** 2).sum())
+        grad, _ = _pair_gradient(ops, u, F, Q, e.q)
+        gnorm2 = float(sum(_masses(grad, 1.0)))
         if gnorm2 == 0.0:
             reason = "step_tolerance"
             break
@@ -165,9 +163,9 @@ def maximize_quotient_pair(
         alpha = 1.0
         accepted = False
         while alpha >= MIN_BACKTRACK:
-            fn, gn = normalize(fs + alpha * grad_f, gs + alpha * grad_g)
+            un = normalize(u + alpha * grad)
             Fn = None  # a rejected candidate's field goes before the next is made
-            Fn, Qn = _pair_field(op_f, op_g, fn, gn, q, threads)
+            Fn, Qn = _pair_field(ops, un, e.q, threads)
             if Qn >= Q + ARMIJO_C * alpha * gnorm2:
                 accepted = True
                 break
@@ -177,13 +175,9 @@ def maximize_quotient_pair(
             break
         # a step that gains too little is recorded, then ends the ascent
         converged = (Qn - Q) / Q < STEP_TOLERANCE
-        fs, gs, F, Q = fn, gn, Fn, Qn
+        u, F, Q = un, Fn, Qn
 
-    return SearchTrajectory(
-        iterates=iterates,
-        terminated_reason=reason,
-        f_final=FrequencyProfile(f0.grid, fs),
-    )
+    return SearchTrajectory(iterates=iterates, terminated_reason=reason, f_final=FrequencyProfile(f0.grid, u[0]))
 
 
 def fit_symmetry(f: FrequencyProfile) -> Symmetry:

@@ -374,6 +374,7 @@ def shifted_limit_test(
     """Residuals ||E_shift0 f - E_shift_n f||_q per n (f normalized in L^p).
     The reference field is held, only on its t >= 0 rows when f is real, and
     each shifted field streamed against it."""
+    e.check_dimension(stg.d)
     nf = lp_norm_frequency(f, e.p)
     if nf == 0.0:
         raise ValueError("zero profile")

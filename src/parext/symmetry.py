@@ -141,6 +141,7 @@ def verify_intertwining(
     grid of ``stg`` scaled by 1 / lambda^2 in t and 1 / lambda in x.  It uses
     neither ``pushthrough_shift`` nor ``apply_symmetry_frequency``, so the
     check tests both."""
+    e.check_dimension(stg.d)
     d = f.grid.d
     lam = S.lam
     xt = S.xi_tilde_vec()

@@ -137,11 +137,12 @@ def plancherel_slice_defect(f, shift: ParaboloidShift, t_values) -> float:
 
 def quotient_gradient(f, g, shift: ParaboloidShift, e, stg: SpacetimeGrid) -> tuple:
     """Euclidean gradient of the pair quotient at (f, g), at p = 2, plus the
-    quotient value, through the search's own field and gradient."""
-    op_f = ExtensionOperator(f.grid, ParaboloidShift.zero(f.grid.d), stg)
-    op_g = ExtensionOperator(g.grid, shift, stg)
-    F, N = _pair_field(op_f, op_g, f.samples, g.samples, e.q)
-    return _pair_gradient(op_f, op_g, f.samples, g.samples, F, N, e.q)
+    quotient value, through the search's own field and gradient; f and g
+    share one frequency grid."""
+    ops = (ExtensionOperator(f.grid, ParaboloidShift.zero(f.grid.d), stg), ExtensionOperator(f.grid, shift, stg))
+    u = np.stack([f.samples, g.samples])
+    grad, Q = _pair_gradient(ops, u, *_pair_field(ops, u, e.q), e.q)
+    return grad[0], grad[1], Q
 
 
 # ---------------------------------------------------------------------------

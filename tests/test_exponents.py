@@ -4,6 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from parext.exponents import Exponents, validate_exponents
+from parext.extension import ExtensionOperator, ParaboloidShift
+from parext.grids import FrequencyGrid, SpacetimeGrid, gaussian_profile
+from parext.norms import quotient_pair, quotient_single
+from parext.search import maximize_quotient_pair
+from parext.sequences import convergence_study, shifted_limit_test, weak_limit_diagnostics
+from parext.symmetry import Symmetry, verify_intertwining
 
 
 def test_d1_p2():
@@ -47,3 +53,35 @@ def test_scaling_relation(d, p):
     assert math.isclose(1.0 / e.p + 1.0 / e.p_conj, 1.0, rel_tol=1e-12)
     assert math.isclose(e.q, (d + 2) * e.p_conj / d, rel_tol=1e-12)
     assert e.q > e.p
+
+
+# -- exponents of another dimension than the grid -------------------------------
+
+FG1 = FrequencyGrid(1, 10.0, 256)
+STG1 = SpacetimeGrid(1, 5.0, 15.0, 81, 129)
+SHIFT1 = ParaboloidShift(0.5, (1.0,))
+
+
+@pytest.mark.parametrize(
+    "p, call",
+    [
+        pytest.param(1.5, lambda f, e: quotient_single(f, e, STG1), id="quotient_single"),
+        pytest.param(1.5, lambda f, e: quotient_pair(f, f, SHIFT1, e, STG1), id="quotient_pair"),
+        pytest.param(1.5, lambda f, e: weak_limit_diagnostics(f, f, SHIFT1, e, STG1, 2.0), id="weak_limit_diagnostics"),
+        pytest.param(1.5, lambda f, e: convergence_study(f, SHIFT1, [1.0, 0.5], e, STG1), id="convergence_study"),
+        pytest.param(1.5, lambda f, e: shifted_limit_test(f, SHIFT1, [SHIFT1], e, STG1), id="shifted_limit_test"),
+        pytest.param(2.0, lambda f, e: maximize_quotient_pair(f, f, SHIFT1, e, STG1), id="maximize_quotient_pair"),
+        pytest.param(
+            1.5, lambda f, e: verify_intertwining(Symmetry(1.0, (0.0,), 0.1, (0.2,)), f, SHIFT1, e, STG1),
+            id="verify_intertwining",
+        ),
+    ],
+)
+def test_exponents_of_another_dimension_refuse_before_extending(p, call, monkeypatch):
+    # the d = 2 exponents on a d = 1 grid read a q that belongs to neither
+    def build_nothing(*args, **kwargs):
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr(ExtensionOperator, "__init__", build_nothing)
+    with pytest.raises(ValueError, match="exponents of dimension 2 on a 1-d grid"):
+        call(gaussian_profile(FG1), validate_exponents(2, p))

@@ -246,6 +246,18 @@ def test_max_steps_termination(exponents_d1):
         SearchOptions(max_steps=-1)
 
 
+@pytest.mark.parametrize("steps", [2.5, True, False, math.inf, math.nan])
+def test_search_options_refuse_a_step_count_that_is_not_whole(steps):
+    # the CLI's optimizer.max_steps refuses the same values
+    with pytest.raises(ValueError, match="max_steps must be a non-negative whole number"):
+        SearchOptions(max_steps=steps)
+
+
+def test_search_options_take_a_whole_float_as_an_int():
+    assert SearchOptions(max_steps=3.0).max_steps == 3
+    assert type(SearchOptions(max_steps=np.int64(3)).max_steps) is int
+
+
 def test_all_zero_profiles_refuse_before_the_search(exponents_d1, monkeypatch):
     def build_nothing(*args, **kwargs):
         raise AssertionError("an operator was built")
@@ -265,6 +277,18 @@ def test_zero_f_next_to_a_nonzero_g_refuses_before_the_search(exponents_d1, monk
     g = gaussian_profile(SEARCH_FGRID)
     with pytest.raises(ValueError, match="maximize_quotient_pair: f0 is zero"):
         maximize_quotient_pair(g.scaled(0.0), g, ParaboloidShift(0.0, (1.0,)), exponents_d1, SEARCH_STG)
+
+
+def test_g_on_another_grid_refuses_before_the_search(exponents_d1, monkeypatch):
+    # the pair is one state on f0's frequency grid
+    def build_nothing(*args, **kwargs):
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr(search, "ExtensionOperator", build_nothing)
+    f = gaussian_profile(SEARCH_FGRID)
+    for grid in (FrequencyGrid(1, 10.0, 128), FrequencyGrid(1, 8.0, 256), FrequencyGrid(1, 10.0, 256, center=(0.5,))):
+        with pytest.raises(ValueError, match="maximize_quotient_pair: g0 lies on"):
+            maximize_quotient_pair(f, gaussian_profile(grid), ParaboloidShift(0.0, (1.0,)), exponents_d1, SEARCH_STG)
 
 
 def test_zero_g_next_to_a_nonzero_f_ascends(exponents_d1):
