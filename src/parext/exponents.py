@@ -2,22 +2,33 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
 class Exponents:
-    """Exponent quadruple (d, p, p', q) tied together by the scaling relation
-    q = (d+2)/d * p'."""
+    """The dimension d and input exponent p, and the p' and q = (d+2)/d * p'
+    they fix.  Refuses (ValueError) a d that is not a whole number >= 1, a p
+    that is not finite or not above 1, and q <= p."""
 
     d: int
     p: float
-    p_conj: float
-    q: float
+    p_conj: float = field(init=False)
+    q: float = field(init=False)
 
     def __post_init__(self):
-        if self.q <= self.p:
-            raise ValueError(f"q={self.q} must exceed p={self.p}")
+        if not (float(self.d).is_integer() and self.d >= 1):
+            raise ValueError(f"dimension must be a positive integer, got {self.d}")
+        d, p = int(self.d), float(self.p)
+        if not (math.isfinite(p) and p > 1.0):
+            raise ValueError(f"p must exceed 1 and be finite, got {self.p}")
+        p_conj = p / (p - 1.0)
+        q = (d + 2) * p_conj / d
+        if q <= p:
+            raise ValueError(f"q={q} must exceed p={p}")
+        for name, value in (("d", d), ("p", p), ("p_conj", p_conj), ("q", q)):
+            object.__setattr__(self, name, value)
 
     def check_dimension(self, d: int) -> None:
         """Refuse a grid of dimension ``d`` unless it is this record's."""
@@ -26,17 +37,6 @@ class Exponents:
 
 
 def validate_exponents(d: int, p: float) -> Exponents:
-    """Build the exponent record for dimension ``d`` and input exponent ``p``.
-
-    Raises ValueError for d < 1 or p <= 1 (the conjugate exponent would be
-    undefined or infinite).
-    """
-    if int(d) != d or d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d}")
-    d = int(d)
-    p = float(p)
-    if p <= 1.0:
-        raise ValueError(f"p must exceed 1 (conjugate exponent infinite at p={p})")
-    p_conj = p / (p - 1.0)
-    q = (d + 2) * p_conj / d
-    return Exponents(d=d, p=p, p_conj=p_conj, q=q)
+    """The exponent record for dimension ``d`` and input exponent ``p``;
+    ``Exponents`` refuses what it cannot hold."""
+    return Exponents(d, p)

@@ -96,7 +96,7 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from .errors import NumericalRefusalError, NyquistError, ParextWarning
-from .grids import FrequencyGrid, FrequencyProfile, SpacetimeGrid, _squared_distance
+from .grids import FrequencyGrid, FrequencyProfile, SpacetimeGrid, _refuse_nonfinite, _squared_distance
 
 NYQUIST_HARD_FACTOR = 4.0
 CHIRP_PERIOD = 16  # time steps per row of the tabulated time chirp factors
@@ -124,6 +124,7 @@ class ParaboloidShift:
         xi0 = np.atleast_1d(np.asarray(self.xi0, dtype=float))
         object.__setattr__(self, "xi0", tuple(float(v) for v in xi0))
         object.__setattr__(self, "tau0", float(self.tau0))
+        _refuse_nonfinite("tau0 and xi0", self.tau0, *self.xi0)
 
     @property
     def d(self) -> int:

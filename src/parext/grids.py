@@ -28,6 +28,20 @@ def _as_vector(v, d: int, name: str) -> np.ndarray:
     return arr
 
 
+def _refuse_nonfinite(what: str, *values: float) -> None:
+    """Refuse (ValueError) ``values`` unless every one is a finite number."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} must be finite, got {values}")
+
+
+def _as_whole(v) -> int | None:
+    """``v`` as an int if it is a whole number of any real type, and None
+    for a fraction, a non-finite number, a bool or a string."""
+    if isinstance(v, (bool, str)) or not float(v).is_integer():
+        return None
+    return int(v)
+
+
 def _trapezoid_weights(n: int, spacing: float) -> np.ndarray:
     """Trapezoid-rule weights of n uniform points at the given spacing."""
     w = np.full(n, spacing)
@@ -87,15 +101,17 @@ class FrequencyGrid:
             raise ValueError("dimension must be >= 1")
         if self.half_width <= 0:
             raise ValueError("half_width must be positive")
-        n = self.points_per_axis
-        if n < 2 or (n & (n - 1)) != 0:
-            raise ValueError(f"points_per_axis must be a power of two >= 2, got {n}")
+        n = _as_whole(self.points_per_axis)
+        if n is None or n < 2 or (n & (n - 1)) != 0:
+            raise ValueError(f"points_per_axis must be a power of two >= 2, got {self.points_per_axis!r}")
         c = self.center
         if c is None:
             c = (0.0,) * self.d
         c = tuple(float(x) for x in np.atleast_1d(np.asarray(c, dtype=float)))
         if len(c) != self.d:
             raise ValueError("center must have length d")
+        _refuse_nonfinite("half_width and center", self.half_width, *c)
+        object.__setattr__(self, "points_per_axis", n)
         object.__setattr__(self, "center", c)
 
     @property
@@ -155,10 +171,15 @@ class SpacetimeGrid:
     x_points_per_axis: int
 
     def __post_init__(self):
+        _refuse_nonfinite("grid half-widths", self.t_half_width, self.x_half_width)
         if self.t_half_width <= 0 or self.x_half_width <= 0:
             raise ValueError("grid half-widths must be positive")
-        if self.t_points < 2 or self.x_points_per_axis < 2:
-            raise ValueError("need at least two points per axis")
+        m, n = _as_whole(self.t_points), _as_whole(self.x_points_per_axis)
+        if m is None or n is None or min(m, n) < 2:
+            counts = f"{self.t_points!r} and {self.x_points_per_axis!r}"
+            raise ValueError(f"need a whole number of at least two points per axis, got {counts}")
+        object.__setattr__(self, "t_points", m)
+        object.__setattr__(self, "x_points_per_axis", n)
 
     @property
     def t_axis(self) -> np.ndarray:

@@ -77,9 +77,12 @@ class NormResult:
 
 @dataclass
 class QuotientResult:
-    quotient: float
     numerator: NormResult
     denominator: float
+
+    @property
+    def quotient(self) -> float:
+        return self.numerator.value / self.denominator
 
     def certified_error(self) -> float:
         """Half-width-style error on the quotient inherited from the
@@ -326,14 +329,15 @@ def _tail_ingredients(f: FrequencyProfile, shift: ParaboloidShift) -> _TailIngre
 
 
 def _sup_bound(ing: _TailIngredients, d: int, t: np.ndarray) -> np.ndarray:
-    disp = np.pi ** (d / 2.0) * ing.m1 / np.maximum(np.abs(t), 1e-300) ** (d / 2.0)
+    """min(||f||_1, pi^{d/2} m1 |t|^{-d/2}) at the times ``t``; the
+    dispersive bound is infinite at t = 0."""
+    c = np.pi ** (d / 2.0) * ing.m1
+    disp = np.divide(c, np.abs(t) ** (d / 2.0), out=np.full(t.shape, np.inf), where=t != 0.0)
     return np.minimum(ing.l1, disp)
 
 
 def _time_tail_mass(ing: _TailIngredients, d: int, q: float, T: float) -> float:
     """Bound on the integral of ||F(t,.)||_q^q over |t| > T."""
-    if ing.l2 == 0.0:
-        return 0.0
     beta = d * (q - 2.0) / 2.0
     energy = (2.0 * np.pi) ** d * ing.l2**2
     c = np.pi ** (d / 2.0) * ing.m1
@@ -355,8 +359,6 @@ def _space_tail_mass(ing: _TailIngredients, d: int, q: float, T: float, X: float
     The integrand sup(t)^{q-2} * energy * frac(t) is a product of a
     non-increasing and a non-decreasing factor, so each cell of the t-grid is
     bounded by sup at its left end times frac at its right end."""
-    if ing.l2 == 0.0:
-        return 0.0
     energy = (2.0 * np.pi) ** d * ing.l2**2
     t = np.linspace(0.0, T, 4097)
     sup = _sup_bound(ing, d, t)
@@ -435,8 +437,7 @@ def _quotient(pairs: list, e: Exponents, stg: SpacetimeGrid, threads: int, parts
     den = sum(n**e.p for n in lp) ** (1.0 / e.p)
     if den == 0.0:
         raise ValueError("every profile is zero")
-    num = lq_norm_spacetime(stg, pairs, e.q, threads, parts)
-    return lp, QuotientResult(num.value / den, num, den)
+    return lp, QuotientResult(lq_norm_spacetime(stg, pairs, e.q, threads, parts), den)
 
 
 def quotient_single(

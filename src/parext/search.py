@@ -19,6 +19,7 @@ from .extension import ExtensionOperator, ParaboloidShift
 from .grids import (
     FrequencyProfile,
     SpacetimeGrid,
+    _as_whole,
     _profile_moments,
 )
 from .norms import _truncated_lq
@@ -37,9 +38,10 @@ class SearchOptions:
     max_steps: int = 200
 
     def __post_init__(self):
-        if isinstance(self.max_steps, bool) or self.max_steps % 1 != 0 or self.max_steps < 0:
+        steps = _as_whole(self.max_steps)
+        if steps is None or steps < 0:
             raise ValueError(f"max_steps must be a non-negative whole number, got {self.max_steps!r}")
-        self.max_steps = int(self.max_steps)
+        self.max_steps = steps
 
 
 @dataclass
@@ -62,11 +64,7 @@ def _boundary_mass_fraction(samples: np.ndarray) -> float:
         return 0.0
     n = samples.shape[0]
     k = max(1, int(round(BOUNDARY_SHELL * n)))
-    inner = w
-    for axis in range(samples.ndim):
-        sl = [slice(None)] * samples.ndim
-        sl[axis] = slice(k, n - k)
-        inner = inner[tuple(sl)]
+    inner = w[(slice(k, n - k),) * samples.ndim]
     return float(1.0 - inner.sum() / total)
 
 

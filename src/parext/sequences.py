@@ -334,9 +334,8 @@ def build_separating_testfn(
     s_cur = s0
     for _ in range(SEPARATION_MAX_HALVINGS + 1):
         cut = 1.0 - plateau_bump(dist / (2.0 * s_cur))
-        lost = phi.samples * (1.0 - cut)
-        lost_norm = float((np.abs(lost) ** pc).sum() * f.grid.cell_volume) ** (1.0 / pc)
-        if lost_norm < 0.25:
+        lost = FrequencyProfile(f.grid, phi.samples * (1.0 - cut))
+        if lp_norm_frequency(lost, pc) < 0.25:
             break
         s_cur /= 2.0
     else:
@@ -355,7 +354,7 @@ def build_separating_testfn(
 
     # m2: sup of |Psi| along the other paraboloid over the R-ball
     psi_on_pn = np.abs(tf.sample(shift_n.height(mesh), mesh))
-    tf.m2 = float(psi_on_pn[ball].max()) if np.any(ball) else 0.0
+    tf.m2 = float(psi_on_pn[ball].max())
     return tf
 
 
@@ -372,8 +371,9 @@ def shifted_limit_test(
     threads: int = 1,
 ) -> list:
     """Residuals ||E_shift0 f - E_shift_n f||_q per n (f normalized in L^p).
-    The reference field is held, only on its t >= 0 rows when f is real, and
-    each shifted field streamed against it."""
+    The reference field is held, only on its t >= 0 rows when every pair
+    shares one reflection (``parext.extension._time_reflection``), and each
+    shifted field streamed against it."""
     e.check_dimension(stg.d)
     nf = lp_norm_frequency(f, e.p)
     if nf == 0.0:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .exponents import Exponents
 from .extension import ParaboloidShift, extend
-from .grids import FrequencyGrid, FrequencyProfile, SpacetimeGrid
+from .grids import FrequencyGrid, FrequencyProfile, SpacetimeGrid, _refuse_nonfinite
 from .norms import _truncated_lq
 
 
@@ -35,8 +35,6 @@ class Symmetry:
     x0: tuple
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("scaling parameter must be positive")
         xt = np.atleast_1d(np.asarray(self.xi_tilde, dtype=float))
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
         if xt.shape != x0.shape:
@@ -45,6 +43,9 @@ class Symmetry:
         object.__setattr__(self, "xi_tilde", tuple(float(v) for v in xt))
         object.__setattr__(self, "t0", float(self.t0))
         object.__setattr__(self, "x0", tuple(float(v) for v in x0))
+        _refuse_nonfinite("symmetry parameters", self.lam, *self.xi_tilde, self.t0, *self.x0)
+        if self.lam <= 0:
+            raise ValueError("scaling parameter must be positive")
 
     @property
     def d(self) -> int:

@@ -292,6 +292,22 @@ def test_runner_exception_exits_4(tmp_path, capsys, monkeypatch):
     assert "internal error: runner broke" in capsys.readouterr().err
 
 
+def test_failed_write_leaves_no_temporary_file(tmp_path, capsys, monkeypatch):
+    # a full disk at the rename of the first output file
+    def full_disk(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.os, "replace", full_disk)
+    text = f"d: 1\n{BASE_GRID}\nprofile: {{kind: gaussian}}\n"
+    out = tmp_path / "o"
+    with pytest.raises(OSError, match="No space left on device"):
+        run_experiment("quotient", yaml.safe_load(text), str(out))
+    assert list(out.iterdir()) == []
+    assert main(["quotient", "--config", write_cfg(tmp_path, "q.yaml", text), "--out", str(out)]) == 2
+    assert "config error: [Errno 28] No space left on device" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_removed_pad_key_exits_2(tmp_path):
     cfg = write_cfg(
         tmp_path,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -30,17 +31,26 @@ def test_p3_d1():
 
 
 @pytest.mark.parametrize(
-    "d,p", [(0, 2.0), (-1, 2.0), (1, 1.0), (1, 0.5), (2, -3.0), (1, 4.0)]
+    "d,p",
+    [(0, 2.0), (-1, 2.0), (1, 1.0), (1, 0.5), (2, -3.0), (1, 4.0), (1, math.nan), (1, math.inf), (math.inf, 2.0)],
 )
 def test_invalid_inputs(d, p):
-    # (1, 4.0) sits at the endpoint q = p, outside the q > p regime
+    # (1, 4.0) sits at the endpoint q = p, outside the q > p regime; a p of
+    # nan or inf made q nan
     with pytest.raises(ValueError):
         validate_exponents(d, p)
 
 
 def test_q_le_p_rejected_in_type():
     with pytest.raises(ValueError):
-        Exponents(d=1, p=6.0, p_conj=1.2, q=3.6)
+        Exponents(d=1, p=6.0)
+
+
+def test_exponents_derive_p_conj_and_q_from_d_and_p():
+    assert [f.name for f in dataclasses.fields(Exponents) if f.init] == ["d", "p"]
+    assert Exponents(2, 2.0) == validate_exponents(2, 2.0)
+    with pytest.raises(TypeError):
+        Exponents(1, 2.0, 2.0, 6.0)
 
 
 @given(st.integers(1, 6), st.floats(1.01, 50.0))

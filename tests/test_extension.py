@@ -570,6 +570,17 @@ def test_paraboloid_shift_helpers():
         )
 
 
+@pytest.mark.parametrize(
+    "tau0, xi0",
+    [(math.nan, (0.0,)), (math.inf, (0.0,)), (0.0, (math.inf,)), (0.0, (0.0, -math.inf)), (0.0, (math.nan, 0.0))],
+    ids=["tau0-nan", "tau0-inf", "xi0-inf", "xi0-2d-inf", "xi0-2d-nan"],
+)
+def test_paraboloid_shift_refuses_a_number_that_is_not_finite(tau0, xi0):
+    # a shift of nan or inf made every quotient through it nan
+    with pytest.raises(ValueError, match="tau0 and xi0 must be finite"):
+        ParaboloidShift(tau0, xi0)
+
+
 def test_import_leaves_scipy_signal_unloaded():
     # scipy.signal costs most of a second to import, more than the package
     # itself; no module of the package may pull it in.  scipy.ndimage (the

@@ -129,6 +129,18 @@ G2 = FrequencyGrid(2, 4.0, 16)
         pytest.param(lambda: SpacetimeGrid(1, 1.0, 0.0, 3, 3), "half-widths must be positive", id="stg-x"),
         pytest.param(lambda: SpacetimeGrid(1, 1.0, 1.0, 1, 3), "at least two points", id="stg-t_points"),
         pytest.param(lambda: SpacetimeGrid(1, 1.0, 1.0, 3, 1), "at least two points", id="stg-x_points"),
+        # numbers that are not finite, and point counts that are not whole
+        pytest.param(lambda: FrequencyGrid(1, math.inf, 8), "center must be finite", id="grid-half_width-inf"),
+        pytest.param(lambda: FrequencyGrid(1, math.nan, 8), "center must be finite", id="grid-half_width-nan"),
+        pytest.param(lambda: FrequencyGrid(1, 4.0, 8, center=math.nan), "center must be finite", id="grid-center-nan"),
+        pytest.param(lambda: FrequencyGrid(1, 8.0, 4.5), "power of two", id="grid-points-fraction"),
+        pytest.param(lambda: FrequencyGrid(1, 8.0, math.inf), "power of two", id="grid-points-inf"),
+        pytest.param(lambda: FrequencyGrid(1, 8.0, "8"), "power of two", id="grid-points-string"),
+        pytest.param(lambda: SpacetimeGrid(1, math.nan, 8.0, 33, 65), "half-widths must be finite", id="stg-t-nan"),
+        pytest.param(lambda: SpacetimeGrid(1, 2.0, math.inf, 33, 65), "half-widths must be finite", id="stg-x-inf"),
+        pytest.param(lambda: SpacetimeGrid(1, 2.0, 8.0, 2.5, 65), "whole number of", id="stg-t_points-fraction"),
+        pytest.param(lambda: SpacetimeGrid(1, 2.0, 8.0, 33, math.nan), "whole number of", id="stg-x_points-nan"),
+        pytest.param(lambda: SpacetimeGrid(1, 2.0, 8.0, "33", 65), "whole number of", id="stg-t_points-string"),
         pytest.param(lambda: gaussian_profile(G1, width=0.0), "width must be positive", id="width"),
         pytest.param(lambda: bump_profile(G1, radius=-1.0), "radius must be positive", id="radius"),
         pytest.param(lambda: lp_norm_frequency(gaussian_profile(G1), 0.5), "p must be >= 1", id="lp-p"),
@@ -137,6 +149,12 @@ G2 = FrequencyGrid(2, 4.0, 16)
 def test_grid_and_profile_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_grids_take_a_whole_float_point_count_as_an_int():
+    assert FrequencyGrid(1, 8.0, 4.0) == FrequencyGrid(1, 8.0, 4)
+    stg = SpacetimeGrid(1, 2.0, 8.0, 33.0, np.int64(65))
+    assert (type(stg.t_points), type(stg.x_points_per_axis)) == (int, int)
 
 
 # -- norms and moments ------------------------------------------------------

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,11 +29,14 @@ from parext.exponents import validate_exponents
 from parext.extension import ExtensionOperator, ParaboloidShift, _Reflection, _run_blocks, _split, extend
 from parext.grids import (
     FrequencyGrid,
+    FrequencyProfile,
     SpacetimeGrid,
     gaussian_profile,
     lp_norm_frequency,
 )
 from parext.norms import (
+    NormResult,
+    QuotientResult,
     _LQ_BLOCK_POINTS,
     _lq_against,
     _space_tail_mass,
@@ -190,6 +195,28 @@ def test_space_tail_mass_bounds_its_integral(shift):
         integrand, 0.0, T, points=[k for k in kinks if 0.0 < k < T], limit=1000, epsabs=0.0, epsrel=1e-12
     )
     assert _space_tail_mass(ing, d, q, T, X) >= 2.0 * exact
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tail_of_a_zero_profile_is_zero_in_every_dimension(d):
+    # the all-zero ingredients give 0 by the tail formulas' own arithmetic,
+    # and the dispersive bound, infinite at t = 0, divides by no zero there
+    grid = FrequencyGrid(d, 4.0, 8)
+    q = (d + 2) * 2.0 / d
+    zero = _tail_ingredients(FrequencyProfile(grid, np.zeros(grid.shape)), ParaboloidShift.zero(d))
+    ing = _tail_ingredients(gaussian_profile(grid), ParaboloidShift.zero(d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _time_tail_mass(zero, d, q, 2.0) == 0.0
+        assert _space_tail_mass(zero, d, q, 2.0, 3.0) == 0.0
+        assert _sup_bound(ing, d, np.array([0.0, 1.0]))[0] == ing.l1
+
+
+def test_quotient_result_derives_its_quotient():
+    res = QuotientResult(NormResult(3.0, 0.5, 0.25, 6.0), 2.0)
+    assert [f.name for f in dataclasses.fields(QuotientResult)] == ["numerator", "denominator"]
+    assert res.quotient == 1.5
+    assert res.certified_error() == res.numerator.certified_error() / 2.0
 
 
 def test_tail_refusal_at_nonintegrable_exponent():

@@ -246,7 +246,7 @@ def test_max_steps_termination(exponents_d1):
         SearchOptions(max_steps=-1)
 
 
-@pytest.mark.parametrize("steps", [2.5, True, False, math.inf, math.nan])
+@pytest.mark.parametrize("steps", [2.5, True, False, math.inf, math.nan, "3"])
 def test_search_options_refuse_a_step_count_that_is_not_whole(steps):
     # the CLI's optimizer.max_steps refuses the same values
     with pytest.raises(ValueError, match="max_steps must be a non-negative whole number"):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,6 +120,12 @@ def test_compose_parameter_law():
     [
         pytest.param(lambda: Symmetry(0.0, (0.0,), 0.0, (0.0,)), "scaling parameter must be positive", id="lam"),
         pytest.param(lambda: Symmetry(1.0, (0.0, 1.0), 0.0, (0.0,)), "same dimension", id="x0-dimension"),
+        # pushthrough_shift carried an infinite xi_tilde into an infinite tau0
+        pytest.param(lambda: Symmetry(math.inf, (0.0,), 0.0, (0.0,)), "must be finite", id="lam-inf"),
+        pytest.param(lambda: Symmetry(math.nan, (0.0,), 0.0, (0.0,)), "must be finite", id="lam-nan"),
+        pytest.param(lambda: Symmetry(1.0, (math.inf,), 0.0, (0.0,)), "must be finite", id="xi_tilde-inf"),
+        pytest.param(lambda: Symmetry(1.0, (0.0,), math.nan, (0.0,)), "must be finite", id="t0-nan"),
+        pytest.param(lambda: Symmetry(1.0, (0.0, 0.0), 0.0, (0.0, -math.inf)), "must be finite", id="x0-inf"),
         pytest.param(
             lambda: apply_symmetry_frequency(Symmetry(1.0, (0.0, 0.0), 0.0, (0.0, 0.0)), gaussian_profile(FG), 2.0, ZERO),
             "symmetry dimension does not match", id="action-dimension",
