@@ -32,7 +32,7 @@ from . import __version__
 from .errors import ConfigError, NumericalRefusalError, ParextWarning
 from .exponents import validate_exponents
 from .extension import ParaboloidShift
-from .grids import FrequencyGrid, SpacetimeGrid, bump_profile, gaussian_profile, superpose
+from .grids import FrequencyGrid, SpacetimeGrid, _as_whole, bump_profile, gaussian_profile, superpose
 from .norms import quotient_pair, quotient_single
 from .search import SearchOptions, maximize_quotient_pair
 from .sequences import (
@@ -91,12 +91,11 @@ def _positive(v) -> float:
 
 
 def _whole(v) -> int:
-    """A non-negative integer, or a float equal to one; a fraction, bool or string is refused."""
-    if isinstance(v, float) and v.is_integer():
-        v = int(v)
-    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+    """A non-negative whole number as an int (``grids._as_whole``); a fraction, bool or string is refused."""
+    n = _as_whole(v)
+    if n is None or n < 0:
         raise ValueError(f"must be a non-negative whole number, got {v!r}")
-    return v
+    return n
 
 
 def _positive_whole(v) -> int:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .grids import _as_dimension
+
 
 @dataclass(frozen=True)
 class Exponents:
@@ -18,9 +20,7 @@ class Exponents:
     q: float = field(init=False)
 
     def __post_init__(self):
-        if not (float(self.d).is_integer() and self.d >= 1):
-            raise ValueError(f"dimension must be a positive integer, got {self.d}")
-        d, p = int(self.d), float(self.p)
+        d, p = _as_dimension(self.d), float(self.p)
         if not (math.isfinite(p) and p > 1.0):
             raise ValueError(f"p must exceed 1 and be finite, got {self.p}")
         p_conj = p / (p - 1.0)

@@ -10,6 +10,7 @@ of the tails.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,10 +37,19 @@ def _refuse_nonfinite(what: str, *values: float) -> None:
 
 def _as_whole(v) -> int | None:
     """``v`` as an int if it is a whole number of any real type, and None
-    for a fraction, a non-finite number, a bool or a string."""
-    if isinstance(v, (bool, str)) or not float(v).is_integer():
+    for a fraction, a non-finite number, a bool or a non-number."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not float(v).is_integer():
         return None
     return int(v)
+
+
+def _as_dimension(d) -> int:
+    """``d`` as an int if it is a whole number >= 1; anything else is
+    refused (ValueError)."""
+    n = _as_whole(d)
+    if n is None or n < 1:
+        raise ValueError(f"dimension must be >= 1 and whole, got {d!r}")
+    return n
 
 
 def _trapezoid_weights(n: int, spacing: float) -> np.ndarray:
@@ -97,8 +107,7 @@ class FrequencyGrid:
     center: tuple = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension must be >= 1")
+        object.__setattr__(self, "d", _as_dimension(self.d))
         if self.half_width <= 0:
             raise ValueError("half_width must be positive")
         n = _as_whole(self.points_per_axis)
@@ -171,6 +180,7 @@ class SpacetimeGrid:
     x_points_per_axis: int
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _as_dimension(self.d))
         _refuse_nonfinite("grid half-widths", self.t_half_width, self.x_half_width)
         if self.t_half_width <= 0 or self.x_half_width <= 0:
             raise ValueError("grid half-widths must be positive")
@@ -269,9 +279,9 @@ def superpose(f: FrequencyProfile, g: FrequencyProfile) -> FrequencyProfile:
 # ---------------------------------------------------------------------------
 
 def lp_norm_frequency(f: FrequencyProfile, p: float) -> float:
-    """Trapezoid-rule approximation to the frequency-side L^p norm."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    """Trapezoid-rule approximation to the frequency-side L^p norm, p finite."""
+    if not (np.isfinite(p) and p >= 1):
+        raise ValueError(f"p must be >= 1 and finite, got {p}")
     return float((np.abs(f.samples) ** p).sum() * f.grid.cell_volume) ** (1.0 / p)
 
 

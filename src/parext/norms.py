@@ -91,8 +91,8 @@ class QuotientResult:
 
 
 # float64 points of |F|^q held at once by each thread of the reduction of
-# held fields (2 MB, next to the 4 MB of a formed combination).  The
-# scratch is not cut to a short field's n_t rows: on the SEARCH grid its
+# held fields (2 MB; a combination of parts is formed in the same buffers).
+# The scratch is not cut to a short field's n_t rows: on the SEARCH grid its
 # 4 MB, once freed, lifts glibc's mmap threshold above the 0.2-0.8 MB
 # buffers of each apply and apply_adjoint, which then reuse mapped pages;
 # cut to 81 rows, every search iterate took 656 fresh page faults and 1.5
@@ -100,14 +100,16 @@ class QuotientResult:
 _LQ_BLOCK_POINTS = 1 << 18
 
 
-def _combine(signs: tuple, parts: list, out: np.ndarray) -> np.ndarray:
-    """The sum of the ``parts`` with the ``signs`` 1, -1 or 0, up to its
-    overall sign (which |.| drops): the parts are added to or subtracted
-    from the first one left to right, into ``out``; a lone part is returned
-    itself."""
+def _combine(signs: tuple, parts: list, re: np.ndarray, im: np.ndarray) -> tuple:
+    """The real and imaginary parts of the sum of the ``parts`` with the
+    ``signs`` 1, -1 or 0, up to its overall sign (which |.| drops), summed
+    left to right into the float buffers ``re`` and ``im`` (the bits of the
+    complex sum); a lone part gives its own ``.real`` and ``.imag``."""
     (first, acc), *rest = [(s, a) for s, a in zip(signs, parts) if s]
+    acc = acc.real, acc.imag
     for s, a in rest:
-        acc = (np.add if s == first else np.subtract)(acc, a, out=out)
+        op = np.add if s == first else np.subtract
+        acc = op(acc[0], a.real, out=re), op(acc[1], a.imag, out=im)
     return acc
 
 
@@ -158,28 +160,25 @@ class _LqRows:
         self.out = np.empty(sum(sizes))
         views = iter(np.split(self.out, np.cumsum(sizes)[:-1]))
         self._rows = [[next(views) for _ in ss] for _, ss in terms]
-        # the combination buffer is needed only when a term mixes two parts
-        self._mixes = any(sum(map(bool, signs)) > 1 for signs, _ in terms)
         self._row_shape = (stg.x_points_per_axis,) * stg.d
 
     def scratch(self, rows: int) -> tuple:
-        """One thread's two |.|^q buffers and combination buffer for blocks
-        of up to ``rows`` rows."""
-        shape = (rows,) + self._row_shape
-        powers = np.empty((2,) + shape)
-        return powers[0], powers[1], np.empty(shape, dtype=complex) if self._mixes else None
+        """One thread's two float buffers for blocks of up to ``rows`` rows:
+        a combination's real and imaginary parts (``_combine``), then |.|^q."""
+        powers = np.empty((2, rows) + self._row_shape)
+        return powers[0], powers[1]
 
     def scratch_bytes(self, rows: int) -> int:
         """The bytes ``scratch(rows)`` allocates."""
-        return (16 + 16 * self._mixes) * rows * math.prod(self._row_shape)
+        return 16 * rows * math.prod(self._row_shape)
 
-    def _power(self, c: np.ndarray, out: np.ndarray, spare: np.ndarray) -> tuple:
-        """|c|^q from |c|^2 = re^2 + im^2, by repeated multiplication, left
-        to right, when q / 2 is whole, and otherwise as (|c|^2)^(q / 2):
-        (the buffer that holds it, the one of ``out`` and ``spare`` left
-        free)."""
-        np.multiply(c.real, c.real, out=out)
-        out += np.multiply(c.imag, c.imag, out=spare)
+    def _power(self, re: np.ndarray, im: np.ndarray, out: np.ndarray, spare: np.ndarray) -> tuple:
+        """|c|^q from |c|^2 = re^2 + im^2, re and im possibly ``out`` and
+        ``spare`` themselves, by repeated multiplication, left to right, when
+        q / 2 is whole, and otherwise as (|c|^2)^(q / 2): (the buffer that
+        holds it, the one of ``out`` and ``spare`` left free)."""
+        np.multiply(re, re, out=out)
+        out += np.multiply(im, im, out=spare)
         half = self.q / 2.0
         if not half.is_integer():
             out **= half
@@ -198,12 +197,12 @@ class _LqRows:
         n_t, mirror = self._n_t, self.mirrored
         k = rows.shape[0]
         parts = [a[i - self._first : i - self._first + k] for a in self.held] + [rows]
-        out_rows, spare_rows, mix_rows = (b if b is None else b[:k] for b in scratch)
+        out_rows, spare_rows = (b[:k] for b in scratch)
         # the mirror rows lo..hi-1, below n_t // 2, are the rows n_t-1-r of
         # the block's rows r from n_t-hi on
         lo, hi = n_t - i - k, min(n_t - i, n_t // 2)
         for (signs, strides), term_rows in zip(self.terms, self._rows):
-            power, free = self._power(_combine(signs, parts, mix_rows), out_rows, spare_rows)
+            power, free = self._power(*_combine(signs, parts, out_rows, spare_rows), out_rows, spare_rows)
             for s, r in zip(strides, term_rows):
                 self._reduce(i, power, s, r, free)
                 if mirror is None or lo >= hi:

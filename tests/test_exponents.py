@@ -32,11 +32,14 @@ def test_p3_d1():
 
 @pytest.mark.parametrize(
     "d,p",
-    [(0, 2.0), (-1, 2.0), (1, 1.0), (1, 0.5), (2, -3.0), (1, 4.0), (1, math.nan), (1, math.inf), (math.inf, 2.0)],
+    [
+        (0, 2.0), (-1, 2.0), (1, 1.0), (1, 0.5), (2, -3.0), (1, 4.0), (1, math.nan), (1, math.inf), (math.inf, 2.0),
+        (True, 2.0), (1.5, 2.0), ("1", 2.0),
+    ],
 )
 def test_invalid_inputs(d, p):
     # (1, 4.0) sits at the endpoint q = p, outside the q > p regime; a p of
-    # nan or inf made q nan
+    # nan or inf made q nan; a bool d was read as 1
     with pytest.raises(ValueError):
         validate_exponents(d, p)
 

@@ -144,6 +144,14 @@ G2 = FrequencyGrid(2, 4.0, 16)
         pytest.param(lambda: gaussian_profile(G1, width=0.0), "width must be positive", id="width"),
         pytest.param(lambda: bump_profile(G1, radius=-1.0), "radius must be positive", id="radius"),
         pytest.param(lambda: lp_norm_frequency(gaussian_profile(G1), 0.5), "p must be >= 1", id="lp-p"),
+        # p = inf read 1.0 for every profile, p = nan read nan
+        pytest.param(lambda: lp_norm_frequency(gaussian_profile(G1), math.inf), "finite", id="lp-p-inf"),
+        pytest.param(lambda: lp_norm_frequency(gaussian_profile(G1), math.nan), "finite", id="lp-p-nan"),
+        # dimensions that are not whole numbers >= 1: built, or failing late with TypeError
+        pytest.param(lambda: SpacetimeGrid(0, 1.0, 1.0, 3, 3), "dimension must be >= 1", id="stg-d-zero"),
+        pytest.param(lambda: SpacetimeGrid(1.5, 1.0, 1.0, 3, 3), "dimension must be >= 1", id="stg-d-fraction"),
+        pytest.param(lambda: FrequencyGrid(True, 4.0, 8), "dimension must be >= 1", id="grid-d-bool"),
+        pytest.param(lambda: FrequencyGrid(1.5, 4.0, 8), "dimension must be >= 1", id="grid-d-fraction"),
     ],
 )
 def test_grid_and_profile_refusals(call, message):
@@ -155,6 +163,11 @@ def test_grids_take_a_whole_float_point_count_as_an_int():
     assert FrequencyGrid(1, 8.0, 4.0) == FrequencyGrid(1, 8.0, 4)
     stg = SpacetimeGrid(1, 2.0, 8.0, 33.0, np.int64(65))
     assert (type(stg.t_points), type(stg.x_points_per_axis)) == (int, int)
+
+
+def test_grids_take_a_whole_float_dimension_as_an_int():
+    assert FrequencyGrid(2.0, 8.0, 4) == FrequencyGrid(2, 8.0, 4)
+    assert type(SpacetimeGrid(np.int64(2), 2.0, 8.0, 33, 65).d) is int
 
 
 # -- norms and moments ------------------------------------------------------

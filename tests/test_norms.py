@@ -350,6 +350,19 @@ def test_truncated_lq_accepts_any_block_split(monkeypatch, d, n_t, n_x):
         assert all(r == results[-1] for r in results)
 
 
+@pytest.mark.parametrize("d, n_x", [(1, 129), (2, 17)])
+def test_reduction_of_mixed_parts_allocates_no_complex_scratch(d, n_x):
+    # a sum or difference of two parts is formed in the two float |c|^q
+    # buffers, so every term set takes 16 bytes a point, a pair's too
+    stg = SpacetimeGrid(d, 3.0, 5.0, 31, n_x)
+    held = (_random_field(stg),)
+    for combos in (((0, 1),), ((1, 1),), ((1, 0), (0, 1), (1, 1), (1, -1))):
+        red = norms._LqRows(stg, held, 6.0, tuple((c, (1, 2)) for c in combos))
+        scratch = red.scratch(7)
+        assert all(b.dtype == np.float64 for b in scratch)
+        assert sum(b.nbytes for b in scratch) == red.scratch_bytes(7) == 16 * 7 * n_x**d
+
+
 def test_truncated_lq_memory_stays_below_the_field():
     stg = SpacetimeGrid(1, 3.0, 5.0, 2049, 2049)
     fld, gld = _random_field(stg), _random_field(stg, seed=1)
