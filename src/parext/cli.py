@@ -8,12 +8,12 @@ accepts d, p, grid, profile, out and the keys its runner declares, each
 profile kind only its constructor's keys; any other key, a missing key or a
 malformed value (a non-finite number included) is a configuration error
 (exit 2) naming the key.  Every run writes report.json plus one CSV per
-result table, atomically; wall-clock time goes to a run_meta.json sidecar
-so that report and tables are byte-identical across reruns and thread
-counts.  The report's ``warnings`` key lists the ParextWarning messages the
-run raised, sorted and once each.  --threads must be at least 1, and
-exactly 1 for separation, whose runner refuses any other count; any other
-value is a configuration error too.
+result table, atomically; wall-clock time and the process's peak resident
+memory go to a run_meta.json sidecar so that report and tables are
+byte-identical across reruns and thread counts.  The report's ``warnings``
+key lists the ParextWarning messages the run raised, sorted and once each.
+--threads must be at least 1, and exactly 1 for separation, whose runner
+refuses any other count; any other value is a configuration error too.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import tempfile
 import time
@@ -32,7 +33,7 @@ from . import __version__
 from .errors import ConfigError, NumericalRefusalError, ParextWarning
 from .exponents import validate_exponents
 from .extension import ParaboloidShift
-from .grids import FrequencyGrid, SpacetimeGrid, _as_whole, bump_profile, gaussian_profile, superpose
+from .grids import FrequencyGrid, SpacetimeGrid, _as_dimension, _as_whole, bump_profile, gaussian_profile, superpose
 from .norms import quotient_pair, quotient_single
 from .search import SearchOptions, maximize_quotient_pair
 from .sequences import (
@@ -169,11 +170,11 @@ def _common(cfg: dict, keys: set):
     own ``keys``, then read the exponents, both grids and the profile f,
     which must have a nonzero sample on the frequency grid."""
     _check_keys(cfg, {"d", "p", "grid", "profile", "out"} | keys, "config")
-    d = _read(cfg, "d", "config", _whole, 1)
+    d = _read(cfg, "d", "config", _as_dimension, 1)
     try:
         e = validate_exponents(d, _read(cfg, "p", "config", _finite, 2.0))
-    except ValueError as ex:
-        raise ConfigError(str(ex)) from ex
+    except ValueError as ex:  # d is whole and >= 1 here, so p is refused
+        raise ConfigError(f"config.p: {ex}") from ex
     grid = _read(cfg, "grid", "config", _mapping)
     _check_keys(grid, set(GRID), "grid")
     l_xi, n, t, x, m, n_x = (_read(grid, key, "grid", coerce) for key, coerce in GRID.items())
@@ -374,10 +375,9 @@ def run_experiment(kind: str, cfg: dict, out_dir: str, threads: int = 1) -> dict
         os.path.join(out_dir, "report.json"),
         json.dumps(report, indent=2, sort_keys=True) + "\n",
     )
-    _atomic_write(
-        os.path.join(out_dir, "run_meta.json"),
-        json.dumps({"wall_clock_seconds": elapsed}, indent=2) + "\n",
-    )
+    # ru_maxrss is the process's peak so far, in KiB on Linux
+    meta = {"wall_clock_seconds": elapsed, "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
+    _atomic_write(os.path.join(out_dir, "run_meta.json"), json.dumps(meta, indent=2) + "\n")
     return report
 
 

@@ -99,6 +99,9 @@ class QuotientResult:
 # times as long (test_search_iterates_reuse_freed_pages)
 _LQ_BLOCK_POINTS = 1 << 18
 
+# lattice points of one slab of the tail certificate's lattice (1 MB complex)
+_LATTICE_SLAB_POINTS = 1 << 16
+
 
 def _combine(signs: tuple, parts: list, re: np.ndarray, im: np.ndarray) -> tuple:
     """The real and imaginary parts of the sum of the ``parts`` with the
@@ -304,22 +307,44 @@ class _TailIngredients:
     sigma_xi: float
 
 
-def _tail_ingredients(f: FrequencyProfile, shift: ParaboloidShift) -> _TailIngredients:
+def _lattice_slabs(n: int, d: int) -> tuple:
+    """The 4n points per axis of the tail lattice of an n-point grid, and the
+    width along its last axis of the slabs it is streamed in: the whole axis
+    in d = 1, else as many as fill ``_LATTICE_SLAB_POINTS`` (at least one)."""
+    n_lat = 4 * n
+    if d == 1:
+        return n_lat, n_lat
+    return n_lat, min(n_lat, max(1, _LATTICE_SLAB_POINTS // n_lat ** (d - 1)))
+
+
+def _physical_l1(f: FrequencyProfile) -> float:
+    """m1 = (2 pi)^{-d} L^1 norm of the t = 0 physical-space profile, from
+    the periodic transform lattice of 4N points per axis.  As in ifftn, the
+    zero-padded last axis is transformed first; the other axes follow one
+    slab of that axis at a time, so each lattice value has ifftn's bits and
+    only one slab of the lattice is held.  The unnormalized transforms are
+    ifftn's times the power of two n_lat^d, exactly."""
     d = f.grid.d
+    n_lat, width = _lattice_slabs(f.grid.points_per_axis, d)
+    g = np.fft.ifft(f.samples, n=n_lat, axis=-1, norm="forward")
+    abs_sum = 0.0
+    for j in range(0, n_lat, width):
+        slab = g[..., j : j + width]
+        if d > 1:
+            slab = np.fft.ifftn(slab, s=(n_lat,) * (d - 1), axes=tuple(range(d - 1)), norm="forward")
+        abs_sum += np.abs(slab).sum()
+    lat_dx = 2.0 * np.pi / (n_lat * f.grid.spacing)
+    phys_l1 = float(abs_sum * lat_dx**d) * f.grid.cell_volume
+    return phys_l1 / (2.0 * np.pi) ** d
+
+
+def _tail_ingredients(f: FrequencyProfile, shift: ParaboloidShift) -> _TailIngredients:
     l1 = lp_norm_frequency(f, 1.0)
     l2 = lp_norm_frequency(f, 2.0)
     if l2 == 0.0:
         return _TailIngredients(0.0, 0.0, 0.0, 0.0, 0.0)
-    # m1 = (2 pi)^{-d} L^1 norm of the t = 0 physical-space profile, from the
-    # periodic transform lattice of 4N points per axis, made in place so that
-    # only the lattice and its |.| are held at once
-    n_lat = 4 * f.grid.points_per_axis
-    g = np.fft.ifftn(f.samples, s=(n_lat,) * d, axes=tuple(range(d)))
-    g *= n_lat**d
-    lat_dx = 2.0 * np.pi / (n_lat * f.grid.spacing)
-    phys_l1 = float(np.abs(g).sum() * lat_dx**d) * f.grid.cell_volume
-    m1 = phys_l1 / (2.0 * np.pi) ** d
-
+    # the lattice is freed before the moments below are formed
+    m1 = _physical_l1(f)
     sigma_x = math.sqrt(profile_gradient_l2sq(f)) / l2
     mesh = f.grid.meshgrid()
     r2 = _squared_distance(mesh, shift.xi0_vec())
@@ -389,8 +414,10 @@ def lq_norm_spacetime(
     ``parts`` lists further signed combinations of the same extensions, one
     sign per pair, whose truncated norms (without tails) the same pass
     reduces into ``NormResult.parts``.
-    Non-integrable tails, and a tail lattice (4N points per axis) above the
-    memory guard's budget, refuse before anything is extended.
+    Non-integrable tails refuse before anything is extended, and so does a
+    tail lattice (4N points per axis) whose streamed form is above the
+    memory guard's budget: its last axis transformed, N^(d-1) x 4N complex
+    points, and one slab of the whole lattice with its |.|.
     """
     if q <= 2:
         raise ValueError("q must exceed 2")
@@ -406,10 +433,17 @@ def lq_norm_spacetime(
             f"d (q - 2) / 2 = {beta:.3g} <= 1: the dispersive tail is not integrable"
         )
 
-    # the tail certificate holds, one profile at a time, a complex lattice of
-    # 4N points per axis and its |.|, 24 bytes a point
-    n_lat = 4 * max(prof.grid.points_per_axis for prof, _ in tail_pairs)
-    _refuse_above_budget(24 * n_lat**d, f"the tail lattice of shape {(n_lat,) * d}")
+    # the tail certificate holds, one profile at a time, its lattice of 4N
+    # points per axis transformed along the last axis (N^(d-1) x 4N complex
+    # points) and one slab of the whole lattice, complex, with its |.|; in
+    # d = 1 the first array is the lattice, so only its |.| is added
+    n = max(prof.grid.points_per_axis for prof, _ in tail_pairs)
+    n_lat, width = _lattice_slabs(n, d)
+    slab = (n_lat,) * (d - 1) + (width,)
+    _refuse_above_budget(
+        16 * n ** (d - 1) * n_lat + (8 if d == 1 else 24) * math.prod(slab),
+        f"the tail lattice of shape {(n_lat,) * d}, in slabs of shape {slab}",
+    )
 
     terms = (((1,) * len(tail_pairs), (1, 2)),) + tuple((signs, (1,)) for signs in parts)
     ((value, coarse, *extra),) = _lq_against(stg, tail_pairs[:-1], tail_pairs[-1:], q, terms, threads)

@@ -3,9 +3,8 @@ dilation sequences (the scaling symmetry acting on a profile), the
 limiting-quotient convergence study, weak-limit ratio/pairing diagnostics,
 paraboloid-separation reports, the separating test-function construction
 with its pairing margins m1 and m2 (the frequency-side half of the paper's
-contradiction step; the spacetime duality bound is not evaluated),
-shifted-operator limits, and the parameter trend checks for sequences of
-symmetries.
+contradiction step; the spacetime duality bound is not evaluated), and
+shifted-operator limits.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ from .norms import _lq_against, _quotient, quotient_pair, quotient_single
 from .symmetry import Symmetry, apply_symmetry_frequency
 
 SEPARATION_MAX_HALVINGS = 12  # halvings of s0 tried by build_separating_testfn
-DIVERGE_THRESHOLD = 10.0  # final lambda_n that counts as diverging
-VANISH_THRESHOLD = 1e-2  # final |b_n|, |c_n| that count as vanishing
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +356,7 @@ def build_separating_testfn(
 
 
 # ---------------------------------------------------------------------------
-# shifted-operator limits and symmetry-parameter trends
+# shifted-operator limits
 # ---------------------------------------------------------------------------
 
 def shifted_limit_test(
@@ -381,43 +378,3 @@ def shifted_limit_test(
     f = f.scaled(1.0 / nf)
     found = _lq_against(stg, [(f, shift0)], [(f, sh) for sh in shifts], e.q, (((1, -1), (1,)),), threads)
     return [residual for residual, in found]
-
-
-@dataclass
-class SequenceConditionReport:
-    rows: list  # (lambda_n, b_n = lambda^-2 xi0.xt_n, c_n = |lambda_n t_n xi0|)
-    verdicts: dict  # {"lambda_diverges": bool, "b_vanishes": bool, "c_vanishes": bool}
-
-
-def check_sequence_conditions(
-    symmetries: list,
-    shift: ParaboloidShift,
-) -> SequenceConditionReport:
-    """Literal arithmetic on a sequence of symmetry parameters plus
-    monotone-trend verdicts over the last half of the sequence."""
-    if not symmetries:
-        raise ValueError("empty symmetry list")
-    xi0 = shift.xi0_vec()
-    rows = []
-    for S in symmetries:
-        lam = S.lam
-        b = float(xi0 @ S.xi_tilde_vec()) / lam**2
-        c = float(np.sqrt(((lam * S.t0 * xi0) ** 2).sum()))
-        rows.append((lam, b, c))
-
-    def trend(vals, increasing):
-        tail = vals[len(vals) // 2 :]
-        if len(tail) < 2:
-            tail = vals
-        steps = np.diff(tail)
-        return bool(np.all(steps >= 0) if increasing else np.all(np.abs(tail[1:]) <= np.abs(tail[:-1])))
-
-    lams = np.array([r[0] for r in rows])
-    bs = np.array([r[1] for r in rows])
-    cs = np.array([r[2] for r in rows])
-    verdicts = {
-        "lambda_diverges": trend(lams, True) and lams[-1] > DIVERGE_THRESHOLD,
-        "b_vanishes": trend(bs, False) and abs(bs[-1]) < VANISH_THRESHOLD,
-        "c_vanishes": trend(cs, False) and abs(cs[-1]) < VANISH_THRESHOLD,
-    }
-    return SequenceConditionReport(rows=rows, verdicts=verdicts)

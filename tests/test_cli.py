@@ -54,7 +54,10 @@ def test_quotient_kind_value(tmp_path):
     csv_lines = (out / "quotient.csv").read_text().strip().splitlines()
     assert csv_lines[0].split(",")[0] == "quotient"
     assert float(csv_lines[1].split(",")[0]) == pytest.approx(res.quotient, rel=1e-10)
-    assert (out / "run_meta.json").exists()
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["wall_clock_seconds"] >= 0.0
+    # the process has held the interpreter and numpy, so its peak is positive
+    assert meta["peak_rss_mb"] > 0.0
 
 
 def test_only_the_single_quotient_reports_a_p_estimate(tmp_path):
@@ -226,7 +229,8 @@ SEQUENCE = SHIFT + "lambdas: [1.0, 0.5]\n"
             "quotient", "profile: {kind: gaussian, width: -1.0}\n", "profile: width must be positive",
             id="width-negative",
         ),
-        pytest.param("quotient", "p: 1.0\n", "p must exceed 1", id="p-one"),
+        pytest.param("quotient", "p: 1.0\n", "config.p: p must exceed 1", id="p-one"),
+        pytest.param("quotient", "d: 0\n", "config.d: dimension must be >= 1", id="d-zero"),
         pytest.param(
             "quotient", BASE_GRID.replace("n: 256", "n: 100"), "grid: points_per_axis must be a power of two",
             id="n-not-power-of-two",

@@ -14,13 +14,9 @@ BENCHMARKS = sorted((Path(__file__).parent.parent / "benchmarks").glob("*.py"))
 
 # public names that only tests call, each waiting for the ROADMAP item that
 # gives it a report: a K-term sharp_holder_gap for K translated paraboloids
-# (item 13), the sequence-condition check and the composition law for the
-# constructed symmetry families (item 8)
-TEST_ONLY = {
-    "sharp_holder_gap",
-    "check_sequence_conditions",
-    "compose_symmetry",
-}
+# (item 13) and the composition law for following the extremizing sequence
+# past the grid (item 4)
+TEST_ONLY = {"sharp_holder_gap", "compose_symmetry"}
 
 
 def unused_imports(source: str) -> list:

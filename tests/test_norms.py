@@ -237,18 +237,62 @@ def test_empty_pair_list_refuses():
 
 
 def test_tail_lattice_refuses_above_budget_before_extending(monkeypatch):
-    # the tail certificate's lattice of 4N points per axis, a complex array
-    # and its |.|, is sized before any field is extended
+    # the tail certificate's lattice of 4N points per axis, transformed along
+    # its last axis (N x 4N complex points in d = 2) and streamed in slabs of
+    # 128 columns, each complex with its |.|, is sized before any field is
+    # extended
     def extend_nothing(*args, **kwargs):
         raise AssertionError("a field was extended")
 
     f = gaussian_profile(FROZEN_FGRID_D2)
-    n_lat = 4 * FROZEN_FGRID_D2.points_per_axis
+    n = FROZEN_FGRID_D2.points_per_axis
+    n_lat = 4 * n
+    held = 16 * n * n_lat + 24 * n_lat * 128
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     monkeypatch.setattr(norms, "extend", extend_nothing)
-    monkeypatch.setattr(extension, "FIELD_MEMORY_FRACTION", 0.9 * 24 * n_lat**2 / memory)
-    with pytest.raises(NumericalRefusalError, match=rf"the tail lattice of shape \({n_lat}, {n_lat}\)"):
+    monkeypatch.setattr(extension, "FIELD_MEMORY_FRACTION", 0.9 * held / memory)
+    with pytest.raises(
+        NumericalRefusalError,
+        match=rf"the tail lattice of shape \({n_lat}, {n_lat}\), in slabs of shape \({n_lat}, 128\) takes",
+    ):
         lq_norm_spacetime(FROZEN_STG_D2, [(f, ParaboloidShift.zero(2))], 4.0)
+    # just above what is held, the tail certificate runs
+    monkeypatch.setattr(extension, "FIELD_MEMORY_FRACTION", 1.01 * held / memory)
+    monkeypatch.setattr(norms, "_lq_against", lambda *args: [(1.0, 1.0)])
+    assert lq_norm_spacetime(FROZEN_STG_D2, [(f, ParaboloidShift.zero(2))], 4.0).tail_bound > 0.0
+
+
+@pytest.mark.parametrize(
+    "grid", [FrequencyGrid(1, 10.0, 512), FROZEN_FGRID_D2, FrequencyGrid(3, 6.0, 32)], ids=["d1", "d2", "d3"]
+)
+@pytest.mark.parametrize(
+    "shape", [{}, {"phase_velocity": 0.7}, {"chirp": 0.3}], ids=["real", "phase-velocity", "chirped"]
+)
+def test_streamed_tail_lattice_matches_the_dense_transform(grid, shape):
+    # m1 from the lattice streamed in slabs (several in d = 2 and 3) is the
+    # L^1 norm of the dense lattice of 4N points per axis, up to the order
+    # of the sum
+    d = grid.d
+    f = gaussian_profile(grid, **shape)
+    n_lat = 4 * grid.points_per_axis
+    assert d == 1 or norms._lattice_slabs(grid.points_per_axis, d)[1] < n_lat
+    lattice = np.fft.ifftn(f.samples, s=(n_lat,) * d) * n_lat**d
+    lat_dx = 2.0 * math.pi / (n_lat * grid.spacing)
+    dense = np.abs(lattice).sum() * lat_dx**d * grid.cell_volume / (2.0 * math.pi) ** d
+    assert _tail_ingredients(f, ParaboloidShift.zero(d)).m1 == pytest.approx(dense, rel=1e-14)
+
+
+def test_streamed_tail_lattice_holds_under_half_the_dense_lattice():
+    # FROZEN d = 2: the dense lattice with its |.| takes 24 (4N)^2 B = 6 MiB
+    f = gaussian_profile(FROZEN_FGRID_D2)
+    dense_bytes = 24 * (4 * FROZEN_FGRID_D2.points_per_axis) ** 2
+    tracemalloc.start()
+    try:
+        _tail_ingredients(f, ParaboloidShift.zero(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 2
 
 
 def test_d2_frozen_config(exponents_d2):

@@ -22,7 +22,6 @@ from parext.sequences import (
     SeparatingTestfn,
     TestFunction,
     build_separating_testfn,
-    check_sequence_conditions,
     convergence_study,
     default_test_functions,
     dilation_sequence,
@@ -326,31 +325,3 @@ def test_shifted_limit_monotone_for_approaching_shifts(exponents_d1):
     shifts = [ParaboloidShift(2.0**-n, (2.0**-n,)) for n in range(1, 6)]
     res = shifted_limit_test(f, ZERO, shifts, exponents_d1, STG)
     assert all(b < a for a, b in zip(res, res[1:]))
-
-
-# -- symmetry-parameter trends -------------------------------------------------
-
-def test_check_sequence_conditions():
-    shift = ParaboloidShift(0.0, (1.0,))
-    # lambda doubles, xi_tilde grows slower than lambda^2, t0 shrinks fast
-    good = [
-        Symmetry(2.0**n, (2.0**n * 0.1,), 4.0**-n, (0.0,)) for n in range(1, 9)
-    ]
-    rep = check_sequence_conditions(good, shift)
-    assert rep.verdicts == {
-        "lambda_diverges": True,
-        "b_vanishes": True,
-        "c_vanishes": True,
-    }
-    lam, b, c = rep.rows[0]
-    assert lam == 2.0 and b == pytest.approx(0.2 / 4.0) and c == pytest.approx(0.5)
-
-    # bounded lambdas: nothing diverges
-    flat = [Symmetry(1.0, (1.0,), 1.0, (0.0,)) for _ in range(6)]
-    rep = check_sequence_conditions(flat, shift)
-    assert not rep.verdicts["lambda_diverges"]
-    assert not rep.verdicts["b_vanishes"]
-    assert not rep.verdicts["c_vanishes"]
-
-    with pytest.raises(ValueError):
-        check_sequence_conditions([], shift)
