@@ -64,7 +64,6 @@ class NormResult:
     tail_bound: float
     quadrature_estimate: float
     q: float
-    parts: tuple = ()  # truncated norms of the combinations a caller asked for
 
     def certified_upper(self) -> float:
         return (self.value**self.q + self.tail_bound**self.q) ** (
@@ -284,10 +283,14 @@ def _lq_against(stg: SpacetimeGrid, held, streamed, q: float, terms: tuple, thre
     (profile, shift) pairs ``held``, each extended once and held, followed
     by the extension of each pair of ``streamed`` in turn, streamed through
     ``extend``'s t-blocks and never held: one list of norms per streamed
-    pair.  When every pair shares one reflection (``_time_reflection``), the
-    held fields keep, and the streams bring, only their t >= 0 rows (see
-    ``_LqRows``); otherwise every field is held, and streamed, whole."""
-    reflections = {_time_reflection(prof.grid, shift, prof.samples) for prof, shift in [*held, *streamed]}
+    pair.  When every pair shares one reflection (``_time_reflection``), held
+    fields and streams keep only their t >= 0 rows (see ``_LqRows``), and
+    otherwise every row; a pair of another dimension than ``stg`` refuses."""
+    pairs = [*held, *streamed]
+    for prof, shift in pairs:
+        if prof.grid.d != stg.d or shift.d != stg.d:
+            raise ValueError(f"a pair of dimension {prof.grid.d} (shift {shift.d}) on a {stg.d}-d spacetime grid")
+    reflections = {_time_reflection(prof.grid, shift, prof.samples) for prof, shift in pairs}
     mirrored = reflections.pop() if len(reflections) == 1 else None
     fields = tuple(extend(prof, shift, stg, threads, _HeldField(stg, mirrored)) for prof, shift in held)
     found = []
@@ -396,7 +399,6 @@ def lq_norm_spacetime(
     tail_pairs: list,
     q: float,
     threads: int = 1,
-    parts: tuple = (),
 ) -> NormResult:
     """Truncated-grid L^q norm on ``stg`` of the sum of the extensions of the
     (profile, shift) pairs ``tail_pairs``, plus tail certification.
@@ -411,9 +413,6 @@ def lq_norm_spacetime(
     ``_LqRows``); the memory guard sizes those half fields.  Any other set
     of pairs, a real profile next to a Hermitian one included, holds and
     streams every row.  The tail norms of the pairs add by Minkowski.
-    ``parts`` lists further signed combinations of the same extensions, one
-    sign per pair, whose truncated norms (without tails) the same pass
-    reduces into ``NormResult.parts``.
     Non-integrable tails refuse before anything is extended, and so does a
     tail lattice (4N points per axis) whose streamed form is above the
     memory guard's budget: its last axis transformed, N^(d-1) x 4N complex
@@ -424,9 +423,6 @@ def lq_norm_spacetime(
     if not tail_pairs:
         raise ValueError("no (profile, shift) pair to extend")
     d = stg.d
-    for prof, shift in tail_pairs:
-        if prof.grid.d != d or shift.d != d:
-            raise ValueError(f"a pair of dimension {prof.grid.d} (shift {shift.d}) on a {d}-d spacetime grid")
     beta = d * (q - 2.0) / 2.0
     if beta <= 1.0:
         raise TailCertificationError(
@@ -445,8 +441,8 @@ def lq_norm_spacetime(
         f"the tail lattice of shape {(n_lat,) * d}, in slabs of shape {slab}",
     )
 
-    terms = (((1,) * len(tail_pairs), (1, 2)),) + tuple((signs, (1,)) for signs in parts)
-    ((value, coarse, *extra),) = _lq_against(stg, tail_pairs[:-1], tail_pairs[-1:], q, terms, threads)
+    terms = (((1,) * len(tail_pairs), (1, 2)),)
+    ((value, coarse),) = _lq_against(stg, tail_pairs[:-1], tail_pairs[-1:], q, terms, threads)
     quad_est = abs(value - coarse) / 3.0
     T = stg.t_half_width
     X = stg.x_half_width
@@ -455,22 +451,25 @@ def lq_norm_spacetime(
         ing = _tail_ingredients(prof, shift)
         mass = _time_tail_mass(ing, d, q, T) + _space_tail_mass(ing, d, q, T, X)
         tail += mass ** (1.0 / q)
-    return NormResult(value, tail, quad_est, q, tuple(extra))
+    return NormResult(value, tail, quad_est, q)
 
 
-def _quotient(pairs: list, e: Exponents, stg: SpacetimeGrid, threads: int, parts: tuple = ()) -> tuple:
-    """The L^p norm of the profile of each (profile, shift) pair of ``pairs``,
-    and the quotient ||sum_k E_{s_k} f_k||_q / (sum_k ||f_k||_p^p)^{1/p}
-    with the certified numerator of ``lq_norm_spacetime``, whose ``parts``
-    are the truncated norms of the further combinations ``parts`` (one sign
-    per pair) from the same pass.  Refuses before extending exponents of
-    another dimension than ``stg``, and pairs whose profiles are all zero."""
+def _denominator(pairs: list, e: Exponents, stg: SpacetimeGrid) -> tuple:
+    """The L^p norm of the profile of each (profile, shift) pair of ``pairs``
+    and (sum_k ||f_k||_p^p)^{1/p}.  Refuses, before anything is extended,
+    exponents of another dimension than ``stg`` and all-zero profiles."""
     e.check_dimension(stg.d)
     lp = [lp_norm_frequency(prof, e.p) for prof, _ in pairs]
     den = sum(n**e.p for n in lp) ** (1.0 / e.p)
     if den == 0.0:
         raise ValueError("every profile is zero")
-    return lp, QuotientResult(lq_norm_spacetime(stg, pairs, e.q, threads, parts), den)
+    return lp, den
+
+
+def _quotient(pairs: list, e: Exponents, stg: SpacetimeGrid, threads: int) -> QuotientResult:
+    """||sum_k E_{s_k} f_k||_q, certified by ``lq_norm_spacetime``, over ``_denominator``."""
+    den = _denominator(pairs, e, stg)[1]
+    return QuotientResult(lq_norm_spacetime(stg, pairs, e.q, threads), den)
 
 
 def quotient_single(
@@ -481,7 +480,7 @@ def quotient_single(
 ) -> QuotientResult:
     """||Ef||_q / ||f||_p, the one-part case of ``_quotient``; the field is
     streamed into the reduction and never held."""
-    return _quotient([(f, ParaboloidShift.zero(f.grid.d))], e, stg, threads)[1]
+    return _quotient([(f, ParaboloidShift.zero(f.grid.d))], e, stg, threads)
 
 
 def quotient_pair(
@@ -494,7 +493,7 @@ def quotient_pair(
 ) -> QuotientResult:
     """||Ef + E_shift g||_q / (||f||_p^p + ||g||_p^p)^{1/p}, the two-part
     case of ``_quotient``, which holds at most one field."""
-    return _quotient([(f, ParaboloidShift.zero(f.grid.d)), (g, shift)], e, stg, threads)[1]
+    return _quotient([(f, ParaboloidShift.zero(f.grid.d)), (g, shift)], e, stg, threads)
 
 
 def sharp_holder_gap(a: float, b: float, p: float) -> float:

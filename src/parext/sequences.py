@@ -26,7 +26,7 @@ from .grids import (
     plateau_bump,
     smooth_bump,
 )
-from .norms import _lq_against, _quotient, quotient_pair, quotient_single
+from .norms import _denominator, _lq_against, quotient_pair, quotient_single
 from .symmetry import Symmetry, apply_symmetry_frequency
 
 SEPARATION_MAX_HALVINGS = 12  # halvings of s0 tried by build_separating_testfn
@@ -157,16 +157,16 @@ def weak_limit_diagnostics(
     """All diagnostics of the weak-limit statement: the three limiting
     ratios against the single-operator constant ``a_p_estimate``, the norm
     gap, the field difference and the pairings with
-    ``default_test_functions``."""
-    # ||E f||_q, ||E_shift g||_q and ||E f - E_shift g||_q come from the pass
-    # that certifies the norm of the sum
+    ``default_test_functions``.  The norms of E f +- E_shift g, E f and
+    E_shift g on ``stg`` come from one reduction of the two fields, uncertified."""
     zero = ParaboloidShift.zero(f_n.grid.d)
-    (nf, ng), res = _quotient([(f_n, zero), (g_n, shift)], e, stg, threads, parts=((1, 0), (0, 1), (1, -1)))
-    nqf, nqg, field_difference = res.numerator.parts
+    (nf, ng), den = _denominator([(f_n, zero), (g_n, shift)], e, stg)
+    terms = tuple((signs, (1,)) for signs in ((1, 1), (1, 0), (0, 1), (1, -1)))
+    ((nq, nqf, nqg, field_difference),) = _lq_against(stg, [(f_n, zero)], [(g_n, shift)], e.q, terms, threads)
 
-    ratio_first = res.numerator.value / (nqf + nqg)
+    ratio_first = nq / (nqf + nqg)
     ratio_second = (nqf + nqg) / (a_p_estimate * (nf + ng))
-    ratio_third = (nf + ng) / (2.0 ** (1.0 / e.p_conj) * res.denominator)
+    ratio_third = (nf + ng) / (2.0 ** (1.0 / e.p_conj) * den)
 
     pairings = []
     for phi in default_test_functions(f_n.grid.d):

@@ -32,6 +32,17 @@ GAUSS_L2_D2 = math.sqrt(math.pi / 2.0)
 A2_D2 = GAUSS_L4_D2 / GAUSS_L2_D2
 
 
+def gauss_quotient(d: int) -> float:
+    """||Ef||_q / ||f||_2 for the width-1 Gaussian in d dimensions at
+    q = 2 + 4/d: |Ef|^q = pi^{dq/2} (1+t^2)^{-dq/4} exp(-q |x|^2 / (4 (1+t^2)))
+    integrates over x to pi^{dq/2} (4 pi / q)^{d/2} / (1+t^2), and then
+    over t to pi times that; ||f||_2 = (pi/2)^{d/4}.  Foschi 2007 proves it
+    the sharp constant in d = 1 and 2, and conjectures it in every d."""
+    q = 2.0 + 4.0 / d
+    lq_q = math.pi ** (d * q / 2.0) * (4.0 * math.pi / q) ** (d / 2.0) * math.pi
+    return lq_q ** (1.0 / q) / (math.pi / 2.0) ** (d / 4.0)
+
+
 def truncated_gauss_l6_d1(T: float, X: float) -> float:
     """||Ef||_{L^6([-T,T] x [-X,X])} for the width-1 Gaussian, d = 1:
     |Ef|^6 = pi^3 (1+t^2)^{-3/2} exp(-3 x^2 / (2 (1+t^2)))."""
@@ -154,6 +165,10 @@ FROZEN_STG_D1 = SpacetimeGrid(1, 400.0, 220.0, 5121, 4097)
 
 FROZEN_FGRID_D2 = FrequencyGrid(2, 7.0, 128)
 FROZEN_STG_D2 = SpacetimeGrid(2, 10.0, 16.0, 129, 97)
+
+# streamed under the memory guard: the whole 129 x 49^3 field would take 243 MB
+FROZEN_FGRID_D3 = FrequencyGrid(3, 6.0, 64)
+FROZEN_STG_D3 = SpacetimeGrid(3, 8.0, 14.0, 129, 49)
 
 PAIR_FGRID = FrequencyGrid(1, 10.0, 2048)
 PAIR_STG = SpacetimeGrid(1, 160.0, 200.0, 2049, 2049)

@@ -11,20 +11,24 @@ from scipy import integrate
 
 from conftest import (
     A2_D1,
+    A2_D2,
     FROZEN_FGRID_D1,
     FROZEN_FGRID_D2,
+    FROZEN_FGRID_D3,
     FROZEN_STG_D1,
     FROZEN_STG_D2,
+    FROZEN_STG_D3,
     GAUSS_L4_D2,
     PAIR_FGRID,
     PAIR_STG,
     GAUSS_L2_D2,
     gauss_l6_exact,
+    gauss_quotient,
     truncated_gauss_l4_d2,
     truncated_gauss_l6_d1,
 )
 from parext import extension, norms
-from parext.errors import NumericalRefusalError, TailCertificationError
+from parext.errors import NumericalRefusalError, ParextWarning, TailCertificationError
 from parext.exponents import validate_exponents
 from parext.extension import ExtensionOperator, ParaboloidShift, _Reflection, _run_blocks, _split, extend
 from parext.grids import (
@@ -105,6 +109,25 @@ def test_certified_containment_short_window():
     assert masses[0] > masses[1] > masses[2]
     dispersive = 2.0 * (2.0 * math.pi * ing.l2**2) * (math.sqrt(math.pi) * ing.m1) ** 4 / T
     assert masses[1] / dispersive == pytest.approx((2.0 * t_c - T) * T / t_c**2, rel=1e-12)
+
+
+def test_gaussian_quotient_has_one_closed_form_in_every_dimension():
+    assert gauss_quotient(1) == pytest.approx(A2_D1, rel=1e-12)
+    assert gauss_quotient(2) == pytest.approx(A2_D2, rel=1e-12)
+    assert gauss_quotient(3) == pytest.approx(10.165502851313347, rel=1e-12)
+
+
+def test_d3_gaussian_interval_contains_the_conjectured_constant():
+    # Foschi conjectures that Gaussians extremize in d = 3 as they do in
+    # d = 1 and 2, so the width-1 Gaussian's quotient is compared with a
+    # conjectured sharp constant: the certified interval contains the exact
+    # quotient of this Gaussian, which proves nothing about the conjecture
+    # (observed Q = 9.916476, 2.4% low, with a certified error of 1.29948)
+    e = validate_exponents(3, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ParextWarning)
+        res = quotient_single(gaussian_profile(FROZEN_FGRID_D3), e, FROZEN_STG_D3, threads=2)
+    assert res.quotient <= gauss_quotient(3) <= res.quotient + res.certified_error()
 
 
 def test_quotient_dilation_invariance(exponents_d1):
@@ -447,7 +470,8 @@ def test_streamed_norms_equal_the_materialized_path(fg, stg, odd_chunk):
     zero, shift = ParaboloidShift.zero(d), ParaboloidShift(0.5, (-1.0,) + (0.0,) * (d - 1))
     assert (ExtensionOperator(fg, zero, stg)._default_chunk() % 2 == 1) == odd_chunk
     q = 2.0 + 4.0 / d
-    parts = ((1, 0), (0, 1), (1, -1))  # those weak_limit_diagnostics reads
+    parts = ((1, 1), (1, 0), (0, 1), (1, -1))  # those weak_limit_diagnostics reads
+    terms = tuple((c, (1,)) for c in parts)
     for chirp in (0.0, 0.3):
         f = gaussian_profile(fg, chirp=chirp)
         g = gaussian_profile(fg, width=0.8, center=0.1)
@@ -456,9 +480,10 @@ def test_streamed_norms_equal_the_materialized_path(fg, stg, odd_chunk):
             held = extend(f, zero, stg, threads=threads)
             other = extend(g, shift, stg, threads=threads)
             value, coarse = _truncated_lq(stg, (held, other), q, strides=(1, 2))
-            res = lq_norm_spacetime(stg, [(g, shift), (f, zero)], q, threads=threads, parts=parts)
+            res = lq_norm_spacetime(stg, [(g, shift), (f, zero)], q, threads=threads)
             assert res.value == value and res.quadrature_estimate == abs(value - coarse) / 3.0
-            assert list(res.parts) == _truncated_lq(stg, (other, held), q, parts)
+            (found,) = _lq_against(stg, [(g, shift)], [(f, zero)], q, terms, threads)
+            assert found == _truncated_lq(stg, (other, held), q, parts)
             # one streamed field alone, at both strides
             (alone,) = _lq_against(stg, (), [(f, zero)], q, (((1,), (1, 2)),), threads)
             assert alone == _truncated_lq(stg, (held,), q, strides=(1, 2))
@@ -540,12 +565,13 @@ def test_mirror_rows_reach_the_reduction_only_for_a_shared_reflection(monkeypatc
         (herm, real_g, tau, None),
     ):
         calls.clear()
-        res = lq_norm_spacetime(stg, [(f, zero), (g, s)], 6.0, parts=((1, -1),))
+        value = lq_norm_spacetime(stg, [(f, zero), (g, s)], 6.0).value
+        (found,) = _lq_against(stg, [(f, zero)], [(g, s)], 6.0, (((1, -1), (1,)),), threads=1)
         assert {m for m, _, _ in calls} == {mirrored}
         assert min(i for _, i, _ in calls) == (stg.t_points // 2 if mirrored else 0)
         fields = (extend(f, zero, stg), extend(g, s, stg))
         assert all(np.array_equal(rows, fields[1][i : i + len(rows)]) for _, i, rows in calls)
-        assert [res.value, *res.parts] == _truncated_lq(stg, fields, 6.0, ((1, 1), (1, -1)))
+        assert [value, *found] == _truncated_lq(stg, fields, 6.0, ((1, 1), (1, -1)))
     # a consumer mirrored by one reflection refuses the field of a profile
     # with another, or with none
     real_only, hermitian_only = _Reflection.REAL, _Reflection.HERMITIAN

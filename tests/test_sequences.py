@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import FROZEN_FGRID_D2, FROZEN_STG_D2
-from parext import sequences
+from parext import norms, sequences
 from parext.errors import NumericalRefusalError
-from parext.extension import ParaboloidShift
+from parext.extension import ParaboloidShift, extend
 from parext.grids import (
     FrequencyGrid,
     SpacetimeGrid,
@@ -17,7 +17,7 @@ from parext.grids import (
     gaussian_profile,
     lp_norm_frequency,
 )
-from parext.norms import quotient_pair
+from parext.norms import _truncated_lq, quotient_pair
 from parext.sequences import (
     SeparatingTestfn,
     TestFunction,
@@ -151,6 +151,38 @@ def test_weak_limit_degenerate_ratios(exponents_d1):
     assert diag.ratio_third == pytest.approx(1.0, rel=1e-12)
     assert diag.field_difference == 0.0
     assert len(diag.weak_pairings) == 3
+
+
+def test_weak_limit_norms_come_from_one_reduction_without_a_tail(exponents_d1, monkeypatch):
+    # E f is held and E_shift g streamed against it: two fields are extended,
+    # no tail certificate is built, and every figure has the bits of the
+    # reduction of both fields held whole, for a real pair (which mirrors its
+    # rows t < 0) and a chirped one (which does not)
+    e, shift = exponents_d1, ParaboloidShift(0.5, (1.0,))
+    g = gaussian_profile(FG, width=0.8, center=0.1)
+    extended = []
+
+    def counting_extend(prof, shift, *args, **kwargs):
+        extended.append(prof)
+        return extend(prof, shift, *args, **kwargs)
+
+    def no_tail(*args):
+        raise AssertionError("a tail certificate was built")
+
+    monkeypatch.setattr(norms, "extend", counting_extend)
+    monkeypatch.setattr(norms, "_tail_ingredients", no_tail)
+    for f in (gaussian_profile(FG), gaussian_profile(FG, chirp=0.3)):
+        extended.clear()
+        diag = weak_limit_diagnostics(f, g, shift, e, STG, a_p_estimate=2.0377, threads=2)
+        assert [id(prof) for prof in extended] == [id(f), id(g)]
+        fields = (extend(f, ZERO, STG, threads=2), extend(g, shift, STG, threads=2))
+        nq, nqf, nqg, diff = _truncated_lq(STG, fields, e.q, ((1, 1), (1, 0), (0, 1), (1, -1)))
+        nf, ng = lp_norm_frequency(f, e.p), lp_norm_frequency(g, e.p)
+        den = (nf**e.p + ng**e.p) ** (1.0 / e.p)
+        assert diag.ratio_first == nq / (nqf + nqg)
+        assert diag.ratio_second == (nqf + nqg) / (2.0377 * (nf + ng))
+        assert diag.ratio_third == (nf + ng) / (2.0 ** (1.0 / e.p_conj) * den)
+        assert diag.norm_gap == nf - ng and diag.field_difference == diff
 
 
 def test_surface_pairing_positive_for_centered_bump():
@@ -287,6 +319,17 @@ def test_separating_testfn_survives_replace_and_pickle():
         pytest.param(
             lambda e: shifted_limit_test(gaussian_profile(FG).scaled(0.0), ZERO, [ZERO], e, STG),
             ValueError, "zero profile", id="shifted-limit-zero",
+        ),
+        # a pair of another dimension than the grid, with lq_norm_spacetime's message
+        pytest.param(
+            lambda e: weak_limit_diagnostics(
+                gaussian_profile(FG), gaussian_profile(FG), ParaboloidShift(0.0, (1.0, 0.0)), e, STG, 2.0
+            ),
+            ValueError, "a pair of dimension 1 .shift 2. on a 1-d spacetime grid", id="weak-limit-pair-dimension",
+        ),
+        pytest.param(
+            lambda e: shifted_limit_test(gaussian_profile(FG), ZERO, [ParaboloidShift(0.0, (1.0, 0.0))], e, STG),
+            ValueError, "a pair of dimension 1 .shift 2. on a 1-d spacetime grid", id="shifted-limit-pair-dimension",
         ),
         pytest.param(
             lambda e: build_separating_testfn(
