@@ -162,9 +162,9 @@ def test_weak_limit_norms_come_from_one_reduction_without_a_tail(exponents_d1, m
     g = gaussian_profile(FG, width=0.8, center=0.1)
     extended = []
 
-    def counting_extend(prof, shift, *args, **kwargs):
+    def counting_extend(prof, *args, **kwargs):
         extended.append(prof)
-        return extend(prof, shift, *args, **kwargs)
+        return extend(prof, *args, **kwargs)
 
     def no_tail(*args):
         raise AssertionError("a tail certificate was built")
